@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from .corpus import corpus_specs, spec_from_config
-from .expr import ExprError
+from .expr import EvalDomainError, ExprError
 from .funcspec import (
     DegeneratePhiError,
     SpecValidationError,
@@ -198,6 +198,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EvalDomainError as exc:
+        # a config's expressions are checked while loading it (ConfigError),
+        # so a domain error here comes from the numerics
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ExprError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,8 @@ __all__ = [
 
 PHI_RANGE_GRID = 1001
 PAIR_SEPARATION = 1e-9  # relative floor on |phi(x)-phi(y)| for ratio samples
+CHUNK_POINTS = 2**14  # grid points per row block of a certification scan
+MAX_GRID_POINTS = 2**27  # validate rejects larger (x, y, t) grids
 
 
 class SpecValidationError(ValueError):
@@ -155,7 +157,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check every instance invariant and return the spec marked valid.
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
-    [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b).
+    [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). The
+    certification grid may have at most MAX_GRID_POINTS points.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
@@ -176,6 +179,12 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     for n in (spec.grid.n_x, spec.grid.n_y, spec.grid.n_t):
         if n < 3:
             raise SpecValidationError("grid-size", f"grid counts must be >= 3, got {n}")
+    # the t grid has at most n_t + 1 points (1/2 may be inserted)
+    points = spec.grid.n_x * spec.grid.n_y * (spec.grid.n_t + 1)
+    if points > MAX_GRID_POINTS:
+        raise SpecValidationError(
+            "grid-size", f"grid has up to {points} points, above {MAX_GRID_POINTS}"
+        )
 
     xs = np.linspace(iv.a, iv.b, PHI_RANGE_GRID)
     try:
@@ -222,16 +231,28 @@ def _phi_samples(g, phi, iv, grid):
     return xs, ys, phix, phiy, gx, gy
 
 
-def _slack_grid(g, phix, phiy, gx, gy, ts, c):
-    """slack(x, y, t) over the full grid; axes ordered (x, y, t)."""
-    X = phix[:, None, None]
-    Y = phiy[None, :, None]
+def _row_blocks(g, phix, phiy, gx, gy, ts):
+    """Walk the (x, y, t) grid in blocks of whole x-rows.
+
+    Yields ``(i0, diff, gmix, chord)`` per block, for the x indices from i0:
+    ``diff`` is phi(x) - phi(y) shaped (rows, n_y, 1); ``gmix`` and ``chord``
+    are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
+    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, n_t). A block holds
+    max(1, CHUNK_POINTS // (n_y*n_t)) rows, so memory is
+    O(max(CHUNK_POINTS, n_y*n_t)) whatever n_x. Every element gets the same
+    floating-point operations in the same order as on the full grid, so
+    results do not depend on the block size.
+    """
     T = ts[None, None, :]
-    mix = T * X + (1.0 - T) * Y
-    gmix = np.broadcast_to(np.asarray(g(mix), dtype=float), mix.shape)
-    chord = T * gx[:, None, None] + (1.0 - T) * gy[None, :, None]
-    penalty = c * T * (1.0 - T) * (X - Y) ** 2
-    return chord - penalty - gmix, gmix, chord - penalty
+    Y = phiy[None, :, None]
+    mix_y = (1.0 - T) * Y
+    chord_y = (1.0 - T) * gy[None, :, None]
+    rows = max(1, CHUNK_POINTS // (phiy.size * ts.size))
+    for i0 in range(0, phix.size, rows):
+        X = phix[i0:i0 + rows, None, None]
+        mix = T * X + mix_y
+        gmix = np.broadcast_to(np.asarray(g(mix), dtype=float), mix.shape)
+        yield i0, X - Y, gmix, T * gx[i0:i0 + rows, None, None] + chord_y
 
 
 def certify_strong_phi_convexity(
@@ -246,25 +267,35 @@ def certify_strong_phi_convexity(
 
     ``g`` must accept numpy arrays. The minimum slack over the grid decides
     the certificate; ties on the minimum resolve to the lexicographically
-    smallest (x, y, t), which argmin's first-occurrence rule delivers for
-    ascending axes. Default tolerance is 1e-9*(1 + max|g| over the grid).
+    smallest (x, y, t), and a NaN slack is the minimum wherever it occurs,
+    as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the
+    grid).
     """
     xs, ys, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
-    slack, gmix, corrected = _slack_grid(g, phix, phiy, gx, gy, ts, c)
     if tol is None:
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
-    worst = float(slack.min())
+    T = ts[None, None, :]
+    weight = c * T * (1.0 - T)
+    worst = witness = None
+    for i0, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, ts):
+        corrected = chord - weight * diff ** 2
+        slack = corrected - gmix
+        m = slack.min()
+        # the first block holding the minimum keeps it; a NaN, once found, stays
+        if worst is None or m < worst or (np.isnan(m) and not np.isnan(worst)):
+            i, j, k = np.unravel_index(np.argmin(slack), slack.shape)
+            worst = m
+            witness = (
+                float(xs[i0 + i]),
+                float(ys[j]),
+                float(ts[k]),
+                float(gmix[i, j, k]),
+                float(corrected[i, j, k]),
+            )
+    worst = float(worst)
     if worst >= -tol:
         return CertificateResult(True, worst, None)
-    i, j, k = np.unravel_index(np.argmin(slack), slack.shape)
-    witness = (
-        float(xs[i]),
-        float(ys[j]),
-        float(ts[k]),
-        float(gmix[i, j, k]),
-        float(corrected[i, j, k]),
-    )
     return CertificateResult(False, worst, witness)
 
 
@@ -277,25 +308,31 @@ def estimate_max_modulus(
     """Largest modulus surviving the grid: the minimum chord/penalty ratio.
 
     Samples with t in {0, 1} or |phi(x)-phi(y)| below 1e-9*(b-a) carry no
-    information and are excluded. The result is clamped below at 0, and by
-    construction certification at the returned value passes on this grid.
+    information and are excluded. The result is clamped below at 0: a
+    clamp to 0 means some grid chord ratio was negative (or NaN), so
+    certifying at 0 fails on this grid unless that deficit is within the
+    certificate's tolerance.
     """
     _, _, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
     ts = ts[(ts > 0.0) & (ts < 1.0)]
-    X = phix[:, None, None]
-    Y = phiy[None, :, None]
-    T = ts[None, None, :]
-    separated = np.abs(X - Y) >= PAIR_SEPARATION * iv.width
-    usable = np.broadcast_to(separated, (phix.size, phiy.size, ts.size))
-    if not np.any(usable):
+    floor = PAIR_SEPARATION * iv.width
+    rows = max(1, CHUNK_POINTS // phiy.size)
+    if not any(
+        np.any(np.abs(phix[i0:i0 + rows, None] - phiy[None, :]) >= floor)
+        for i0 in range(0, phix.size, rows)
+    ):
         raise DegeneratePhiError("phi is constant on the grid")
-    mix = T * X + (1.0 - T) * Y
-    gmix = np.broadcast_to(np.asarray(g(mix), dtype=float), mix.shape)
-    chord = T * gx[:, None, None] + (1.0 - T) * gy[None, :, None]
-    numer = (chord - gmix)[usable]
-    denom = (T * (1.0 - T) * (X - Y) ** 2)[usable]
-    return max(0.0, float(np.min(numer / denom)))
+    T = ts[None, None, :]
+    weight = T * (1.0 - T)
+    best = np.inf
+    for _, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, ts):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (chord - gmix) / (weight * diff ** 2)
+        m = np.where(np.abs(diff) >= floor, ratio, np.inf).min()
+        if m < best or np.isnan(m):
+            best = m
+    return max(0.0, float(best))
 
 
 # ---------------------------------------------------------------------------

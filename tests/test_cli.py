@@ -52,6 +52,12 @@ class TestCheck:
         path = write_config(tmp_path, dict(SQ_Q1, f="exp(x"))
         assert main(["check", path]) == 2
 
+    def test_domain_error_in_certification_exits_one(self, tmp_path, capsys):
+        # the config is valid; certifying |f'| hits sqrt's derivative at 0
+        cfg = {"f": "sqrt(abs(x-0.3))", "a": 0, "b": 1, "phi": "identity", "q": 1, "c": 0}
+        assert main(["check", write_config(tmp_path, cfg)]) == 1
+        assert "sqrt derivative at zero" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path, capsys):
         code = main(["check", write_config(tmp_path, SQ_Q1), "--format", "json"])
         assert code == 0

@@ -1,12 +1,15 @@
 """Validation and strong phi-convexity certification tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hhbounds.expr import parse
 from hhbounds.funcspec import (
+    CHUNK_POINTS,
+    CertificateResult,
     DegeneratePhiError,
     GridConfig,
     Interval,
@@ -71,6 +74,18 @@ class TestValidate:
         with pytest.raises(SpecValidationError) as exc:
             validate(make_spec(grid=GridConfig(n_x=2)))
         assert exc.value.code == "grid-size"
+
+    def test_oversize_grid_rejected_without_allocating(self):
+        spec = make_spec(grid=GridConfig(10**5, 10**5, 33))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecValidationError) as exc:
+                validate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "grid-size"
+        assert peak < 2**20
 
     def test_holder_conjugate(self):
         assert validate(make_spec(q=2.0)).p == 2.0
@@ -202,6 +217,15 @@ class TestEstimateMaxModulus:
             c = estimate_max_modulus(g, IDENTITY, IV01)
             assert certify_strong_phi_convexity(g, IDENTITY, IV01, c).passed
 
+    def test_clamp_to_zero_means_certifying_at_zero_fails(self):
+        # |f'| = 2x + sin(x) is concave on [0, 1]: every chord ratio is <= 0
+        g = derivative_power(parse("x^2 + 1 - cos(x)"), 1.0)
+        c = estimate_max_modulus(g, IDENTITY, IV01)
+        assert c == 0.0
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, c)
+        assert not res.passed
+        assert res.worst_slack == pytest.approx(-0.060, abs=5e-4)
+
     def test_constant_phi_is_degenerate(self):
         with pytest.raises(DegeneratePhiError):
             estimate_max_modulus(square, PhiMap.from_source("0*x + 0.5"), IV01)
@@ -210,3 +234,139 @@ class TestEstimateMaxModulus:
         # |d/dx x^2|^2 = 4x^2 admits modulus 4
         g = derivative_power(parse("x^2"), 2.0)
         assert estimate_max_modulus(g, IDENTITY, IV01) == pytest.approx(4.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the row-block scan against a full-grid reference
+
+
+def _reference_samples(g, phi, iv, grid, interior=False):
+    xs = np.linspace(iv.a, iv.b, grid.n_x)
+    ys = np.linspace(iv.a, iv.b, grid.n_y)
+    phix = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
+    phiy = np.broadcast_to(np.asarray(phi(ys), dtype=float), ys.shape)
+    gx = np.broadcast_to(np.asarray(g(phix), dtype=float), xs.shape)
+    gy = np.broadcast_to(np.asarray(g(phiy), dtype=float), ys.shape)
+    ts = np.linspace(0.0, 1.0, grid.n_t)
+    if not np.any(ts == 0.5):
+        ts = np.sort(np.append(ts, 0.5))
+    if interior:
+        ts = ts[(ts > 0.0) & (ts < 1.0)]
+    X = phix[:, None, None]
+    Y = phiy[None, :, None]
+    T = ts[None, None, :]
+    mix = T * X + (1.0 - T) * Y
+    gmix = np.broadcast_to(np.asarray(g(mix), dtype=float), mix.shape)
+    chord = T * gx[:, None, None] + (1.0 - T) * gy[None, :, None]
+    return xs, ys, ts, X, Y, T, gx, gy, gmix, chord
+
+
+def reference_certify(g, phi, iv, c, grid, tol=None):
+    """Full-grid certification: every (x, y, t) array built at once."""
+    xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
+    penalty = c * T * (1.0 - T) * (X - Y) ** 2
+    slack = chord - penalty - gmix
+    corrected = chord - penalty
+    if tol is None:
+        tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
+    worst = float(slack.min())
+    if worst >= -tol:
+        return CertificateResult(True, worst, None)
+    i, j, k = np.unravel_index(np.argmin(slack), slack.shape)
+    witness = (
+        float(xs[i]), float(ys[j]), float(ts[k]),
+        float(gmix[i, j, k]), float(corrected[i, j, k]),
+    )
+    return CertificateResult(False, worst, witness)
+
+
+def reference_estimate(g, phi, iv, grid):
+    """Full-grid modulus estimate: the minimum ratio over usable samples."""
+    _, _, ts, X, Y, T, _, _, gmix, chord = _reference_samples(
+        g, phi, iv, grid, interior=True
+    )
+    usable = np.broadcast_to(np.abs(X - Y) >= 1e-9 * iv.width, gmix.shape)
+    numer = (chord - gmix)[usable]
+    denom = (T * (1.0 - T) * (X - Y) ** 2)[usable]
+    return max(0.0, float(np.min(numer / denom)))
+
+
+def _key(value):
+    """Equality key that lets NaN equal NaN and nothing else."""
+    if isinstance(value, CertificateResult):
+        return (value.passed, _key(value.worst_slack), _key(value.witness))
+    if isinstance(value, tuple):
+        return tuple(_key(v) for v in value)
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+def assert_scan_matches_reference(g, grid, moduli, phi=IDENTITY, iv=IV01, tol=None):
+    for c in moduli:
+        got = certify_strong_phi_convexity(g, phi, iv, c, grid, tol)
+        want = reference_certify(g, phi, iv, c, grid, tol)
+        assert _key(got) == _key(want), c
+    assert _key(estimate_max_modulus(g, phi, iv, grid)) == _key(
+        reference_estimate(g, phi, iv, grid)
+    )
+
+
+class TestRowBlockScan:
+    def test_grid_smaller_than_one_block(self):
+        grid = GridConfig(5, 7, 9)
+        assert 5 * 7 * 9 < CHUNK_POINTS
+        assert_scan_matches_reference(np.exp, grid, (0.0, 0.3, 2.9))
+
+    def test_grid_spanning_many_blocks(self):
+        grid = GridConfig(141, 127, 91)
+        assert 141 * 127 * 91 > 4 * CHUNK_POINTS
+        g = derivative_power(parse("x^4 + x^2"), 2.0)
+        phi = PhiMap.from_source("0.25 + 0.5*x")
+        assert_scan_matches_reference(g, grid, (0.7, 31.3), phi=phi)
+
+    def test_row_larger_than_a_block(self):
+        grid = GridConfig(4, 200, 101)
+        assert 200 * 101 > CHUNK_POINTS
+        g = function_of(parse("x^2 + 1 - cos(x)"))
+        assert_scan_matches_reference(g, grid, (0.3, 2.1))
+
+    def test_even_n_t_inserts_one_half(self):
+        grid = GridConfig(30, 30, 20)
+        assert not np.any(np.linspace(0.0, 1.0, 20) == 0.5)
+        assert_scan_matches_reference(square, grid, (0.9, 1.7))
+
+    def test_extremal_ties_resolve_to_first_arg_min(self):
+        # x^2 at modulus 1 has slack identically 0 up to roundoff, so the
+        # grid minimum is a tiny negative value reached at several points
+        g = function_of(parse("x^2"))
+        for grid in (GridConfig(), GridConfig(141, 127, 91), GridConfig(30, 30, 20)):
+            assert_scan_matches_reference(g, grid, (1.0,), tol=0.0)
+            assert not certify_strong_phi_convexity(
+                g, IDENTITY, IV01, 1.0, grid, tol=0.0
+            ).passed
+
+    def test_nan_stays_the_minimum(self):
+        # NaN only at mixtures in (0.0003, 0.0023): no grid x or y lies
+        # there, and for 0 < t < 1 only x <= 0.075, in the first row block,
+        # reaches them; later blocks hold ordinary values
+        def g(u):
+            return np.where(np.abs(u - 0.0013) < 1e-3, np.nan, u * u)
+
+        grid = GridConfig()
+        assert 41 * 41 * 33 > 2 * CHUNK_POINTS
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
+        assert math.isnan(res.worst_slack) and not res.passed
+        assert estimate_max_modulus(g, IDENTITY, IV01, grid) == 0.0
+        assert_scan_matches_reference(g, grid, (0.3, 2.1))
+
+    def test_certify_memory_does_not_grow_with_the_grid(self):
+        grid = GridConfig(141, 141, 91)
+        g = function_of(parse("exp(x)"))
+        tracemalloc.start()
+        try:
+            certify_strong_phi_convexity(g, IDENTITY, IV01, 0.25, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
