@@ -39,13 +39,13 @@ print(f"{'c':>4} {'power_mean':>12} {'split':>12} {'relaxed':>12} {'holder':>12}
 for c in (0.0, 1.0, 2.0, 3.0, 4.0):
     s = validate(spec_from_config({"f": "x^2", "a": 0, "b": 1, "q": 2, "c_deriv": c}))
     i = derivative_inputs(s)
-    cells = [f"{bound_power_mean(s, i).value:12.8f}"]
+    cells = [f"{bound_power_mean(i).value:12.8f}"]
     for op in (bound_split_holder, bound_split_holder_relaxed):
         try:
-            cells.append(f"{op(s, i).value:12.8f}")
+            cells.append(f"{op(i).value:12.8f}")
         except ModulusInfeasibleError:
             cells.append(f"{'bracket < 0':>12}")
-    cells.append(f"{bound_holder(s, i).value:12.8f}")
+    cells.append(f"{bound_holder(i).value:12.8f}")
     print(f"{c:4.1f} " + " ".join(cells))
 
 print("\nAt c = 4 the midpoint brackets go negative: the midpoint derivative")

@@ -7,91 +7,60 @@ every closed-form bound with margins and tightness ratios.
 """
 
 from .expr import (
-    Binary,
-    Constant,
-    DualValue,
     EvalDomainError,
-    Expr,
     ExprError,
     ExprSyntaxError,
-    Unary,
-    UnknownIdentifierError,
-    Variable,
     abs_kink_points,
     evaluate,
     evaluate_dual,
-    has_abs_kink_at,
     parse,
     unparse,
 )
 from .funcspec import (
-    CertificateResult,
     DegeneratePhiError,
-    GridConfig,
     Interval,
     PhiMap,
-    ProblemSpec,
     SpecValidationError,
     certify_strong_phi_convexity,
     derivative_power,
     estimate_max_modulus,
-    function_of,
     validate,
 )
 from .quad import (
-    GapResult,
     IdentityViolationError,
     QuadratureError,
-    QuadResult,
     hh_gap,
-    integrate,
     lemma_rhs,
     verify_lemma_identity,
 )
 from .bounds import (
-    BoundInputs,
-    BoundValue,
     ModulusInfeasibleError,
     bound_holder,
     bound_power_mean,
-    bound_sandwich,
     bound_split_holder,
     bound_split_holder_relaxed,
     derivative_inputs,
-    evaluate_all,
-    holder_quarter_width_variant,
 )
 from .report import (
-    BoundReport,
-    CertificateSummary,
-    ReportRow,
-    build_report,
-    report_from_json,
     run_check,
     serialize,
     serialize_many,
 )
-from .corpus import corpus_configs, corpus_specs, spec_from_config
+from .corpus import corpus_specs, spec_from_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Binary", "Constant", "DualValue", "EvalDomainError", "Expr", "ExprError",
-    "ExprSyntaxError", "Unary", "UnknownIdentifierError", "Variable",
-    "abs_kink_points", "evaluate", "evaluate_dual", "has_abs_kink_at",
-    "parse", "unparse",
-    "CertificateResult", "DegeneratePhiError", "GridConfig", "Interval",
-    "PhiMap", "ProblemSpec", "SpecValidationError",
+    "EvalDomainError", "ExprError", "ExprSyntaxError",
+    "abs_kink_points", "evaluate", "evaluate_dual", "parse", "unparse",
+    "DegeneratePhiError", "Interval", "PhiMap", "SpecValidationError",
     "certify_strong_phi_convexity", "derivative_power", "estimate_max_modulus",
-    "function_of", "validate",
-    "GapResult", "IdentityViolationError", "QuadratureError", "QuadResult",
-    "hh_gap", "integrate", "lemma_rhs", "verify_lemma_identity",
-    "BoundInputs", "BoundValue", "ModulusInfeasibleError", "bound_holder",
-    "bound_power_mean", "bound_sandwich", "bound_split_holder",
-    "bound_split_holder_relaxed", "derivative_inputs", "evaluate_all",
-    "holder_quarter_width_variant",
-    "BoundReport", "CertificateSummary", "ReportRow", "build_report",
-    "report_from_json", "run_check", "serialize", "serialize_many",
-    "corpus_configs", "corpus_specs", "spec_from_config",
+    "validate",
+    "IdentityViolationError", "QuadratureError",
+    "hh_gap", "lemma_rhs", "verify_lemma_identity",
+    "ModulusInfeasibleError", "bound_holder", "bound_power_mean",
+    "bound_split_holder", "bound_split_holder_relaxed", "derivative_inputs",
+    "run_check", "serialize", "serialize_many",
+    "corpus_specs", "spec_from_config",
     "__version__",
 ]

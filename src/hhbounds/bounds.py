@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import evaluate, evaluate_dual, has_abs_kink_at
-from .funcspec import CertificateResult, ProblemSpec, _require_valid
+from .funcspec import CertificateResult, ProblemSpec, endpoints
 
 __all__ = [
     "BoundInputs",
@@ -49,7 +49,6 @@ __all__ = [
     "bound_split_holder",
     "bound_split_holder_relaxed",
     "bound_holder",
-    "holder_quarter_width_variant",
     "evaluate_all",
 ]
 
@@ -108,21 +107,20 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
     If an endpoint sits exactly on an abs kink of f the derivative
     convention (0) applies and the point is flagged for the report.
     """
-    _require_valid(spec)
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    mid = (phi_a + phi_b) / 2.0
+    ends = endpoints(spec)
     flags = []
-    for label, point in (("phi(a)", phi_a), ("phi(b)", phi_b), ("midpoint", mid)):
+    for label, point in (
+        ("phi(a)", ends.phi_a), ("phi(b)", ends.phi_b), ("midpoint", ends.mid)
+    ):
         if has_abs_kink_at(spec.f, point):
             flags.append(f"kink-at-endpoint: {label}")
     return BoundInputs(
-        phi_a=phi_a,
-        phi_b=phi_b,
-        delta=phi_b - phi_a,
-        d_a=abs(evaluate_dual(spec.f, phi_a).deriv),
-        d_b=abs(evaluate_dual(spec.f, phi_b).deriv),
-        d_m=abs(evaluate_dual(spec.f, mid).deriv),
+        phi_a=ends.phi_a,
+        phi_b=ends.phi_b,
+        delta=ends.delta,
+        d_a=abs(evaluate_dual(spec.f, ends.phi_a).deriv),
+        d_b=abs(evaluate_dual(spec.f, ends.phi_b).deriv),
+        d_m=abs(evaluate_dual(spec.f, ends.mid).deriv),
         c=spec.modulus_deriv,
         q=spec.q,
         p=spec.p,
@@ -132,15 +130,10 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
 
 def bound_sandwich(spec: ProblemSpec) -> tuple[float, float]:
     """Two-sided estimate of the integral mean for strongly phi-convex f."""
-    _require_valid(spec)
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    delta = phi_b - phi_a
+    ends = endpoints(spec)
     c = spec.modulus_f
-    lower = evaluate(spec.f, (phi_a + phi_b) / 2.0) + (c / 12.0) * delta**2
-    upper = (evaluate(spec.f, phi_a) + evaluate(spec.f, phi_b)) / 2.0 - (
-        c / 6.0
-    ) * delta**2
+    lower = evaluate(spec.f, ends.mid) + (c / 12.0) * ends.delta**2
+    upper = ends.trapezoid - (c / 6.0) * ends.delta**2
     return lower, upper
 
 
@@ -150,7 +143,7 @@ def _checked_root(theorem_id: str, bracket: float, c: float, q: float) -> float:
     return bracket ** (1.0 / q)
 
 
-def bound_power_mean(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
+def bound_power_mean(inputs: BoundInputs) -> BoundValue:
     """Power-mean bound from the endpoint derivative magnitudes (q >= 1)."""
     i = inputs
     bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 8.0) * i.delta**2
@@ -166,7 +159,7 @@ def _split_prefactor(i: BoundInputs) -> float:
     )
 
 
-def bound_split_holder(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
+def bound_split_holder(inputs: BoundInputs) -> BoundValue:
     """Half-interval Holder bound using the midpoint derivative (q > 1)."""
     i = inputs
     if i.p is None:
@@ -179,7 +172,7 @@ def bound_split_holder(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
     return BoundValue("split_holder", _split_prefactor(i) * (r1 + r2))
 
 
-def bound_split_holder_relaxed(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
+def bound_split_holder_relaxed(inputs: BoundInputs) -> BoundValue:
     """Split Holder bound with the midpoint term bounded away (q > 1).
 
     Dominates bound_split_holder whenever the brackets of both stay
@@ -209,7 +202,7 @@ def bound_split_holder_relaxed(spec: ProblemSpec, inputs: BoundInputs) -> BoundV
     return BoundValue("split_holder_relaxed", _split_prefactor(i) * (r1 + r2))
 
 
-def bound_holder(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
+def bound_holder(inputs: BoundInputs) -> BoundValue:
     """Whole-interval Holder bound (q > 1)."""
     i = inputs
     if i.p is None:
@@ -222,26 +215,18 @@ def bound_holder(spec: ProblemSpec, inputs: BoundInputs) -> BoundValue:
     return BoundValue("holder", value)
 
 
-def holder_quarter_width_variant(spec: ProblemSpec, inputs: BoundInputs) -> float:
-    """Alternate form of the Holder bound with prefactor (b-a)/4.
-
-    Keeps the phi-delta inside the bracket while halving and rescaling the
-    prefactor to the raw interval width. The main implementation uses the
-    (delta/2) form; this variant exists so diagnostics can report both
-    candidate values side by side.
-    """
-    i = inputs
-    if i.p is None:
-        raise ValueError(REASON_Q1)
-    width = spec.interval.b - spec.interval.a
-    bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 6.0) * i.delta**2
-    root = _checked_root("holder_quarter_width", bracket, i.c, i.q)
-    return (width / 4.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p) * root
+# (theorem_id, bound, has_c0_row): the gap rows in report order
+GAP_BOUNDS = (
+    ("power_mean", bound_power_mean, True),
+    ("split_holder", bound_split_holder, True),
+    ("split_holder_relaxed", bound_split_holder_relaxed, False),
+    ("holder", bound_holder, True),
+)
 
 
-def _guarded(builder, spec, inputs, theorem_id: str) -> BoundValue:
+def _guarded(builder, inputs, theorem_id: str) -> BoundValue:
     try:
-        return builder(spec, inputs)
+        return builder(inputs)
     except ModulusInfeasibleError as exc:
         return BoundValue(theorem_id, None, error=str(exc))
 
@@ -255,7 +240,6 @@ def evaluate_all(
     cert_f: Optional[CertificateResult] = None,
     cert_deriv: Optional[CertificateResult] = None,
     assume_certified: bool = False,
-    diagnostics: bool = False,
 ) -> list[BoundValue]:
     """Evaluate every bound plus the c=0 reductions, without aborting.
 
@@ -265,7 +249,6 @@ def evaluate_all(
     Reduction rows rerun the same operations with c = 0 and are reported
     under distinct ids.
     """
-    _require_valid(spec)
     rows: list[BoundValue] = []
 
     def gate(value: BoundValue, certificate, target: str) -> BoundValue:
@@ -287,44 +270,17 @@ def evaluate_all(
 
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
-    deriv_rows = [
-        _guarded(bound_power_mean, spec, inputs, "power_mean"),
-        _guarded(bound_split_holder, spec, inputs, "split_holder"),
-        _guarded(bound_split_holder_relaxed, spec, inputs, "split_holder_relaxed"),
-        _guarded(bound_holder, spec, inputs, "holder"),
-    ]
-    if diagnostics and inputs.p is not None:
-        for k, row in enumerate(deriv_rows):
-            if row.theorem_id == "holder" and row.error is None:
-                try:
-                    alt = holder_quarter_width_variant(spec, inputs)
-                    note = f"quarter-width variant value {alt!r}"
-                except ModulusInfeasibleError as exc:
-                    note = f"quarter-width variant infeasible: {exc}"
-                deriv_rows[k] = dataclasses.replace(row, notes=note)
-
     # c = 0 reductions share the arithmetic path of the main operations
     reduced = dataclasses.replace(inputs, c=0.0)
+    deriv_rows = [_guarded(builder, inputs, tid) for tid, builder, _ in GAP_BOUNDS]
     reduction_rows = [
-        dataclasses.replace(
-            _guarded(bound_power_mean, spec, reduced, "power_mean"),
-            theorem_id="power_mean_c0",
-        ),
-        dataclasses.replace(
-            _guarded(bound_split_holder, spec, reduced, "split_holder"),
-            theorem_id="split_holder_c0",
-        ),
-        dataclasses.replace(
-            _guarded(bound_holder, spec, reduced, "holder"),
-            theorem_id="holder_c0",
-        ),
+        dataclasses.replace(_guarded(builder, reduced, tid), theorem_id=tid + "_c0")
+        for tid, builder, has_c0_row in GAP_BOUNDS
+        if has_c0_row
     ]
-
     for row in deriv_rows + reduction_rows:
         row = gate(row, cert_deriv, "|f'|^q")
         if flags and row.error is None and row.applicable:
-            row = dataclasses.replace(
-                row, notes=(row.notes + "; " + flags if row.notes else flags)
-            )
+            row = dataclasses.replace(row, notes=flags)
         rows.append(row)
     return rows

@@ -15,12 +15,25 @@ grid or mixture point can hit: every sampled mixture is a multiple of
 
 from __future__ import annotations
 
-from .funcspec import Interval, PhiMap, ProblemSpec, validate
+from .funcspec import (
+    GridConfig,
+    Interval,
+    PhiMap,
+    ProblemSpec,
+    SpecValidationError,
+    validate,
+)
 from .expr import parse
 
 __all__ = ["CORPUS_CONFIGS", "corpus_configs", "corpus_specs", "spec_from_config"]
 
-# entries mirror the CLI config schema
+CONFIG_KEYS = {
+    "f", "a", "b", "phi", "c", "c_f", "c_deriv", "q", "quad_tol", "grid", "id",
+}
+GRID_KEYS = {"n_x", "n_y", "n_t"}
+REQUIRED_KEYS = {"f", "a", "b"}
+
+# entries follow the config schema that spec_from_config enforces
 CORPUS_CONFIGS = (
     {"id": "sq-id-q1-flat", "f": "x^2", "a": 0, "b": 1, "phi": "identity",
      "q": 1, "c_f": 0.0, "c_deriv": 0.0},
@@ -60,10 +73,26 @@ CORPUS_CONFIGS = (
 
 
 def spec_from_config(cfg: dict) -> ProblemSpec:
-    """Build an unvalidated ProblemSpec from a config mapping."""
-    from .funcspec import GridConfig
+    """Build an unvalidated ProblemSpec from a config mapping.
 
+    Unknown or missing keys, and a ``grid`` that is not a mapping of grid
+    counts, raise SpecValidationError with code ``config-keys``.
+    """
+    unknown = set(cfg) - CONFIG_KEYS
+    if unknown:
+        raise SpecValidationError(
+            "config-keys", f"unknown config keys: {sorted(unknown)}"
+        )
+    missing = REQUIRED_KEYS - set(cfg)
+    if missing:
+        raise SpecValidationError(
+            "config-keys", f"missing config keys: {sorted(missing)}"
+        )
     grid_cfg = cfg.get("grid", {})
+    if not isinstance(grid_cfg, dict) or set(grid_cfg) - GRID_KEYS:
+        raise SpecValidationError(
+            "config-keys", f"grid must be an object with keys among {sorted(GRID_KEYS)}"
+        )
     grid = GridConfig(
         n_x=int(grid_cfg.get("n_x", 41)),
         n_y=int(grid_cfg.get("n_y", 41)),

@@ -350,58 +350,10 @@ def _check(mask, message: str, node: Expr, x):
 
 def evaluate(e: Expr, x: Scalar) -> Scalar:
     """Evaluate ``e`` at ``x``. Raises EvalDomainError outside the domain."""
-    result = _eval(e, x)
+    value, _ = _eval(e, x, False)
     if isinstance(x, np.ndarray):
-        return result
-    return float(result)
-
-
-def _eval(e: Expr, x: Scalar):
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Unary):
-        v = _eval(e.child, x)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            return np.exp(v)
-        if e.op == "ln":
-            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
-            return np.log(v)
-        if e.op == "sin":
-            return np.sin(v)
-        if e.op == "cos":
-            return np.cos(v)
-        if e.op == "sqrt":
-            _check(v < 0, "sqrt of negative value", e, v)
-            return np.sqrt(v)
-        if e.op == "abs":
-            return np.abs(v)
-        raise AssertionError(e.op)
-    u = _eval(e.left, x)
-    if e.op == "+":
-        return u + _eval(e.right, x)
-    if e.op == "-":
-        return u - _eval(e.right, x)
-    if e.op == "*":
-        return u * _eval(e.right, x)
-    if e.op == "/":
-        v = _eval(e.right, x)
-        _check(v == 0, "division by zero", e, u)
-        return u / v
-    if e.op == "^":
-        cv = _constant_exponent(e.right)
-        if cv is not None and float(cv).is_integer():
-            n = int(cv)
-            if n < 0:
-                _check(u == 0, "zero base with negative exponent", e, u)
-            return _int_pow(u, n)
-        v = _eval(e.right, x)
-        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
-        return np.exp(v * np.log(u))
-    raise AssertionError(e.op)
+        return value
+    return float(value)
 
 
 def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
@@ -411,68 +363,74 @@ def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
     deriv(abs) = 0 at the kink; ``u^v`` with a non-integer or non-constant
     exponent is exp(v*ln u) and requires u > 0.
     """
-    d = _eval_dual(e, x)
+    value, deriv = _eval(e, x, True)
     if isinstance(x, np.ndarray):
-        return d
-    return DualValue(float(np.asarray(d.value)), float(np.asarray(d.deriv)))
+        return DualValue(value, deriv)
+    return DualValue(float(np.asarray(value)), float(np.asarray(deriv)))
 
 
-def _eval_dual(e: Expr, x: Scalar) -> DualValue:
+def _eval(e: Expr, x: Scalar, dual: bool):
+    """``(value, derivative)`` of ``e`` at ``x``, derivative None unless ``dual``.
+
+    Derivatives follow the DualValue rules operation for operation.
+    """
     if isinstance(e, Constant):
-        return DualValue(e.value, 0.0)
+        return e.value, (0.0 if dual else None)
     if isinstance(e, Variable):
-        return DualValue(x, x * 0.0 + 1.0)
+        return x, (x * 0.0 + 1.0 if dual else None)
     if isinstance(e, Unary):
-        d = _eval_dual(e.child, x)
-        v = d.value
+        v, d = _eval(e.child, x, dual)
         if e.op == "neg":
-            return -d
+            return -v, (-d if dual else None)
         if e.op == "exp":
             ev = np.exp(v)
-            return DualValue(ev, ev * d.deriv)
+            return ev, (ev * d if dual else None)
         if e.op == "ln":
             _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
-            return DualValue(np.log(v), d.deriv / v)
+            return np.log(v), (d / v if dual else None)
         if e.op == "sin":
-            return DualValue(np.sin(v), np.cos(v) * d.deriv)
+            return np.sin(v), (np.cos(v) * d if dual else None)
         if e.op == "cos":
-            return DualValue(np.cos(v), -np.sin(v) * d.deriv)
+            return np.cos(v), (-np.sin(v) * d if dual else None)
         if e.op == "sqrt":
             _check(v < 0, "sqrt of negative value", e, v)
+            if not dual:
+                return np.sqrt(v), None
             _check(v == 0, "sqrt derivative at zero", e, v)
             s = np.sqrt(v)
-            return DualValue(s, d.deriv / (2.0 * s))
+            return s, d / (2.0 * s)
         if e.op == "abs":
             # sign(0) = 0 implements the stated kink convention
-            return DualValue(np.abs(v), np.sign(v) * d.deriv)
+            return np.abs(v), (np.sign(v) * d if dual else None)
         raise AssertionError(e.op)
-    a = _eval_dual(e.left, x)
-    if e.op == "+":
-        return a + _eval_dual(e.right, x)
-    if e.op == "-":
-        return a - _eval_dual(e.right, x)
-    if e.op == "*":
-        return a * _eval_dual(e.right, x)
-    if e.op == "/":
-        b = _eval_dual(e.right, x)
-        _check(b.value == 0, "division by zero", e, a.value)
-        return a / b
+    u, du = _eval(e.left, x, dual)
     if e.op == "^":
-        u = a.value
         cv = _constant_exponent(e.right)
         if cv is not None and float(cv).is_integer():
             n = int(cv)
             if n < 0:
                 _check(u == 0, "zero base with negative exponent", e, u)
             value = _int_pow(u, n)
+            if not dual:
+                return value, None
             if n == 0:
-                return DualValue(value, u * 0.0)
-            return DualValue(value, float(n) * _int_pow(u, n - 1) * a.deriv)
-        b = _eval_dual(e.right, x)
+                return value, u * 0.0
+            return value, float(n) * _int_pow(u, n - 1) * du
+        v, dv = _eval(e.right, x, dual)
         _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
         lnu = np.log(u)
-        value = np.exp(b.value * lnu)
-        return DualValue(value, value * (b.deriv * lnu + b.value * a.deriv / u))
+        value = np.exp(v * lnu)
+        return value, (value * (dv * lnu + v * du / u) if dual else None)
+    v, dv = _eval(e.right, x, dual)
+    if e.op == "+":
+        return u + v, (du + dv if dual else None)
+    if e.op == "-":
+        return u - v, (du - dv if dual else None)
+    if e.op == "*":
+        return u * v, (du * v + u * dv if dual else None)
+    if e.op == "/":
+        _check(v == 0, "division by zero", e, u)
+        return u / v, ((du * v - u * dv) / (v * v) if dual else None)
     raise AssertionError(e.op)
 
 
@@ -498,6 +456,17 @@ def _is_linear_in_x(e: Expr) -> bool:
     return False
 
 
+def _abs_arguments(e: Expr):
+    """Arguments of the ``abs`` nodes of ``e`` that contain x, in pre-order."""
+    if isinstance(e, Unary):
+        if e.op == "abs" and _contains_variable(e.child):
+            yield e.child
+        yield from _abs_arguments(e.child)
+    elif isinstance(e, Binary):
+        yield from _abs_arguments(e.left)
+        yield from _abs_arguments(e.right)
+
+
 def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     """Roots in (lo, hi) of linear ``abs`` arguments, sorted ascending.
 
@@ -505,37 +474,17 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     left to adaptive refinement.
     """
     points: set[float] = set()
-
-    def walk(node: Expr):
-        if isinstance(node, Unary):
-            if node.op == "abs" and _contains_variable(node.child):
-                if _is_linear_in_x(node.child):
-                    intercept = evaluate(node.child, 0.0)
-                    slope = evaluate_dual(node.child, 0.0).deriv
-                    if slope != 0.0:
-                        root = -intercept / slope
-                        if lo < root < hi:
-                            points.add(root)
-            walk(node.child)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(e)
+    for arg in _abs_arguments(e):
+        if _is_linear_in_x(arg):
+            intercept = evaluate(arg, 0.0)
+            slope = evaluate_dual(arg, 0.0).deriv
+            if slope != 0.0:
+                root = -intercept / slope
+                if lo < root < hi:
+                    points.add(root)
     return sorted(points)
 
 
 def has_abs_kink_at(e: Expr, x: float) -> bool:
     """True when some abs argument of ``e`` evaluates to exactly 0 at ``x``."""
-
-    def walk(node: Expr) -> bool:
-        if isinstance(node, Unary):
-            if node.op == "abs" and _contains_variable(node.child):
-                if evaluate(node.child, x) == 0.0:
-                    return True
-            return walk(node.child)
-        if isinstance(node, Binary):
-            return walk(node.left) or walk(node.right)
-        return False
-
-    return walk(e)
+    return any(evaluate(arg, x) == 0.0 for arg in _abs_arguments(e))

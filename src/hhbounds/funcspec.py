@@ -31,7 +31,9 @@ __all__ = [
     "CertificateResult",
     "SpecValidationError",
     "DegeneratePhiError",
+    "Endpoints",
     "validate",
+    "endpoints",
     "certify_strong_phi_convexity",
     "estimate_max_modulus",
     "function_of",
@@ -148,11 +150,6 @@ class ProblemSpec:
         return self.c if self.c_deriv is None else self.c_deriv
 
 
-def _require_valid(spec: ProblemSpec):
-    if not spec.valid:
-        raise SpecValidationError("not-validated", "spec must pass validate() first")
-
-
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check every instance invariant and return the spec marked valid.
 
@@ -208,6 +205,31 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             f"phi(a) = {phi_a} must be < phi(b) = {phi_b}",
         )
     return dataclasses.replace(spec, valid=True)
+
+
+@dataclass(frozen=True)
+class Endpoints:
+    """The interval mapped through phi, and the trapezoid value of f on it.
+
+    ``delta`` is phi(b) - phi(a), ``mid`` the midpoint of [phi(a), phi(b)]
+    and ``trapezoid`` (f(phi(a)) + f(phi(b)))/2.
+    """
+
+    phi_a: float
+    phi_b: float
+    delta: float
+    mid: float
+    trapezoid: float
+
+
+def endpoints(spec: ProblemSpec) -> Endpoints:
+    """Map [a, b] through phi and evaluate f at the images."""
+    if not spec.valid:
+        raise SpecValidationError("not-validated", "spec must pass validate() first")
+    phi_a = float(spec.phi(spec.interval.a))
+    phi_b = float(spec.phi(spec.interval.b))
+    trapezoid = (evaluate(spec.f, phi_a) + evaluate(spec.f, phi_b)) / 2.0
+    return Endpoints(phi_a, phi_b, phi_b - phi_a, (phi_a + phi_b) / 2.0, trapezoid)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import abs_kink_points, evaluate, evaluate_dual
-from .funcspec import ProblemSpec, _require_valid
+from .funcspec import ProblemSpec, endpoints
 
 __all__ = [
     "QuadResult",
@@ -125,14 +125,11 @@ def hh_gap(spec: ProblemSpec) -> float:
     The integral is pre-split at the kinks of f (f stays continuous there,
     so panel-end sampling is safe).
     """
-    _require_valid(spec)
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    fa = evaluate(spec.f, phi_a)
-    fb = evaluate(spec.f, phi_b)
-    points = [phi_a] + abs_kink_points(spec.f, phi_a, phi_b) + [phi_b]
+    ends = endpoints(spec)
+    kinks = abs_kink_points(spec.f, ends.phi_a, ends.phi_b)
+    points = [ends.phi_a] + kinks + [ends.phi_b]
     integral = _integrate_pieces(lambda u: evaluate(spec.f, u), points, spec.quad_tol)
-    return (fa + fb) / 2.0 - integral / (phi_b - phi_a)
+    return ends.trapezoid - integral / ends.delta
 
 
 def lemma_rhs(spec: ProblemSpec) -> float:
@@ -144,10 +141,8 @@ def lemma_rhs(spec: ProblemSpec) -> float:
     are nudged inward so Simpson samples one-sided derivative limits rather
     than the kink convention value.
     """
-    _require_valid(spec)
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    delta = phi_b - phi_a
+    ends = endpoints(spec)
+    phi_a, phi_b, delta = ends.phi_a, ends.phi_b, ends.delta
 
     cuts = {0.5}
     for root in abs_kink_points(spec.f, min(phi_a, phi_b), max(phi_a, phi_b)):

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
-from .expr import evaluate
 from .funcspec import (
     ProblemSpec,
     certify_strong_phi_convexity,
     derivative_power,
+    endpoints,
     function_of,
     validate,
 )
@@ -123,10 +123,7 @@ def build_report(
 ) -> BoundReport:
     """Assemble one report; row order follows ``bound_values`` order."""
     gap = gap_result.lhs_gap
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    trapezoid = (evaluate(spec.f, phi_a) + evaluate(spec.f, phi_b)) / 2.0
-    mean = trapezoid - gap
+    mean = endpoints(spec).trapezoid - gap
     rows = tuple(_row_from_bound(bv, gap, mean) for bv in bound_values)
     return BoundReport(
         spec_id=spec.spec_id,
@@ -141,7 +138,6 @@ def build_report(
 def run_check(
     spec: ProblemSpec,
     with_certificates: bool = True,
-    diagnostics: bool = False,
 ) -> BoundReport:
     """Full pipeline for one spec: validate, certify, verify, bound, report."""
     if not spec.valid:
@@ -171,7 +167,6 @@ def run_check(
         cert_f=cert_f,
         cert_deriv=cert_deriv,
         assume_certified=not with_certificates,
-        diagnostics=diagnostics,
     )
     return build_report(spec, certificates, gap_result, bound_values)
 

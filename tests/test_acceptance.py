@@ -103,17 +103,17 @@ def test_criterion_5_reduction_checks():
     for q in (2.0, 3.0):
         spec = make({"f": "exp(x)", "a": 0, "b": 1, "q": q, "c_deriv": 0.0})
         i = derivative_inputs(spec)
-        pm = bound_power_mean(spec, i).value
+        pm = bound_power_mean(i).value
         pm_direct = (i.delta / 4.0) * ((i.d_b**q + i.d_a**q) / 2.0) ** (1.0 / q)
         assert pm == pm_direct
         p = i.p
         pref = (i.delta / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * 0.5 ** (1.0 / q)
-        sh = bound_split_holder(spec, i).value
+        sh = bound_split_holder(i).value
         sh_direct = pref * (
             (i.d_m**q + i.d_a**q) ** (1.0 / q) + (i.d_m**q + i.d_b**q) ** (1.0 / q)
         )
         assert sh == sh_direct
-        h = bound_holder(spec, i).value
+        h = bound_holder(i).value
         h_direct = (
             (i.delta / 2.0)
             * (1.0 / (p + 1.0)) ** (1.0 / p)
@@ -122,9 +122,9 @@ def test_criterion_5_reduction_checks():
         assert h == h_direct
     # identity-phi spot values
     sq1 = make({"f": "x^2", "a": 0, "b": 1, "q": 1})
-    assert bound_power_mean(sq1, derivative_inputs(sq1)).value == 0.25
+    assert bound_power_mean(derivative_inputs(sq1)).value == 0.25
     sq2 = make({"f": "x^2", "a": 0, "b": 1, "q": 2})
-    assert abs(bound_holder(sq2, derivative_inputs(sq2)).value - 0.40825) <= 1e-5
+    assert abs(bound_holder(derivative_inputs(sq2)).value - 0.40825) <= 1e-5
     done(5, "reduction checks")
 
 
@@ -157,16 +157,16 @@ def test_criterion_7_modulus_sweep():
         # the power-mean bracket keeps its quadratic cushion for all c <= c*
         bracket = (i.d_b**2 + i.d_a**2) / 2.0 - (c / 8.0) * i.delta**2
         assert bracket >= (c / 24.0) * i.delta**2
-        values["power_mean"].append(bound_power_mean(spec, i).value)
-        values["holder"].append(bound_holder(spec, i).value)
+        values["power_mean"].append(bound_power_mean(i).value)
+        values["holder"].append(bound_holder(i).value)
         if c <= 3.0:
-            values["split_holder"].append(bound_split_holder(spec, i).value)
-            values["relaxed"].append(bound_split_holder_relaxed(spec, i).value)
+            values["split_holder"].append(bound_split_holder(i).value)
+            values["relaxed"].append(bound_split_holder_relaxed(i).value)
         else:
             with pytest.raises(ModulusInfeasibleError):
-                bound_split_holder(spec, i)
+                bound_split_holder(i)
             with pytest.raises(ModulusInfeasibleError):
-                bound_split_holder_relaxed(spec, i)
+                bound_split_holder_relaxed(i)
     for name, seq in values.items():
         assert all(a > b for a, b in zip(seq, seq[1:])), (name, seq)
     # confirm the sweep cap actually is the admissible maximum

@@ -19,7 +19,6 @@ from hhbounds.bounds import (
     bound_split_holder_relaxed,
     derivative_inputs,
     evaluate_all,
-    holder_quarter_width_variant,
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.funcspec import SpecValidationError, estimate_max_modulus, derivative_power, validate
@@ -61,71 +60,71 @@ class TestSandwich:
 class TestPowerMean:
     def test_square_q1(self):
         spec = sq_spec(q=1.0)
-        bv = bound_power_mean(spec, derivative_inputs(spec))
+        bv = bound_power_mean(derivative_inputs(spec))
         assert bv.value == 0.25
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_square_q2_with_modulus(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)
-        bv = bound_power_mean(spec, derivative_inputs(spec))
+        bv = bound_power_mean(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.30618621784789724, abs=1e-14)
 
     def test_linear_reduces_to_slope(self):
         spec = make({"f": "3*x + 1", "a": 0, "b": 2, "q": 1})
-        bv = bound_power_mean(spec, derivative_inputs(spec))
+        bv = bound_power_mean(derivative_inputs(spec))
         assert bv.value == pytest.approx((2 / 4) * 3, abs=1e-14)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_infeasible_modulus_raises(self):
         spec = sq_spec(q=2.0, c_deriv=17.0)  # bracket 2 - 17/8 < 0
         with pytest.raises(ModulusInfeasibleError) as exc:
-            bound_power_mean(spec, derivative_inputs(spec))
+            bound_power_mean(derivative_inputs(spec))
         assert "estimate_max_modulus" in str(exc.value)
 
     def test_continuity_at_q_one(self):
         near = sq_spec(q=1.0 + 1e-9)
         at = sq_spec(q=1.0)
-        v_near = bound_power_mean(near, derivative_inputs(near)).value
-        v_at = bound_power_mean(at, derivative_inputs(at)).value
+        v_near = bound_power_mean(derivative_inputs(near)).value
+        v_at = bound_power_mean(derivative_inputs(at)).value
         assert abs(v_near - v_at) <= 1e-6 * abs(v_at)
 
 
 class TestSplitHolder:
     def test_square_q2(self):
         spec = sq_spec(q=2.0)
-        bv = bound_split_holder(spec, derivative_inputs(spec))
+        bv = bound_split_holder(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.330279804909785, abs=1e-14)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_square_q2_with_modulus_three(self):
         spec = sq_spec(q=2.0, c_deriv=3.0)
-        bv = bound_split_holder(spec, derivative_inputs(spec))
+        bv = bound_split_holder(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.2041241452319315, abs=1e-14)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_q1_inapplicable(self):
         spec = sq_spec(q=1.0)
-        bv = bound_split_holder(spec, derivative_inputs(spec))
+        bv = bound_split_holder(derivative_inputs(spec))
         assert not bv.applicable
         assert bv.inapplicability_reason == "p undefined at q=1"
 
     def test_infeasible_modulus_raises(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)  # midpoint bracket 1 - 4/3 < 0
         with pytest.raises(ModulusInfeasibleError):
-            bound_split_holder(spec, derivative_inputs(spec))
+            bound_split_holder(derivative_inputs(spec))
 
 
 class TestSplitHolderRelaxed:
     def test_square_q2(self):
         spec = sq_spec(q=2.0)
-        bv = bound_split_holder_relaxed(spec, derivative_inputs(spec))
+        bv = bound_split_holder_relaxed(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.39433756729740643, abs=1e-14)
         # weaker than the midpoint-aware form
         assert bv.value >= 0.330279804909785
 
     def test_square_q2_with_unit_modulus(self):
         spec = sq_spec(q=2.0, c_deriv=1.0)
-        bv = bound_split_holder_relaxed(spec, derivative_inputs(spec))
+        bv = bound_split_holder_relaxed(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.3590147113715975, abs=1e-14)
         assert hh_gap(spec) <= bv.value + 1e-10
 
@@ -134,39 +133,32 @@ class TestSplitHolderRelaxed:
             if spec.q <= 1.0:
                 continue
             inputs = derivative_inputs(spec)
-            tight = bound_split_holder(spec, inputs)
-            relaxed = bound_split_holder_relaxed(spec, inputs)
+            tight = bound_split_holder(inputs)
+            relaxed = bound_split_holder_relaxed(inputs)
             assert tight.value <= relaxed.value + 1e-10, spec.spec_id
 
 
 class TestHolder:
     def test_square_q2(self):
         spec = sq_spec(q=2.0)
-        bv = bound_holder(spec, derivative_inputs(spec))
+        bv = bound_holder(derivative_inputs(spec))
         assert bv.value == pytest.approx(0.408248290463863, abs=1e-14)
 
     def test_square_q2_with_max_modulus(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)
-        bv = bound_holder(spec, derivative_inputs(spec))
+        bv = bound_holder(derivative_inputs(spec))
         assert bv.value == pytest.approx(1 / 3, abs=1e-14)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_linear(self):
         spec = make({"f": "3*x + 1", "a": 0, "b": 2, "q": 2})
-        bv = bound_holder(spec, derivative_inputs(spec))
+        bv = bound_holder(derivative_inputs(spec))
         assert bv.value == pytest.approx((2 / 2) * (1 / 3) ** 0.5 * 3, abs=1e-12)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     def test_q1_inapplicable(self):
         spec = sq_spec(q=1.0)
-        assert not bound_holder(spec, derivative_inputs(spec)).applicable
-
-    def test_quarter_width_variant_is_half_under_identity_phi(self):
-        spec = sq_spec(q=2.0)
-        inputs = derivative_inputs(spec)
-        full = bound_holder(spec, inputs).value
-        alt = holder_quarter_width_variant(spec, inputs)
-        assert alt == pytest.approx(full / 2, rel=1e-12)
+        assert not bound_holder(derivative_inputs(spec)).applicable
 
 
 class TestCMonotonicity:
@@ -175,10 +167,10 @@ class TestCMonotonicity:
         for c in (0.0, 1.0, 2.0, 3.0):
             spec = sq_spec(q=2.0, c_deriv=c)
             inputs = derivative_inputs(spec)
-            values["power_mean"].append(bound_power_mean(spec, inputs).value)
-            values["holder"].append(bound_holder(spec, inputs).value)
-            values["split"].append(bound_split_holder(spec, inputs).value)
-            values["relaxed"].append(bound_split_holder_relaxed(spec, inputs).value)
+            values["power_mean"].append(bound_power_mean(inputs).value)
+            values["holder"].append(bound_holder(inputs).value)
+            values["split"].append(bound_split_holder(inputs).value)
+            values["relaxed"].append(bound_split_holder_relaxed(inputs).value)
         for name, seq in values.items():
             assert all(a > b for a, b in zip(seq, seq[1:])), name
 
@@ -188,14 +180,14 @@ class TestReductions:
         for q in (1.0, 2.0, 3.0):
             spec = sq_spec(q=q, c_deriv=0.0)
             i = derivative_inputs(spec)
-            impl = bound_power_mean(spec, i).value
+            impl = bound_power_mean(i).value
             direct = (i.delta / 4.0) * ((i.d_b**q + i.d_a**q) / 2.0) ** (1.0 / q)
             assert impl == direct
 
     def test_split_holder_c0_matches_direct_formula(self):
         spec = sq_spec(q=2.0, c_deriv=0.0)
         i = derivative_inputs(spec)
-        impl = bound_split_holder(spec, i).value
+        impl = bound_split_holder(i).value
         p = i.p
         pref = (i.delta / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * 0.5 ** (1.0 / i.q)
         direct = pref * (
@@ -207,7 +199,7 @@ class TestReductions:
     def test_holder_c0_matches_direct_formula(self):
         spec = sq_spec(q=2.0, c_deriv=0.0)
         i = derivative_inputs(spec)
-        impl = bound_holder(spec, i).value
+        impl = bound_holder(i).value
         direct = (
             (i.delta / 2.0)
             * (1.0 / (i.p + 1.0)) ** (1.0 / i.p)
@@ -219,9 +211,9 @@ class TestReductions:
         spec = sq_spec(q=2.0, c_deriv=2.0)
         rows = {bv.theorem_id: bv for bv in evaluate_all(spec, assume_certified=True)}
         i0 = dataclasses.replace(derivative_inputs(spec), c=0.0)
-        assert rows["power_mean_c0"].value == bound_power_mean(spec, i0).value
-        assert rows["split_holder_c0"].value == bound_split_holder(spec, i0).value
-        assert rows["holder_c0"].value == bound_holder(spec, i0).value
+        assert rows["power_mean_c0"].value == bound_power_mean(i0).value
+        assert rows["split_holder_c0"].value == bound_split_holder(i0).value
+        assert rows["holder_c0"].value == bound_holder(i0).value
 
 
 class TestDerivativeInputs:

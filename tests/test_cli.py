@@ -1,11 +1,14 @@
 """CLI behavior: commands, exit codes, determinism."""
 
+import csv
 import json
+from collections import Counter
 
 import pytest
 
 from hhbounds.cli import main
 from hhbounds.corpus import spec_from_config
+from hhbounds.funcspec import SpecValidationError
 
 
 def write_config(tmp_path, payload, name="spec.json"):
@@ -71,16 +74,47 @@ class TestCheck:
         assert code == 0
         assert out.read_text().startswith("spec_id,")
 
-    def test_diagnostics_prints_both_variants(self, tmp_path, capsys):
-        cfg = dict(SQ_Q1, q=2)
-        code = main(["check", write_config(tmp_path, cfg), "--diagnostics"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "quarter-width variant" in out
-
     def test_config_modulus_applies_to_both_targets(self):
         spec = spec_from_config(dict(SQ_Q1, c=1.5))
         assert spec.modulus_f == 1.5 and spec.modulus_deriv == 1.5
+
+
+class TestConfigSchema:
+    def test_misspelled_key_is_rejected(self):
+        with pytest.raises(SpecValidationError) as exc:
+            spec_from_config({"f": "x", "a": 0, "b": 1, "cderiv": 2})
+        assert exc.value.code == "config-keys"
+        assert "unknown config keys: ['cderiv']" in str(exc.value)
+
+    def test_missing_key_is_rejected(self):
+        with pytest.raises(SpecValidationError) as exc:
+            spec_from_config({"f": "x", "a": 0})
+        assert exc.value.code == "config-keys"
+        assert "missing config keys: ['b']" in str(exc.value)
+
+    @pytest.mark.parametrize("grid", [5, {"n_x": 5, "n_z": 5}])
+    def test_bad_grid_is_rejected(self, grid):
+        with pytest.raises(SpecValidationError) as exc:
+            spec_from_config(dict(SQ_Q1, grid=grid))
+        assert exc.value.code == "config-keys"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--diagnostics"],
+        ["bounds", "--diagnostics"],
+        ["modulus", "--format", "json"],
+        ["lemma", "--out", "lemma.txt"],
+        ["corpus", "--tol", "1e-9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flag_the_command_does_not_use_exits_two(tmp_path, capsys, argv):
+    if argv[0] != "corpus":
+        argv = [argv[0], write_config(tmp_path, SQ_Q1)] + argv[1:]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -139,6 +173,31 @@ class TestCorpus:
         for sid in spec_ids:
             holds = [r for r in rows if r[0] == sid and r[2] == "HOLDS"]
             assert len(holds) >= 4, sid
+
+    def test_row_outcomes_are_pinned(self, tmp_path):
+        out = tmp_path / "corpus.csv"
+        assert main(["corpus", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        outcomes = Counter((r["theorem_id"], r["status"], r["notes"]) for r in rows)
+        q1 = "p undefined at q=1"
+        assert outcomes == Counter({
+            ("sandwich_lower", "HOLDS", ""): 17,
+            ("sandwich_upper", "HOLDS", ""): 17,
+            ("power_mean", "HOLDS", ""): 17,
+            ("power_mean_c0", "HOLDS", ""): 17,
+            ("split_holder", "HOLDS", ""): 10,
+            ("split_holder", "INAPPLICABLE", q1): 7,
+            ("split_holder_relaxed", "HOLDS", ""): 10,
+            ("split_holder_relaxed", "INAPPLICABLE", q1): 7,
+            ("holder", "HOLDS", ""): 10,
+            ("holder", "INAPPLICABLE", q1): 7,
+            ("split_holder_c0", "HOLDS", ""): 10,
+            ("split_holder_c0", "INAPPLICABLE", q1): 7,
+            ("holder_c0", "HOLDS", ""): 10,
+            ("holder_c0", "INAPPLICABLE", q1): 7,
+        })
+        assert len(rows) == 153
 
     def test_unwritable_out_exits_two(self, capsys):
         assert main(["corpus", "--out", "/nonexistent-dir/x.csv"]) == 2

@@ -20,6 +20,9 @@ from hhbounds.expr import (
     evaluate,
     evaluate_dual,
     has_abs_kink_at,
+    _check,
+    _contains_variable,
+    _int_pow,
     parse,
     unparse,
 )
@@ -251,3 +254,172 @@ class TestKinkLocation:
         e = parse("abs(2*x - 1)")
         assert has_abs_kink_at(e, 0.5)
         assert not has_abs_kink_at(e, 0.25)
+
+    def test_nested_abs(self):
+        # the outer argument is not linear; the inner one kinks at 1/4
+        e = parse("abs(abs(x - 0.25) - 0.5)")
+        assert abs_kink_points(e, 0.0, 1.0) == [0.25]
+        assert has_abs_kink_at(e, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# reference: the separate value and dual-number walkers the single walker
+# replaced, kept verbatim so that every value, derivative and domain error of
+# evaluate/evaluate_dual can be compared against them
+
+
+def _ref_constant_exponent(e):
+    if not _contains_variable(e):
+        return _ref_eval(e, 0.0)
+    return None
+
+
+def _ref_eval(e, x):
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Variable):
+        return x
+    if isinstance(e, Unary):
+        v = _ref_eval(e.child, x)
+        if e.op == "neg":
+            return -v
+        if e.op == "exp":
+            return np.exp(v)
+        if e.op == "ln":
+            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
+            return np.log(v)
+        if e.op == "sin":
+            return np.sin(v)
+        if e.op == "cos":
+            return np.cos(v)
+        if e.op == "sqrt":
+            _check(v < 0, "sqrt of negative value", e, v)
+            return np.sqrt(v)
+        if e.op == "abs":
+            return np.abs(v)
+        raise AssertionError(e.op)
+    u = _ref_eval(e.left, x)
+    if e.op == "+":
+        return u + _ref_eval(e.right, x)
+    if e.op == "-":
+        return u - _ref_eval(e.right, x)
+    if e.op == "*":
+        return u * _ref_eval(e.right, x)
+    if e.op == "/":
+        v = _ref_eval(e.right, x)
+        _check(v == 0, "division by zero", e, u)
+        return u / v
+    if e.op == "^":
+        cv = _ref_constant_exponent(e.right)
+        if cv is not None and float(cv).is_integer():
+            n = int(cv)
+            if n < 0:
+                _check(u == 0, "zero base with negative exponent", e, u)
+            return _int_pow(u, n)
+        v = _ref_eval(e.right, x)
+        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
+        return np.exp(v * np.log(u))
+    raise AssertionError(e.op)
+
+
+def _ref_eval_dual(e, x):
+    if isinstance(e, Constant):
+        return DualValue(e.value, 0.0)
+    if isinstance(e, Variable):
+        return DualValue(x, x * 0.0 + 1.0)
+    if isinstance(e, Unary):
+        d = _ref_eval_dual(e.child, x)
+        v = d.value
+        if e.op == "neg":
+            return -d
+        if e.op == "exp":
+            ev = np.exp(v)
+            return DualValue(ev, ev * d.deriv)
+        if e.op == "ln":
+            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
+            return DualValue(np.log(v), d.deriv / v)
+        if e.op == "sin":
+            return DualValue(np.sin(v), np.cos(v) * d.deriv)
+        if e.op == "cos":
+            return DualValue(np.cos(v), -np.sin(v) * d.deriv)
+        if e.op == "sqrt":
+            _check(v < 0, "sqrt of negative value", e, v)
+            _check(v == 0, "sqrt derivative at zero", e, v)
+            s = np.sqrt(v)
+            return DualValue(s, d.deriv / (2.0 * s))
+        if e.op == "abs":
+            return DualValue(np.abs(v), np.sign(v) * d.deriv)
+        raise AssertionError(e.op)
+    a = _ref_eval_dual(e.left, x)
+    if e.op == "+":
+        return a + _ref_eval_dual(e.right, x)
+    if e.op == "-":
+        return a - _ref_eval_dual(e.right, x)
+    if e.op == "*":
+        return a * _ref_eval_dual(e.right, x)
+    if e.op == "/":
+        b = _ref_eval_dual(e.right, x)
+        _check(b.value == 0, "division by zero", e, a.value)
+        return a / b
+    if e.op == "^":
+        u = a.value
+        cv = _ref_constant_exponent(e.right)
+        if cv is not None and float(cv).is_integer():
+            n = int(cv)
+            if n < 0:
+                _check(u == 0, "zero base with negative exponent", e, u)
+            value = _int_pow(u, n)
+            if n == 0:
+                return DualValue(value, u * 0.0)
+            return DualValue(value, float(n) * _int_pow(u, n - 1) * a.deriv)
+        b = _ref_eval_dual(e.right, x)
+        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
+        lnu = np.log(u)
+        value = np.exp(b.value * lnu)
+        return DualValue(value, value * (b.deriv * lnu + b.value * a.deriv / u))
+    raise AssertionError(e.op)
+
+
+def _ref_evaluate(e, x):
+    result = _ref_eval(e, x)
+    return result if isinstance(x, np.ndarray) else float(result)
+
+
+def _ref_evaluate_dual(e, x):
+    d = _ref_eval_dual(e, x)
+    if isinstance(x, np.ndarray):
+        return d
+    return DualValue(float(np.asarray(d.value)), float(np.asarray(d.deriv)))
+
+
+def _outcome(fn, e, x):
+    """The result of fn(e, x), or the type and message of what it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(e, x)
+        except Exception as exc:
+            return (type(exc), str(exc))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, DualValue) and isinstance(b, DualValue):
+        return _same(a.value, b.value) and _same(a.deriv, b.deriv)
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+
+
+EVAL_POINTS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+)
+EVAL_ARRAY = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+
+
+class TestSingleWalker:
+    @settings(max_examples=400, deadline=None)
+    @given(_trees(4), EVAL_POINTS)
+    def test_matches_separate_walkers(self, tree, x):
+        for x_in in (x, EVAL_ARRAY):
+            for fn, ref in ((evaluate, _ref_evaluate), (evaluate_dual, _ref_evaluate_dual)):
+                assert _same(_outcome(fn, tree, x_in), _outcome(ref, tree, x_in))
