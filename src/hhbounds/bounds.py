@@ -36,7 +36,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .expr import evaluate, evaluate_dual, has_abs_kink_at
+from .expr import evaluate, evaluate_derivative, has_abs_kink_at
 from .funcspec import CertificateResult, ProblemSpec, endpoints
 
 __all__ = [
@@ -118,9 +118,9 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
         phi_a=ends.phi_a,
         phi_b=ends.phi_b,
         delta=ends.delta,
-        d_a=abs(evaluate_dual(spec.f, ends.phi_a).deriv),
-        d_b=abs(evaluate_dual(spec.f, ends.phi_b).deriv),
-        d_m=abs(evaluate_dual(spec.f, ends.mid).deriv),
+        d_a=abs(evaluate_derivative(spec.f, ends.phi_a)),
+        d_b=abs(evaluate_derivative(spec.f, ends.phi_b)),
+        d_m=abs(evaluate_derivative(spec.f, ends.mid)),
         c=spec.modulus_deriv,
         q=spec.q,
         p=spec.p,

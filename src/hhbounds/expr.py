@@ -17,13 +17,16 @@ Evaluation is IEEE double precision throughout and accepts either a float or
 a numpy array for the variable. ``evaluate_dual`` propagates dual numbers
 (value, derivative) through the tree, which yields exact forward-mode
 derivatives; at an ``abs`` kink the derivative convention is 0.
+``evaluate_derivative`` returns the same derivative without computing the
+values that no derivative rule reads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "unparse",
     "evaluate",
     "evaluate_dual",
+    "evaluate_derivative",
     "abs_kink_points",
     "has_abs_kink_at",
 ]
@@ -103,6 +107,17 @@ class Binary:
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
+
+    @cached_property
+    def _int_exponent(self) -> Optional[int]:
+        """The right operand as an int when it is variable-free and integral.
+
+        None otherwise. Evaluated once per node; only ``^`` reads it.
+        """
+        if _contains_variable(self.right):
+            return None
+        value = evaluate(self.right, 0.0)
+        return int(value) if value.is_integer() else None
 
 
 Expr = Union[Constant, Variable, Unary, Binary]
@@ -310,17 +325,16 @@ def _contains_variable(e: Expr) -> bool:
     return False
 
 
-def _constant_exponent(e: Expr):
-    """Value of a variable-free exponent subtree, else None."""
-    if not _contains_variable(e):
-        return evaluate(e, 0.0)
-    return None
+def _int_pow(u, n: int, node: Expr):
+    """u**n by repeated multiplication; valid for negative bases.
 
-
-def _int_pow(u, n: int):
-    """u**n by repeated multiplication; valid for negative bases."""
+    For n < 0, a positive power that underflows to 0 raises EvalDomainError
+    instead of dividing by zero, for floats and arrays alike.
+    """
     if n < 0:
-        return 1.0 / _int_pow(u, -n)
+        p = _int_pow(u, -n, node)
+        _check(p == 0, "negative power overflows", node, u)
+        return 1.0 / p
     result = None
     base = u
     k = n
@@ -364,73 +378,110 @@ def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
     exponent is exp(v*ln u) and requires u > 0.
     """
     value, deriv = _eval(e, x, True)
+    deriv = _dense(deriv, x)
     if isinstance(x, np.ndarray):
         return DualValue(value, deriv)
     return DualValue(float(np.asarray(value)), float(np.asarray(deriv)))
 
 
-def _eval(e: Expr, x: Scalar, dual: bool):
-    """``(value, derivative)`` of ``e`` at ``x``, derivative None unless ``dual``.
+def evaluate_derivative(e: Expr, x: Scalar) -> Scalar:
+    """``evaluate_dual(e, x).deriv``, skipping values no derivative reads.
 
-    Derivatives follow the DualValue rules operation for operation.
+    Raises the same EvalDomainError as ``evaluate_dual``.
+    """
+    _, deriv = _eval(e, x, True, False)
+    deriv = _dense(deriv, x)
+    if isinstance(x, np.ndarray):
+        return deriv
+    return float(np.asarray(deriv))
+
+
+# the derivative of x: 1 wherever x is finite, built only where it is used
+_UNIT = object()
+
+
+def _dense(d, x):
+    """``d`` as a number; the unit marker becomes ``x*0.0 + 1.0``."""
+    return x * 0.0 + 1.0 if d is _UNIT else d
+
+
+def _scale(a, d):
+    """``a * d``, where a product with the unit marker is exactly ``a``."""
+    return a if d is _UNIT else a * d
+
+
+def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
+    """``(value, derivative)`` of ``e`` at ``x``.
+
+    The derivative is None unless ``dual``; the value is None when ``need``
+    is false and no derivative rule reads it. The derivative of ``x`` is
+    the unit marker ``_UNIT``, so a product with it is skipped. Otherwise
+    derivatives follow the DualValue rules operation for operation, and
+    every domain check runs on the values it tests.
     """
     if isinstance(e, Constant):
         return e.value, (0.0 if dual else None)
     if isinstance(e, Variable):
-        return x, (x * 0.0 + 1.0 if dual else None)
+        return x, (_UNIT if dual else None)
     if isinstance(e, Unary):
-        v, d = _eval(e.child, x, dual)
         if e.op == "neg":
-            return -v, (-d if dual else None)
+            v, d = _eval(e.child, x, dual, need)
+            return (-v if need else None), (-_dense(d, x) if dual else None)
+        v, d = _eval(e.child, x, dual)
         if e.op == "exp":
             ev = np.exp(v)
-            return ev, (ev * d if dual else None)
+            return ev, (_scale(ev, d) if dual else None)
         if e.op == "ln":
             _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
-            return np.log(v), (d / v if dual else None)
+            return (np.log(v) if need else None), (_dense(d, x) / v if dual else None)
         if e.op == "sin":
-            return np.sin(v), (np.cos(v) * d if dual else None)
+            return (np.sin(v) if need else None), (_scale(np.cos(v), d) if dual else None)
         if e.op == "cos":
-            return np.cos(v), (-np.sin(v) * d if dual else None)
+            return (np.cos(v) if need else None), (_scale(-np.sin(v), d) if dual else None)
         if e.op == "sqrt":
             _check(v < 0, "sqrt of negative value", e, v)
             if not dual:
                 return np.sqrt(v), None
             _check(v == 0, "sqrt derivative at zero", e, v)
             s = np.sqrt(v)
-            return s, d / (2.0 * s)
+            return s, _dense(d, x) / (2.0 * s)
         if e.op == "abs":
             # sign(0) = 0 implements the stated kink convention
-            return np.abs(v), (np.sign(v) * d if dual else None)
+            return (np.abs(v) if need else None), (_scale(np.sign(v), d) if dual else None)
         raise AssertionError(e.op)
-    u, du = _eval(e.left, x, dual)
+    # only a sum or difference leaves its operands' values unread
+    operand_need = need or e.op not in "+-"
+    u, du = _eval(e.left, x, dual, operand_need)
     if e.op == "^":
-        cv = _constant_exponent(e.right)
-        if cv is not None and float(cv).is_integer():
-            n = int(cv)
+        n = e._int_exponent
+        if n is not None:
             if n < 0:
                 _check(u == 0, "zero base with negative exponent", e, u)
-            value = _int_pow(u, n)
+            # a negative power keeps its overflow check even when unread
+            value = _int_pow(u, n, e) if need or n < 0 else None
             if not dual:
                 return value, None
             if n == 0:
                 return value, u * 0.0
-            return value, float(n) * _int_pow(u, n - 1) * du
+            return value, _scale(float(n) * _int_pow(u, n - 1, e), du)
         v, dv = _eval(e.right, x, dual)
         _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
         lnu = np.log(u)
         value = np.exp(v * lnu)
-        return value, (value * (dv * lnu + v * du / u) if dual else None)
-    v, dv = _eval(e.right, x, dual)
+        return value, (value * (_scale(lnu, dv) + _scale(v, du) / u) if dual else None)
+    v, dv = _eval(e.right, x, dual, operand_need)
     if e.op == "+":
-        return u + v, (du + dv if dual else None)
+        return (u + v if need else None), (_dense(du, x) + _dense(dv, x) if dual else None)
     if e.op == "-":
-        return u - v, (du - dv if dual else None)
+        return (u - v if need else None), (_dense(du, x) - _dense(dv, x) if dual else None)
     if e.op == "*":
-        return u * v, (du * v + u * dv if dual else None)
+        return (u * v if need else None), (_scale(v, du) + _scale(u, dv) if dual else None)
     if e.op == "/":
         _check(v == 0, "division by zero", e, u)
-        return u / v, ((du * v - u * dv) / (v * v) if dual else None)
+        return (
+            u / v if need else None,
+            (_scale(v, du) - _scale(u, dv)) / (v * v) if dual else None,
+        )
     raise AssertionError(e.op)
 
 
@@ -477,7 +528,7 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     for arg in _abs_arguments(e):
         if _is_linear_in_x(arg):
             intercept = evaluate(arg, 0.0)
-            slope = evaluate_dual(arg, 0.0).deriv
+            slope = evaluate_derivative(arg, 0.0)
             if slope != 0.0:
                 root = -intercept / slope
                 if lo < root < hi:

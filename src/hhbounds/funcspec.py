@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import Expr, evaluate, evaluate_dual, parse, unparse
+from .expr import Expr, evaluate, evaluate_derivative, parse, unparse
 
 __all__ = [
     "Interval",
@@ -211,25 +211,29 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 class Endpoints:
     """The interval mapped through phi, and the trapezoid value of f on it.
 
-    ``delta`` is phi(b) - phi(a), ``mid`` the midpoint of [phi(a), phi(b)]
-    and ``trapezoid`` (f(phi(a)) + f(phi(b)))/2.
+    ``delta`` is phi(b) - phi(a) and ``mid`` the midpoint of [phi(a),
+    phi(b)]. ``trapezoid``, (f(phi(a)) + f(phi(b)))/2, evaluates f each
+    time it is read, so callers that never read it pay nothing.
     """
 
     phi_a: float
     phi_b: float
     delta: float
     mid: float
-    trapezoid: float
+    f: Expr
+
+    @property
+    def trapezoid(self) -> float:
+        return (evaluate(self.f, self.phi_a) + evaluate(self.f, self.phi_b)) / 2.0
 
 
 def endpoints(spec: ProblemSpec) -> Endpoints:
-    """Map [a, b] through phi and evaluate f at the images."""
+    """Map [a, b] through phi."""
     if not spec.valid:
         raise SpecValidationError("not-validated", "spec must pass validate() first")
     phi_a = float(spec.phi(spec.interval.a))
     phi_b = float(spec.phi(spec.interval.b))
-    trapezoid = (evaluate(spec.f, phi_a) + evaluate(spec.f, phi_b)) / 2.0
-    return Endpoints(phi_a, phi_b, phi_b - phi_a, (phi_a + phi_b) / 2.0, trapezoid)
+    return Endpoints(phi_a, phi_b, phi_b - phi_a, (phi_a + phi_b) / 2.0, spec.f)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,6 @@ def derivative_power(e: Expr, q: float) -> Callable:
     """|e'(u)|**q as an array-capable callable, with e' from dual numbers."""
 
     def g(u):
-        return np.abs(evaluate_dual(e, u).deriv) ** q
+        return np.abs(evaluate_derivative(e, u)) ** q
 
     return g

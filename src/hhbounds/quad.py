@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import abs_kink_points, evaluate, evaluate_dual
+import numpy as np
+
+from .expr import abs_kink_points, evaluate, evaluate_derivative
 from .funcspec import ProblemSpec, endpoints
 
 __all__ = [
@@ -25,6 +27,9 @@ __all__ = [
 ]
 
 MAX_DEPTH = 60
+# breadth-first refinement doubles the open panels per level wherever the
+# integrand does not converge, so this cap, not the depth, stops it
+MAX_EVALUATIONS = 2**20
 # inward offset applied at derivative-kink panel endpoints: Simpson samples
 # panel ends, and the kink-point derivative convention (0) would otherwise
 # poison the refinement
@@ -32,7 +37,7 @@ KINK_NUDGE = 1e-13
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit the depth limit without converging."""
+    """Adaptive refinement hit the depth or evaluation limit without converging."""
 
 
 class IdentityViolationError(RuntimeError):
@@ -59,57 +64,86 @@ class GapResult:
     residual: float
 
 
-def _simpson(h: float, fa: float, fm: float, fb: float) -> float:
+def _simpson(h, fa, fm, fb):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
-class _Accumulator:
-    __slots__ = ("err", "evals")
-
-    def __init__(self):
-        self.err = 0.0
-        self.evals = 0
-
-
-def _adapt(g, lo, hi, fa, fm, fb, whole, tol, depth, acc) -> float:
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    flm = g(lm)
-    frm = g(rm)
-    acc.evals += 2
-    left = _simpson(mid - lo, fa, flm, fm)
-    right = _simpson(hi - mid, fm, frm, fb)
-    delta = (left + right) - whole
-    if abs(delta) <= 15.0 * tol:
-        acc.err += abs(delta) / 15.0
-        return left + right + delta / 15.0
-    if depth >= MAX_DEPTH:
-        raise QuadratureError(
-            f"no convergence on [{lo}, {hi}] after depth {MAX_DEPTH}"
-        )
-    half = 0.5 * tol
-    return _adapt(g, lo, mid, fa, flm, fm, left, half, depth + 1, acc) + _adapt(
-        g, mid, hi, fm, frm, fb, right, half, depth + 1, acc
-    )
+def _sample(g, x: np.ndarray) -> np.ndarray:
+    f = np.asarray(g(x), dtype=float)
+    return f if f.shape == x.shape else np.broadcast_to(f, x.shape)
 
 
 def integrate(g, lo: float, hi: float, tol: float) -> QuadResult:
     """Integrate ``g`` over [lo, hi] to absolute tolerance ``tol``.
 
-    The returned error estimate accumulates the per-panel Richardson
-    estimates. Raises QuadratureError past depth 60.
+    Adaptive Simpson, searched breadth-first: each refinement level
+    evaluates the new points of all open panels in one call, so ``g`` must
+    take and return numpy arrays (a scalar result is broadcast). A panel is
+    accepted, with its Richardson correction, when halving it moves the
+    estimate by at most 15*tol; the tolerance halves per level. Accepted
+    panel sums are added up the refinement tree as left + right, so the
+    value and the evaluation count are those of the depth-first recursion,
+    and the error estimate sums the per-panel estimates left to right.
+    Raises QuadratureError past depth MAX_DEPTH, and before a level that
+    would take the evaluations past MAX_EVALUATIONS, which is what stops an
+    integrand that does not converge anywhere.
     """
     if not lo < hi:
         raise ValueError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    acc = _Accumulator()
-    fa, fm, fb = g(lo), g(0.5 * (lo + hi)), g(hi)
-    acc.evals = 3
-    whole = _simpson(hi - lo, fa, fm, fb)
-    value = _adapt(g, lo, hi, fa, fm, fb, whole, tol, 0, acc)
-    return QuadResult(value, acc.err, acc.evals)
+    x = np.array([lo, 0.5 * (lo + hi), hi], dtype=float)
+    f = _sample(g, x)
+    evals = 3
+    # the open panels of the current level: ends, samples and Simpson value
+    a, b, fa, fm, fb = x[:1], x[2:], f[:1], f[1:2], f[2:]
+    whole = _simpson(b - a, fa, fm, fb)
+    levels = []  # per level: panel lo, accepted mask, |delta|, value if accepted
+    depth = 0
+    while True:
+        n = a.size
+        if evals + 2 * n > MAX_EVALUATIONS:
+            raise QuadratureError(
+                f"no convergence on [{lo}, {hi}] within {MAX_EVALUATIONS} "
+                f"evaluations (depth {depth})"
+            )
+        # children in blocks: the left halves of all panels, then the right
+        mid = 0.5 * (a + b)
+        ca, cb = np.concatenate((a, mid)), np.concatenate((mid, b))
+        cfa, cfb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        cfm = _sample(g, 0.5 * (ca + cb))
+        evals += 2 * n
+        halves = _simpson(cb - ca, cfa, cfm, cfb)
+        pair = halves[:n] + halves[n:]
+        delta = pair - whole
+        err = np.abs(delta)
+        accepted = err <= 15.0 * tol
+        levels.append((a, accepted, err, pair + delta / 15.0))
+        if accepted.all():
+            break
+        if depth >= MAX_DEPTH:
+            i = np.argmin(np.where(accepted, np.inf, a))
+            raise QuadratureError(
+                f"no convergence on [{float(a[i])}, {float(b[i])}] after depth {MAX_DEPTH}"
+            )
+        split = np.logical_not(accepted)
+        split = np.concatenate((split, split))
+        a, b, fa, fm, fb = ca[split], cb[split], cfa[split], cfm[split], cfb[split]
+        whole = halves[split]
+        tol = 0.5 * tol
+        depth += 1
+    # fold from the deepest level up: a split panel's value is the sum of
+    # its halves, which sit at k and k + m in the next level's m-split block
+    total = levels[-1][3]
+    for _, accepted, _, value in reversed(levels[:-1]):
+        m = total.size // 2
+        value[np.logical_not(accepted)] = total[:m] + total[m:]
+        total = value
+    # leaves in left-to-right order are the depth-first order; panels of
+    # zero width share their lo but add exactly 0 to the estimate
+    lo_all, acc_all, err_all = (np.concatenate(c) for c in list(zip(*levels))[:3])
+    leaf_err = err_all[acc_all][np.argsort(lo_all[acc_all], kind="stable")] / 15.0
+    return QuadResult(float(total[0]), float(np.cumsum(leaf_err)[-1]), evals)
 
 
 def _integrate_pieces(g, points, tol) -> float:
@@ -159,9 +193,9 @@ def lemma_rhs(spec: ProblemSpec) -> float:
             hi = hi - KINK_NUDGE
         pieces.append((lo, hi))
 
-    def integrand(t: float) -> float:
+    def integrand(t):
         u = t * phi_b + (1.0 - t) * phi_a
-        return (2.0 * t - 1.0) * evaluate_dual(spec.f, u).deriv
+        return (2.0 * t - 1.0) * evaluate_derivative(spec.f, u)
 
     tol = spec.quad_tol / len(pieces)
     integral = 0.0

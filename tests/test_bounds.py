@@ -22,7 +22,7 @@ from hhbounds.bounds import (
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.funcspec import SpecValidationError, estimate_max_modulus, derivative_power, validate
-from hhbounds.quad import hh_gap
+from hhbounds.quad import hh_gap, lemma_rhs
 
 E = math.e
 
@@ -235,6 +235,21 @@ class TestDerivativeInputs:
         i = derivative_inputs(spec)
         assert (i.phi_a, i.phi_b) == (0.25, 0.75)
         assert (i.d_a, i.d_b, i.d_m) == (0.5, 1.5, 1.0)
+
+    def test_trapezoid_is_evaluated_only_where_read(self, monkeypatch):
+        import hhbounds.funcspec as funcspec
+
+        spec = sq_spec(q=2.0)
+        seen = []
+        original = funcspec.evaluate
+        monkeypatch.setattr(
+            funcspec, "evaluate", lambda e, x: seen.append((e, x)) or original(e, x)
+        )
+        derivative_inputs(spec)
+        lemma_rhs(spec)
+        assert not any(e is spec.f for e, _ in seen)
+        hh_gap(spec)
+        assert [x for e, x in seen if e is spec.f] == [0.0, 1.0]
 
 
 class TestEvaluateAll:

@@ -157,6 +157,14 @@ class TestLemma:
         assert main(["lemma", path]) == 0
         assert "residual = 0" in capsys.readouterr().out
 
+    def test_overflowing_negative_power_exits_one(self, tmp_path, capsys):
+        # 0.1^400 underflows to 0, so f = (x+0.1)^-400 overflows near a = 0
+        path = write_config(tmp_path, {"f": "(x+0.1)^-400", "a": 0, "b": 1})
+        assert main(["lemma", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: negative power overflows in ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCorpus:
     def test_all_rows_hold(self, tmp_path):

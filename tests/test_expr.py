@@ -18,6 +18,7 @@ from hhbounds.expr import (
     Variable,
     abs_kink_points,
     evaluate,
+    evaluate_derivative,
     evaluate_dual,
     has_abs_kink_at,
     _check,
@@ -315,7 +316,7 @@ def _ref_eval(e, x):
             n = int(cv)
             if n < 0:
                 _check(u == 0, "zero base with negative exponent", e, u)
-            return _int_pow(u, n)
+            return _int_pow(u, n, e)
         v = _ref_eval(e.right, x)
         _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
         return np.exp(v * np.log(u))
@@ -368,10 +369,10 @@ def _ref_eval_dual(e, x):
             n = int(cv)
             if n < 0:
                 _check(u == 0, "zero base with negative exponent", e, u)
-            value = _int_pow(u, n)
+            value = _int_pow(u, n, e)
             if n == 0:
                 return DualValue(value, u * 0.0)
-            return DualValue(value, float(n) * _int_pow(u, n - 1) * a.deriv)
+            return DualValue(value, float(n) * _int_pow(u, n - 1, e) * a.deriv)
         b = _ref_eval_dual(e.right, x)
         _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
         lnu = np.log(u)
@@ -416,10 +417,82 @@ EVAL_POINTS = st.one_of(
 EVAL_ARRAY = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
 
 
+def _ref_evaluate_derivative(e, x):
+    return _ref_evaluate_dual(e, x).deriv
+
+
 class TestSingleWalker:
     @settings(max_examples=400, deadline=None)
     @given(_trees(4), EVAL_POINTS)
     def test_matches_separate_walkers(self, tree, x):
         for x_in in (x, EVAL_ARRAY):
-            for fn, ref in ((evaluate, _ref_evaluate), (evaluate_dual, _ref_evaluate_dual)):
+            for fn, ref in (
+                (evaluate, _ref_evaluate),
+                (evaluate_dual, _ref_evaluate_dual),
+                (evaluate_derivative, _ref_evaluate_derivative),
+            ):
                 assert _same(_outcome(fn, tree, x_in), _outcome(ref, tree, x_in))
+
+
+class TestDerivativeOnly:
+    def test_shapes_follow_evaluate_dual(self):
+        for src in ("x", "x*3", "3*x", "x/3", "2^x", "exp(x)", "x^2 + 1", "4.25", "-x"):
+            e = parse(src)
+            for x in (0.5, EVAL_ARRAY):
+                got = evaluate_derivative(e, x)
+                want = evaluate_dual(e, x).deriv
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), src
+                assert np.array_equal(got, want), src
+
+    def test_non_finite_x_gives_the_limit_where_nan_was(self):
+        # the derivative of x is no longer built as x*0.0 + 1.0 where it is
+        # only multiplied, so inf*0.0 no longer turns it into NaN
+        assert evaluate_derivative(parse("x^2"), math.inf) == math.inf
+        assert evaluate_dual(parse("exp(x)"), math.inf).deriv == math.inf
+        # a sum still builds it, as before
+        assert math.isnan(evaluate_derivative(parse("x + 1"), math.inf))
+
+
+class TestFoldedExponent:
+    def test_exponent_is_evaluated_once_per_node(self, monkeypatch):
+        import hhbounds.expr as expr_module
+
+        e = parse("x^(3 - 1) + x^(0.5 + 0.5)")
+        fresh = parse("x^(4 - 2)")
+        assert evaluate(e, 2.0) == 6.0
+        calls = []
+        original = expr_module.evaluate
+
+        def counting(node, x):
+            calls.append(node)
+            return original(node, x)
+
+        monkeypatch.setattr(expr_module, "evaluate", counting)
+        for x in (1.5, np.linspace(0.0, 1.0, 5)):
+            original(e, x)
+            evaluate_dual(e, x)
+            evaluate_derivative(e, x)
+        assert calls == []
+        original(fresh, 3.0)
+        original(fresh, 4.0)
+        assert calls == [fresh.right]
+
+    def test_failing_exponent_raises_every_time(self):
+        e = parse("x^ln(0 - 1)")
+        for _ in range(2):
+            with pytest.raises(EvalDomainError, match="ln of non-positive"):
+                evaluate(e, 1.0)
+
+
+class TestNegativePowerOverflow:
+    def test_float_and_array_raise_alike(self):
+        e = parse("(x + 0.1)^-400")
+        for x in (0.0, np.array([0.5, 0.0])):
+            for fn in (evaluate, evaluate_dual, evaluate_derivative):
+                with pytest.raises(EvalDomainError, match="negative power overflows"):
+                    fn(e, x)
+
+    def test_no_overflow_keeps_the_value(self):
+        e = parse("(x + 0.1)^-400")
+        assert evaluate(e, 0.9) == 1.0
+        assert evaluate(parse("x^-2"), np.array([0.5]))[0] == 4.0
