@@ -325,15 +325,16 @@ def _contains_variable(e: Expr) -> bool:
     return False
 
 
-def _int_pow(u, n: int, node: Expr):
+def _int_pow(u, n: int, node: Expr, x):
     """u**n by repeated multiplication; valid for negative bases.
 
     For n < 0, a positive power that underflows to 0 raises EvalDomainError
-    instead of dividing by zero, for floats and arrays alike.
+    naming the input ``x``, instead of dividing by zero, for floats and
+    arrays alike.
     """
     if n < 0:
-        p = _int_pow(u, -n, node)
-        _check(p == 0, "negative power overflows", node, u)
+        p = _int_pow(u, -n, node, x)
+        _check(p == 0, "negative power overflows", node, x)
         return 1.0 / p
     result = None
     base = u
@@ -350,10 +351,15 @@ def _int_pow(u, n: int, node: Expr):
 
 
 def _first_offender(x, mask):
-    """A representative input where ``mask`` holds, for error messages."""
-    arr = np.broadcast_to(np.asarray(x, dtype=float), np.shape(mask))
-    if arr.ndim == 0:
-        return float(arr)
+    """The first input ``x`` where ``mask`` holds, for error messages.
+
+    A variable-free sub-expression gives a 0-d mask, which fails at every
+    input; the first input then stands for all.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.ndim(mask) == 0:
+        return float(arr.flat[0]) if arr.size else float("nan")
+    arr = np.broadcast_to(arr, np.shape(mask))
     return float(arr[np.unravel_index(np.argmax(mask), np.shape(mask))])
 
 
@@ -432,17 +438,17 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
             ev = np.exp(v)
             return ev, (_scale(ev, d) if dual else None)
         if e.op == "ln":
-            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
+            _check(np.logical_not(v > 0), "ln of non-positive value", e, x)
             return (np.log(v) if need else None), (_dense(d, x) / v if dual else None)
         if e.op == "sin":
             return (np.sin(v) if need else None), (_scale(np.cos(v), d) if dual else None)
         if e.op == "cos":
             return (np.cos(v) if need else None), (_scale(-np.sin(v), d) if dual else None)
         if e.op == "sqrt":
-            _check(v < 0, "sqrt of negative value", e, v)
+            _check(v < 0, "sqrt of negative value", e, x)
             if not dual:
                 return np.sqrt(v), None
-            _check(v == 0, "sqrt derivative at zero", e, v)
+            _check(v == 0, "sqrt derivative at zero", e, x)
             s = np.sqrt(v)
             return s, _dense(d, x) / (2.0 * s)
         if e.op == "abs":
@@ -456,16 +462,16 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
         n = e._int_exponent
         if n is not None:
             if n < 0:
-                _check(u == 0, "zero base with negative exponent", e, u)
+                _check(u == 0, "zero base with negative exponent", e, x)
             # a negative power keeps its overflow check even when unread
-            value = _int_pow(u, n, e) if need or n < 0 else None
+            value = _int_pow(u, n, e, x) if need or n < 0 else None
             if not dual:
                 return value, None
             if n == 0:
                 return value, u * 0.0
-            return value, _scale(float(n) * _int_pow(u, n - 1, e), du)
+            return value, _scale(float(n) * _int_pow(u, n - 1, e, x), du)
         v, dv = _eval(e.right, x, dual)
-        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
+        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, x)
         lnu = np.log(u)
         value = np.exp(v * lnu)
         return value, (value * (_scale(lnu, dv) + _scale(v, du) / u) if dual else None)
@@ -477,7 +483,7 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
     if e.op == "*":
         return (u * v if need else None), (_scale(v, du) + _scale(u, dv) if dual else None)
     if e.op == "/":
-        _check(v == 0, "division by zero", e, u)
+        _check(v == 0, "division by zero", e, x)
         return (
             u / v if need else None,
             (_scale(v, du) - _scale(u, dv)) / (v * v) if dual else None,

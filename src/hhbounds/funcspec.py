@@ -248,13 +248,40 @@ def _t_grid(n_t: int) -> np.ndarray:
 
 
 def _phi_samples(g, phi, iv, grid):
+    """The x and y samples, phi at them, and g at those images.
+
+    With n_y == n_x the y arrays are the x arrays themselves, computed once.
+    """
     xs = np.linspace(iv.a, iv.b, grid.n_x)
-    ys = np.linspace(iv.a, iv.b, grid.n_y)
+    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
     phix = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
-    phiy = np.broadcast_to(np.asarray(phi(ys), dtype=float), ys.shape)
+    phiy = phix if ys is xs else np.broadcast_to(
+        np.asarray(phi(ys), dtype=float), ys.shape
+    )
     gx = np.broadcast_to(np.asarray(g(phix), dtype=float), xs.shape)
-    gy = np.broadcast_to(np.asarray(g(phiy), dtype=float), ys.shape)
+    gy = gx if ys is xs else np.broadcast_to(
+        np.asarray(g(phiy), dtype=float), ys.shape
+    )
     return xs, ys, phix, phiy, gx, gy
+
+
+def _scanned_ts(ts, weight, phix, phiy, gx, gy):
+    """The t values a scan visits: those up to 1/2 on a mirrored grid, else all.
+
+    The element at (y, x, 1-t) forms the same products as the one at
+    (x, y, t) and adds them in the other order, so it repeats it bit for bit
+    when the y samples are the x samples, 1 - ts is ts reversed and the
+    penalty ``weight`` over ts is its own reverse, both bit for bit. A NaN
+    sample fails the test: two NaN addends may differ in payload.
+    """
+    mirrored = (
+        phiy is phix
+        and gy is gx
+        and not (np.isnan(phix).any() or np.isnan(gx).any())
+        and (1.0 - ts).tobytes() == ts[::-1].tobytes()
+        and weight.tobytes() == weight[::-1].tobytes()
+    )
+    return ts[:(ts.size + 1) // 2] if mirrored else ts
 
 
 def _row_blocks(g, phix, phiy, gx, gy, ts):
@@ -263,11 +290,11 @@ def _row_blocks(g, phix, phiy, gx, gy, ts):
     Yields ``(i0, diff, gmix, chord)`` per block, for the x indices from i0:
     ``diff`` is phi(x) - phi(y) shaped (rows, n_y, 1); ``gmix`` and ``chord``
     are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
-    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, n_t). A block holds
-    max(1, CHUNK_POINTS // (n_y*n_t)) rows, so memory is
-    O(max(CHUNK_POINTS, n_y*n_t)) whatever n_x. Every element gets the same
-    floating-point operations in the same order as on the full grid, so
-    results do not depend on the block size.
+    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, len(ts)). A block
+    holds max(1, CHUNK_POINTS // (n_y*len(ts))) rows, so memory is
+    O(max(CHUNK_POINTS, n_y*len(ts))) whatever n_x. Every element gets the
+    same floating-point operations in the same order as on the full grid,
+    so results do not depend on the block size.
     """
     T = ts[None, None, :]
     Y = phiy[None, :, None]
@@ -289,40 +316,72 @@ def certify_strong_phi_convexity(
     grid: GridConfig = GridConfig(),
     tol: float | None = None,
 ) -> CertificateResult:
-    """Sample the strong phi-convexity inequality for g on a full grid.
+    """Sample the strong phi-convexity inequality for g on the grid.
 
     ``g`` must accept numpy arrays. The minimum slack over the grid decides
     the certificate; ties on the minimum resolve to the lexicographically
     smallest (x, y, t), and a NaN slack is the minimum wherever it occurs,
     as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the
-    grid).
+    grid). A zero minimum is -0.0 only when every zero slack is. On a
+    mirrored grid (see ``_scanned_ts``) only t <= 1/2 is evaluated; the
+    result is the full grid's, bit for bit.
     """
     xs, ys, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
     if tol is None:
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
-    T = ts[None, None, :]
-    weight = c * T * (1.0 - T)
-    worst = witness = None
-    for i0, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, ts):
+    weight = c * ts * (1.0 - ts)
+    scan = _scanned_ts(ts, weight, phix, phiy, gx, gy)
+    mirrored = scan.size < ts.size
+    weight = weight[None, None, :scan.size]
+    worst = hit = None
+    plus_zero = False
+    for i0, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, scan):
         corrected = chord - weight * diff ** 2
         slack = corrected - gmix
         m = slack.min()
-        # the first block holding the minimum keeps it; a NaN, once found, stays
+        # which signed zero ndarray.min returns depends on the layout
+        if m == 0 and not plus_zero:
+            plus_zero = not np.signbit(m) or np.any((slack == 0) & ~np.signbit(slack))
+        # a NaN, once found, stays the minimum
         if worst is None or m < worst or (np.isnan(m) and not np.isnan(worst)):
-            i, j, k = np.unravel_index(np.argmin(slack), slack.shape)
-            worst = m
-            witness = (
-                float(xs[i0 + i]),
-                float(ys[j]),
-                float(ts[k]),
-                float(gmix[i, j, k]),
-                float(corrected[i, j, k]),
-            )
+            worst, hit = m, None
+        elif not (m == worst or np.isnan(m)):
+            continue  # on a mirrored scan a tie may hold a smaller witness
+        if m >= -tol:
+            continue  # a passing certificate has no witness
+        index, at = _first_minimum(slack, m, i0, ts.size, mirrored)
+        if hit is None or index < hit[0]:
+            hit = (index, gmix.flat[at], corrected.flat[at])
     worst = float(worst)
+    if worst == 0:
+        worst = 0.0 if plus_zero else -0.0
     if worst >= -tol:
         return CertificateResult(True, worst, None)
+    index, lhs, rhs = hit
+    i, j, k = np.unravel_index(index, (xs.size, ys.size, ts.size))
+    witness = (float(xs[i]), float(ys[j]), float(ts[k]), float(lhs), float(rhs))
     return CertificateResult(False, worst, witness)
+
+
+def _first_minimum(slack, m, i0, n_t, mirrored):
+    """Where a block of ``_row_blocks`` first reaches its minimum ``m``.
+
+    Returns the grid index of (i, j, k) as (i*n_y + j)*n_t + k, which orders
+    like (x, y, t), and the element's flat position in the block, over every
+    element equal to m (every NaN when m is NaN). On a mirrored scan each
+    counts as the smaller of itself and its mirror (j, i, n_t-1-k), whose
+    lhs and rhs are the same.
+    """
+    at = np.flatnonzero(np.isnan(slack) if np.isnan(m) else slack == m)
+    i, j, k = np.unravel_index(at, slack.shape)
+    i = i + i0
+    n_y = slack.shape[1]
+    index = (i * n_y + j) * n_t + k
+    if mirrored:
+        index = np.minimum(index, (j * n_y + i) * n_t + (n_t - 1 - k))
+    a = np.argmin(index)
+    return int(index[a]), int(at[a])
 
 
 def estimate_max_modulus(
@@ -337,7 +396,8 @@ def estimate_max_modulus(
     information and are excluded. The result is clamped below at 0: a
     clamp to 0 means some grid chord ratio was negative (or NaN), so
     certifying at 0 fails on this grid unless that deficit is within the
-    certificate's tolerance.
+    certificate's tolerance. On a mirrored grid (see ``_scanned_ts``) only
+    t <= 1/2 is evaluated, with the same result.
     """
     _, _, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
@@ -349,10 +409,11 @@ def estimate_max_modulus(
         for i0 in range(0, phix.size, rows)
     ):
         raise DegeneratePhiError("phi is constant on the grid")
-    T = ts[None, None, :]
-    weight = T * (1.0 - T)
+    weight = ts * (1.0 - ts)
+    scan = _scanned_ts(ts, weight, phix, phiy, gx, gy)
+    weight = weight[None, None, :scan.size]
     best = np.inf
-    for _, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, ts):
+    for _, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, scan):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (chord - gmix) / (weight * diff ** 2)
         m = np.where(np.abs(diff) >= floor, ratio, np.inf).min()

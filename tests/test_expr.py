@@ -287,14 +287,14 @@ def _ref_eval(e, x):
         if e.op == "exp":
             return np.exp(v)
         if e.op == "ln":
-            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
+            _check(np.logical_not(v > 0), "ln of non-positive value", e, x)
             return np.log(v)
         if e.op == "sin":
             return np.sin(v)
         if e.op == "cos":
             return np.cos(v)
         if e.op == "sqrt":
-            _check(v < 0, "sqrt of negative value", e, v)
+            _check(v < 0, "sqrt of negative value", e, x)
             return np.sqrt(v)
         if e.op == "abs":
             return np.abs(v)
@@ -308,17 +308,17 @@ def _ref_eval(e, x):
         return u * _ref_eval(e.right, x)
     if e.op == "/":
         v = _ref_eval(e.right, x)
-        _check(v == 0, "division by zero", e, u)
+        _check(v == 0, "division by zero", e, x)
         return u / v
     if e.op == "^":
         cv = _ref_constant_exponent(e.right)
         if cv is not None and float(cv).is_integer():
             n = int(cv)
             if n < 0:
-                _check(u == 0, "zero base with negative exponent", e, u)
-            return _int_pow(u, n, e)
+                _check(u == 0, "zero base with negative exponent", e, x)
+            return _int_pow(u, n, e, x)
         v = _ref_eval(e.right, x)
-        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
+        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, x)
         return np.exp(v * np.log(u))
     raise AssertionError(e.op)
 
@@ -337,15 +337,15 @@ def _ref_eval_dual(e, x):
             ev = np.exp(v)
             return DualValue(ev, ev * d.deriv)
         if e.op == "ln":
-            _check(np.logical_not(v > 0), "ln of non-positive value", e, v)
+            _check(np.logical_not(v > 0), "ln of non-positive value", e, x)
             return DualValue(np.log(v), d.deriv / v)
         if e.op == "sin":
             return DualValue(np.sin(v), np.cos(v) * d.deriv)
         if e.op == "cos":
             return DualValue(np.cos(v), -np.sin(v) * d.deriv)
         if e.op == "sqrt":
-            _check(v < 0, "sqrt of negative value", e, v)
-            _check(v == 0, "sqrt derivative at zero", e, v)
+            _check(v < 0, "sqrt of negative value", e, x)
+            _check(v == 0, "sqrt derivative at zero", e, x)
             s = np.sqrt(v)
             return DualValue(s, d.deriv / (2.0 * s))
         if e.op == "abs":
@@ -360,7 +360,7 @@ def _ref_eval_dual(e, x):
         return a * _ref_eval_dual(e.right, x)
     if e.op == "/":
         b = _ref_eval_dual(e.right, x)
-        _check(b.value == 0, "division by zero", e, a.value)
+        _check(b.value == 0, "division by zero", e, x)
         return a / b
     if e.op == "^":
         u = a.value
@@ -368,13 +368,13 @@ def _ref_eval_dual(e, x):
         if cv is not None and float(cv).is_integer():
             n = int(cv)
             if n < 0:
-                _check(u == 0, "zero base with negative exponent", e, u)
-            value = _int_pow(u, n, e)
+                _check(u == 0, "zero base with negative exponent", e, x)
+            value = _int_pow(u, n, e, x)
             if n == 0:
                 return DualValue(value, u * 0.0)
-            return DualValue(value, float(n) * _int_pow(u, n - 1, e) * a.deriv)
+            return DualValue(value, float(n) * _int_pow(u, n - 1, e, x) * a.deriv)
         b = _ref_eval_dual(e.right, x)
-        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, u)
+        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, x)
         lnu = np.log(u)
         value = np.exp(b.value * lnu)
         return DualValue(value, value * (b.deriv * lnu + b.value * a.deriv / u))
@@ -496,3 +496,30 @@ class TestNegativePowerOverflow:
         e = parse("(x + 0.1)^-400")
         assert evaluate(e, 0.9) == 1.0
         assert evaluate(parse("x^-2"), np.array([0.5]))[0] == 4.0
+
+
+class TestDomainErrorNamesTheInput:
+    # (source, float input, array input, first offending input, message)
+    CASES = [
+        ("3 / (x - 2)", 2.0, [3.0, 2.0, 5.0], 2.0, "division by zero"),
+        ("ln(x - 1)", 0.5, [2.0, 0.5, 0.25], 0.5, "ln of non-positive value"),
+        ("(x + 0.1)^-400", 0.0, [0.9, 0.0], 0.0, "negative power overflows"),
+        # a variable-free failure holds at every input: the first one is named
+        ("ln(0 - 1) + x", 0.25, [0.25, 3.0], 0.25, "ln of non-positive value"),
+    ]
+
+    @pytest.mark.parametrize("src, x, xs, first, message", CASES)
+    def test_message_gives_the_input(self, src, x, xs, first, message):
+        e = parse(src)
+        for x_in, named in ((x, x), (np.array(xs), first)):
+            for fn in (evaluate, evaluate_dual, evaluate_derivative):
+                with pytest.raises(EvalDomainError) as exc:
+                    fn(e, x_in)
+                assert exc.value.x == named
+                assert str(exc.value).startswith(message)
+                assert str(exc.value).endswith(f"at x={named!r}")
+
+    def test_empty_input_with_a_variable_free_failure(self):
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(parse("ln(0 - 1) + x"), np.array([]))
+        assert math.isnan(exc.value.x)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hhbounds.corpus import corpus_specs
 from hhbounds.expr import parse
 from hhbounds.funcspec import (
     CHUNK_POINTS,
@@ -20,6 +21,8 @@ from hhbounds.funcspec import (
     derivative_power,
     estimate_max_modulus,
     function_of,
+    _scanned_ts,
+    _t_grid,
     validate,
 )
 
@@ -292,13 +295,13 @@ def reference_estimate(g, phi, iv, grid):
 
 
 def _key(value):
-    """Equality key that lets NaN equal NaN and nothing else."""
+    """Equality key: NaN equals NaN, and -0.0 differs from 0.0."""
     if isinstance(value, CertificateResult):
         return (value.passed, _key(value.worst_slack), _key(value.witness))
     if isinstance(value, tuple):
         return tuple(_key(v) for v in value)
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else (value, math.copysign(1.0, value))
     return value
 
 
@@ -337,14 +340,17 @@ class TestRowBlockScan:
         assert_scan_matches_reference(square, grid, (0.9, 1.7))
 
     def test_extremal_ties_resolve_to_first_arg_min(self):
-        # x^2 at modulus 1 has slack identically 0 up to roundoff, so the
-        # grid minimum is a tiny negative value reached at several points
-        g = function_of(parse("x^2"))
-        for grid in (GridConfig(), GridConfig(141, 127, 91), GridConfig(30, 30, 20)):
-            assert_scan_matches_reference(g, grid, (1.0,), tol=0.0)
-            assert not certify_strong_phi_convexity(
-                g, IDENTITY, IV01, 1.0, grid, tol=0.0
-            ).passed
+        # x^2 at modulus 1 and 2*x + 1 at 0 have slack identically 0 up to
+        # roundoff, so the grid minimum is a tiny negative value reached at
+        # several points
+        for src, c in (("x^2", 1.0), ("2*x + 1", 0.0)):
+            g = function_of(parse(src))
+            for grid in (GridConfig(), GridConfig(141, 127, 91), GridConfig(30, 30, 20),
+                         GridConfig(64, 64, 65)):
+                assert_scan_matches_reference(g, grid, (c,), tol=0.0)
+                assert not certify_strong_phi_convexity(
+                    g, IDENTITY, IV01, c, grid, tol=0.0
+                ).passed
 
     def test_nan_stays_the_minimum(self):
         # NaN only at mixtures in (0.0003, 0.0023): no grid x or y lies
@@ -361,12 +367,132 @@ class TestRowBlockScan:
         assert_scan_matches_reference(g, grid, (0.3, 2.1))
 
     def test_certify_memory_does_not_grow_with_the_grid(self):
-        grid = GridConfig(141, 141, 91)
+        # 141x141x129 takes the mirrored half scan, 141x141x91 the full one
         g = function_of(parse("exp(x)"))
-        tracemalloc.start()
-        try:
-            certify_strong_phi_convexity(g, IDENTITY, IV01, 0.25, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        for grid in (GridConfig(141, 141, 91), GridConfig(141, 141, 129)):
+            tracemalloc.start()
+            try:
+                certify_strong_phi_convexity(g, IDENTITY, IV01, 0.25, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the mirrored half scan: t <= 1/2 only, when (y, x, 1-t) repeats (x, y, t)
+
+
+def counting(g):
+    """g, recording the number of points of every call in ``.points``."""
+
+    def wrapped(u):
+        wrapped.points.append(np.size(u))
+        return g(u)
+
+    wrapped.points = []
+    return wrapped
+
+
+class TestMirroredHalfScan:
+    def test_symmetric_grid_evaluates_t_up_to_one_half(self):
+        g = counting(np.exp)
+        certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5)
+        assert sum(g.points) == 41 + 41 * 41 * 17
+        g = counting(np.exp)
+        estimate_max_modulus(g, IDENTITY, IV01)
+        assert sum(g.points) == 41 + 41 * 41 * 16
+
+    def test_asymmetric_grids_scan_every_t(self):
+        for grid, c in ((GridConfig(41, 37, 33), 0.5), (GridConfig(41, 41, 20), 0.5),
+                        (GridConfig(), 0.6)):
+            g = counting(np.exp)
+            certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
+            n_t = _t_grid(grid.n_t).size
+            y_samples = 0 if grid.n_y == grid.n_x else grid.n_y
+            assert sum(g.points) == grid.n_x + y_samples + grid.n_x * grid.n_y * n_t
+
+    def test_symmetry_test(self):
+        ts = _t_grid(33)
+        phix = np.linspace(0.0, 1.0, 41)
+        gx = np.exp(phix)
+
+        def scanned(c, phiy=phix, gy=gx, ts=ts, phix=phix, gx=gx):
+            return _scanned_ts(ts, c * ts * (1.0 - ts), phix, phiy, gx, gy).size
+
+        assert scanned(0.5) == 17
+        assert scanned(0.6) == 33  # (0.6*t)*(1-t) rounds unlike (0.6*(1-t))*t
+        assert scanned(0.5, phiy=phix.copy(), gy=gx.copy()) == 33  # equal, not shared
+        nan_phi = np.where(phix == 0.5, np.nan, phix)
+        assert scanned(0.5, phix=nan_phi, phiy=nan_phi) == 33
+        nan_g = np.where(phix == 0.5, np.nan, gx)
+        assert scanned(0.5, gx=nan_g, gy=nan_g) == 33
+        for n_t, mirrored in ((9, True), (129, True), (20, False), (99, False)):
+            ts_n = _t_grid(n_t)
+            assert scanned(1.0, ts=ts_n) == ((ts_n.size + 1) // 2 if mirrored else ts_n.size)
+
+    def test_corpus_targets_match_the_full_grid(self):
+        witnesses = 0
+        for spec in corpus_specs():
+            for g, c in ((function_of(spec.f), spec.modulus_f),
+                         (derivative_power(spec.f, spec.q), spec.modulus_deriv)):
+                assert_scan_matches_reference(
+                    g, spec.grid, (c, c + 5.0), phi=spec.phi, iv=spec.interval
+                )
+                failing = certify_strong_phi_convexity(
+                    g, spec.phi, spec.interval, c + 5.0, spec.grid
+                )
+                witnesses += failing.witness is not None
+        assert witnesses == 34
+
+    def test_witness_past_one_half_is_the_mirror_of_the_scanned_element(self):
+        # the minimum sits at (0, 1, 17/32) and (1, 0, 15/32); only the
+        # second is scanned, and the first is reported
+        for grid in (GridConfig(), GridConfig(64, 64, 65)):
+            res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 3.0, grid, tol=0.0)
+            assert res.witness[:2] == (0.0, 1.0) and res.witness[2] > 0.5
+            assert_scan_matches_reference(np.exp, grid, (2.0, 3.0), tol=0.0)
+
+    def test_ties_across_blocks_keep_the_smallest_mirror(self):
+        # g is 1 at the mixture 37/1280 and 0 elsewhere, so the slack is -1
+        # wherever t*x + (1-t)*y hits it; the first block reaches -1 at
+        # (0.025, 0.05, 0.84375), the last at the mirror of the grid's first
+        def g(u):
+            return np.where(np.abs(u - 37 / 1280) < 1e-9, 1.0, 0.0)
+
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, tol=0.0)
+        assert res.witness == (0.0, 0.925, 0.96875, 1.0, 0.0)
+        assert_scan_matches_reference(g, GridConfig(), (0.0, 1.0), tol=0.0)
+
+    def test_nan_bands(self):
+        # the first band lies between grid samples, so the half scan meets
+        # NaN in many blocks; the second covers the sample 1/2, so g at the
+        # samples holds a NaN and the full grid is scanned
+        for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
+            def g(u):
+                return np.where(np.abs(u - center) < half, np.nan, u * u)
+
+            for grid in (GridConfig(), GridConfig(64, 64, 65)):
+                res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
+                assert math.isnan(res.worst_slack) and res.witness is not None
+                assert_scan_matches_reference(g, grid, (0.0, 0.5, 7.0))
+
+    def test_penalty_weight_must_be_its_own_reverse(self):
+        # c*t*(1-t) is not symmetric in t for this c, so the full grid is
+        # scanned; skipping the test reports -0.5185923159283767 at
+        # (0.0, 1.0, 0.53125) instead
+        c = 2.9155547781237297
+        res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, GridConfig(), tol=0.0)
+        assert res.worst_slack == -0.518592315928377
+        assert res.witness[:3] == (1.0, 0.0, 0.46875)
+        assert_scan_matches_reference(np.exp, GridConfig(), (c,), tol=0.0)
+
+    def test_zero_minimum_sign_does_not_depend_on_the_blocks(self, monkeypatch):
+        # the slack is 0.0 at most points and -0.0 where x and y lie outside
+        # (0.4, 0.6) and their mixture inside
+        g = function_of(parse("(0.1 - abs(x - 0.5))*0"))
+        for chunk in (2**10, 2**12, 2**14, 2**16):
+            monkeypatch.setattr("hhbounds.funcspec.CHUNK_POINTS", chunk)
+            for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20)):
+                res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
+                assert _key(res.worst_slack) == _key(0.0)
