@@ -459,7 +459,12 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
     operand_need = need or e.op not in "+-"
     u, du = _eval(e.left, x, dual, operand_need)
     if e.op == "^":
-        n = e._int_exponent
+        try:
+            n = e._int_exponent
+        except EvalDomainError:
+            # variable-free, it fails alike here, naming this walk's input
+            _eval(e.right, x, False)
+            raise
         if n is not None:
             if n < 0:
                 _check(u == 0, "zero base with negative exponent", e, x)

@@ -239,6 +239,12 @@ def endpoints(spec: ProblemSpec) -> Endpoints:
 # ---------------------------------------------------------------------------
 # sampling grids
 
+def _sample(g, x: np.ndarray) -> np.ndarray:
+    """``g(x)`` as a float array of x's shape; broadcast only if g returns another."""
+    f = np.asarray(g(x), dtype=float)
+    return f if f.shape == x.shape else np.broadcast_to(f, x.shape)
+
+
 def _t_grid(n_t: int) -> np.ndarray:
     """Uniform t grid over [0, 1] guaranteed to contain 0, 1/2 and 1."""
     ts = np.linspace(0.0, 1.0, n_t)
@@ -254,14 +260,10 @@ def _phi_samples(g, phi, iv, grid):
     """
     xs = np.linspace(iv.a, iv.b, grid.n_x)
     ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
-    phix = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
-    phiy = phix if ys is xs else np.broadcast_to(
-        np.asarray(phi(ys), dtype=float), ys.shape
-    )
-    gx = np.broadcast_to(np.asarray(g(phix), dtype=float), xs.shape)
-    gy = gx if ys is xs else np.broadcast_to(
-        np.asarray(g(phiy), dtype=float), ys.shape
-    )
+    phix = _sample(phi, xs)
+    phiy = phix if ys is xs else _sample(phi, ys)
+    gx = _sample(g, phix)
+    gy = gx if ys is xs else _sample(g, phiy)
     return xs, ys, phix, phiy, gx, gy
 
 
@@ -292,7 +294,10 @@ def _row_blocks(g, phix, phiy, gx, gy, ts):
     are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
     t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, len(ts)). A block
     holds max(1, CHUNK_POINTS // (n_y*len(ts))) rows, so memory is
-    O(max(CHUNK_POINTS, n_y*len(ts))) whatever n_x. Every element gets the
+    O(max(CHUNK_POINTS, n_y*len(ts))) whatever n_x. A scan of at most
+    8*CHUNK_POINTS points takes half as many points per block: its arrays
+    then stay below 64 KiB, whose free does not make glibc trim the heap, so
+    the next scan need not fault the pages in again. Every element gets the
     same floating-point operations in the same order as on the full grid,
     so results do not depend on the block size.
     """
@@ -300,11 +305,13 @@ def _row_blocks(g, phix, phiy, gx, gy, ts):
     Y = phiy[None, :, None]
     mix_y = (1.0 - T) * Y
     chord_y = (1.0 - T) * gy[None, :, None]
-    rows = max(1, CHUNK_POINTS // (phiy.size * ts.size))
+    row = phiy.size * ts.size
+    chunk = CHUNK_POINTS // 2 if phix.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
+    rows = max(1, chunk // row)
     for i0 in range(0, phix.size, rows):
         X = phix[i0:i0 + rows, None, None]
         mix = T * X + mix_y
-        gmix = np.broadcast_to(np.asarray(g(mix), dtype=float), mix.shape)
+        gmix = _sample(g, mix)
         yield i0, X - Y, gmix, T * gx[i0:i0 + rows, None, None] + chord_y
 
 

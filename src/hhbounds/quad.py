@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import abs_kink_points, evaluate, evaluate_derivative
-from .funcspec import ProblemSpec, endpoints
+from .funcspec import ProblemSpec, _sample, endpoints
 
 __all__ = [
     "QuadResult",
@@ -68,43 +68,47 @@ def _simpson(h, fa, fm, fb):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
-def _sample(g, x: np.ndarray) -> np.ndarray:
-    f = np.asarray(g(x), dtype=float)
-    return f if f.shape == x.shape else np.broadcast_to(f, x.shape)
-
-
-def integrate(g, lo: float, hi: float, tol: float) -> QuadResult:
+def integrate(g, lo, hi, tol: float) -> QuadResult:
     """Integrate ``g`` over [lo, hi] to absolute tolerance ``tol``.
 
+    ``lo`` and ``hi`` may also be equal-length sequences of piece bounds;
+    each piece gets, in the one loop, the panels a call on it alone would.
     Adaptive Simpson, searched breadth-first: each refinement level
     evaluates the new points of all open panels in one call, so ``g`` must
     take and return numpy arrays (a scalar result is broadcast). A panel is
     accepted, with its Richardson correction, when halving it moves the
     estimate by at most 15*tol; the tolerance halves per level. Accepted
     panel sums are added up the refinement tree as left + right, so the
-    value and the evaluation count are those of the depth-first recursion,
-    and the error estimate sums the per-panel estimates left to right.
-    Raises QuadratureError past depth MAX_DEPTH, and before a level that
-    would take the evaluations past MAX_EVALUATIONS, which is what stops an
-    integrand that does not converge anywhere.
+    value and the evaluation count are those of the depth-first recursion.
+    Pieces add up left to right from 0.0, and the error estimate sums the
+    per-panel estimates left to right, piece by piece. Raises
+    QuadratureError past depth MAX_DEPTH, and before a level that would
+    take the call's evaluations past MAX_EVALUATIONS, which is what stops
+    an integrand that does not converge anywhere.
     """
-    if not lo < hi:
-        raise ValueError(f"integration bounds require lo < hi, got [{lo}, {hi}]")
+    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    los, his = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    if los.ndim != 1 or los.shape != his.shape or not los.size:
+        raise ValueError("lo and hi must be scalars or equal-length sequences")
+    if not (los < his).all():
+        i = np.argmin(los < his)
+        raise ValueError(f"piece {i} needs lo < hi, got [{los[i]}, {his[i]}]")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    x = np.array([lo, 0.5 * (lo + hi), hi], dtype=float)
-    f = _sample(g, x)
-    evals = 3
-    # the open panels of the current level: ends, samples and Simpson value
-    a, b, fa, fm, fb = x[:1], x[2:], f[:1], f[1:2], f[2:]
+    p = los.size
+    f = _sample(g, np.concatenate((los, 0.5 * (los + his), his)))
+    evals = 3 * p
+    # the open panels of the current level: piece, ends, samples, Simpson value
+    piece, a, b, fa, fm, fb = np.arange(p), los, his, f[:p], f[p:2 * p], f[2 * p:]
     whole = _simpson(b - a, fa, fm, fb)
-    levels = []  # per level: panel lo, accepted mask, |delta|, value if accepted
+    levels = []  # per level: piece, panel lo, accepted mask, |delta|, value if accepted
     depth = 0
     while True:
         n = a.size
         if evals + 2 * n > MAX_EVALUATIONS:
+            i = piece.min()
             raise QuadratureError(
-                f"no convergence on [{lo}, {hi}] within {MAX_EVALUATIONS} "
+                f"no convergence on [{los[i]}, {his[i]}] within {MAX_EVALUATIONS} "
                 f"evaluations (depth {depth})"
             )
         # children in blocks: the left halves of all panels, then the right
@@ -118,7 +122,7 @@ def integrate(g, lo: float, hi: float, tol: float) -> QuadResult:
         delta = pair - whole
         err = np.abs(delta)
         accepted = err <= 15.0 * tol
-        levels.append((a, accepted, err, pair + delta / 15.0))
+        levels.append((piece, a, accepted, err, pair + delta / 15.0))
         if accepted.all():
             break
         if depth >= MAX_DEPTH:
@@ -128,29 +132,25 @@ def integrate(g, lo: float, hi: float, tol: float) -> QuadResult:
             )
         split = np.logical_not(accepted)
         split = np.concatenate((split, split))
+        piece = np.concatenate((piece, piece))[split]
         a, b, fa, fm, fb = ca[split], cb[split], cfa[split], cfm[split], cfb[split]
         whole = halves[split]
         tol = 0.5 * tol
         depth += 1
     # fold from the deepest level up: a split panel's value is the sum of
     # its halves, which sit at k and k + m in the next level's m-split block
-    total = levels[-1][3]
-    for _, accepted, _, value in reversed(levels[:-1]):
+    total = levels[-1][4]
+    for _, _, accepted, _, value in reversed(levels[:-1]):
         m = total.size // 2
         value[np.logical_not(accepted)] = total[:m] + total[m:]
         total = value
-    # leaves in left-to-right order are the depth-first order; panels of
+    # leaves ordered by piece, then lo, are the depth-first order; panels of
     # zero width share their lo but add exactly 0 to the estimate
-    lo_all, acc_all, err_all = (np.concatenate(c) for c in list(zip(*levels))[:3])
-    leaf_err = err_all[acc_all][np.argsort(lo_all[acc_all], kind="stable")] / 15.0
-    return QuadResult(float(total[0]), float(np.cumsum(leaf_err)[-1]), evals)
-
-
-def _integrate_pieces(g, points, tol) -> float:
-    total = 0.0
-    for lo, hi in zip(points, points[1:]):
-        total += integrate(g, lo, hi, tol / (len(points) - 1)).value
-    return total
+    piece_all, lo_all, acc_all, err_all = (np.concatenate(c) for c in list(zip(*levels))[:4])
+    order = np.lexsort((lo_all[acc_all], piece_all[acc_all]))
+    err_estimate = float(np.cumsum(err_all[acc_all][order] / 15.0)[-1])
+    value = float(total[0]) if single else float(np.cumsum(np.append(0.0, total))[-1])
+    return QuadResult(value, err_estimate, evals)
 
 
 def hh_gap(spec: ProblemSpec) -> float:
@@ -162,7 +162,8 @@ def hh_gap(spec: ProblemSpec) -> float:
     ends = endpoints(spec)
     kinks = abs_kink_points(spec.f, ends.phi_a, ends.phi_b)
     points = [ends.phi_a] + kinks + [ends.phi_b]
-    integral = _integrate_pieces(lambda u: evaluate(spec.f, u), points, spec.quad_tol)
+    tol = spec.quad_tol / (len(points) - 1)
+    integral = integrate(lambda u: evaluate(spec.f, u), points[:-1], points[1:], tol).value
     return ends.trapezoid - integral / ends.delta
 
 
@@ -185,22 +186,14 @@ def lemma_rhs(spec: ProblemSpec) -> float:
             cuts.add(t)
     points = [0.0] + sorted(cuts) + [1.0]
     kink_ts = cuts - {0.5}
-    pieces = []
-    for lo, hi in zip(points, points[1:]):
-        if lo in kink_ts:
-            lo = lo + KINK_NUDGE
-        if hi in kink_ts:
-            hi = hi - KINK_NUDGE
-        pieces.append((lo, hi))
+    los = [t + KINK_NUDGE if t in kink_ts else t for t in points[:-1]]
+    his = [t - KINK_NUDGE if t in kink_ts else t for t in points[1:]]
 
     def integrand(t):
         u = t * phi_b + (1.0 - t) * phi_a
         return (2.0 * t - 1.0) * evaluate_derivative(spec.f, u)
 
-    tol = spec.quad_tol / len(pieces)
-    integral = 0.0
-    for lo, hi in pieces:
-        integral += integrate(integrand, lo, hi, tol).value
+    integral = integrate(integrand, los, his, spec.quad_tol / len(los)).value
     return (delta / 2.0) * integral
 
 

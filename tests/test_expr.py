@@ -269,9 +269,11 @@ class TestKinkLocation:
 # evaluate/evaluate_dual can be compared against them
 
 
-def _ref_constant_exponent(e):
+def _ref_constant_exponent(e, x):
+    # a variable-free exponent has the same value at every input, and a
+    # domain error in it names the input, as in any variable-free operand
     if not _contains_variable(e):
-        return _ref_eval(e, 0.0)
+        return _ref_eval(e, x)
     return None
 
 
@@ -311,7 +313,7 @@ def _ref_eval(e, x):
         _check(v == 0, "division by zero", e, x)
         return u / v
     if e.op == "^":
-        cv = _ref_constant_exponent(e.right)
+        cv = _ref_constant_exponent(e.right, x)
         if cv is not None and float(cv).is_integer():
             n = int(cv)
             if n < 0:
@@ -364,7 +366,7 @@ def _ref_eval_dual(e, x):
         return a / b
     if e.op == "^":
         u = a.value
-        cv = _ref_constant_exponent(e.right)
+        cv = _ref_constant_exponent(e.right, x)
         if cv is not None and float(cv).is_integer():
             n = int(cv)
             if n < 0:
@@ -506,6 +508,8 @@ class TestDomainErrorNamesTheInput:
         ("(x + 0.1)^-400", 0.0, [0.9, 0.0], 0.0, "negative power overflows"),
         # a variable-free failure holds at every input: the first one is named
         ("ln(0 - 1) + x", 0.25, [0.25, 3.0], 0.25, "ln of non-positive value"),
+        # so is a failing exponent, though it is folded once per node
+        ("x^ln(0 - 1)", 1.0, [2.0, 3.0], 2.0, "ln of non-positive value"),
     ]
 
     @pytest.mark.parametrize("src, x, xs, first, message", CASES)

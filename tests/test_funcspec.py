@@ -384,13 +384,16 @@ class TestRowBlockScan:
 
 
 def counting(g):
-    """g, recording the number of points of every call in ``.points``."""
+    """g, recording the number of points and the shape of every call in
+    ``.points`` and ``.shapes``."""
 
     def wrapped(u):
         wrapped.points.append(np.size(u))
+        wrapped.shapes.append(np.shape(u))
         return g(u)
 
     wrapped.points = []
+    wrapped.shapes = []
     return wrapped
 
 
@@ -496,3 +499,44 @@ class TestMirroredHalfScan:
             for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20)):
                 res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
                 assert _key(res.worst_slack) == _key(0.0)
+
+
+# ---------------------------------------------------------------------------
+# block sizes: small scans stay below 64 KiB per block array
+
+
+class TestBlockSize:
+    # float64 elements whose array, with glibc's chunk header, stays below
+    # 64 KiB, the chunk size whose free may trim the heap top
+    SMALL_BLOCK = 8188
+
+    def test_default_grid_blocks_stay_below_64_kib(self):
+        # c = 0.5 takes the mirrored half scan, c = 0.6 the full one; the
+        # estimate scans the interior t values
+        for scan, n_t in (
+            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5), 17),
+            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.6), 33),
+            (lambda g: estimate_max_modulus(g, IDENTITY, IV01), 16),
+        ):
+            g = counting(np.exp)
+            scan(g)
+            blocks = [shape for shape in g.shapes if len(shape) == 3]
+            assert sum(math.prod(shape) for shape in blocks) == 41 * 41 * n_t
+            assert max(math.prod(shape) for shape in blocks) <= self.SMALL_BLOCK
+            assert len(blocks) > 1
+
+    @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
+    def test_large_scans_keep_the_full_size_rule(self, grid):
+        n_t = _t_grid(grid.n_t).size
+        assert (1.0 - _t_grid(grid.n_t)).tobytes() != _t_grid(grid.n_t)[::-1].tobytes()
+        assert grid.n_x * grid.n_y * (n_t - 2) > 8 * CHUNK_POINTS
+        for scan, k in (
+            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid), n_t),
+            (lambda g: estimate_max_modulus(g, IDENTITY, IV01, grid), n_t - 2),
+        ):
+            rows = max(1, CHUNK_POINTS // (grid.n_y * k))
+            want = [(min(rows, grid.n_x - i0), grid.n_y, k) for i0 in range(0, grid.n_x, rows)]
+            g = counting(np.exp)
+            scan(g)
+            assert [shape for shape in g.shapes if len(shape) == 3] == want
+

@@ -132,12 +132,22 @@ def _ref_adapt(g, lo, hi, fa, fm, fb, whole, tol, depth, acc):
     )
 
 
-def _ref_integrate(g, lo, hi, tol):
-    acc = _RefAccumulator()
+def _ref_integrate(g, lo, hi, tol, acc=None):
+    acc = _RefAccumulator() if acc is None else acc
     fa, fm, fb = g(lo), g(0.5 * (lo + hi)), g(hi)
-    acc.evals = 3
+    acc.evals += 3
     whole = _ref_simpson(hi - lo, fa, fm, fb)
     value = _ref_adapt(g, lo, hi, fa, fm, fb, whole, tol, 0, acc)
+    return QuadResult(value, acc.err, acc.evals)
+
+
+def _ref_integrate_pieces(g, los, his, tol):
+    """The pieces one after another: values summed from 0.0, left to right,
+    and one accumulator, so panel error estimates also add up in order."""
+    acc = _RefAccumulator()
+    value = 0.0
+    for lo, hi in zip(los, his):
+        value += _ref_integrate(g, lo, hi, tol, acc).value
     return QuadResult(value, acc.err, acc.evals)
 
 
@@ -194,14 +204,66 @@ class TestBreadthFirstMatchesRecursion:
         for spec in corpus_specs():
             verify_lemma_identity(spec)
         monkeypatch.undo()
-        assert len(calls) == 55
+        # one call per integral, 34 calls over 55 pieces
+        assert len(calls) == 34
+        assert sum(len(lo) for _, lo, _, _ in calls) == 55
         for g, lo, hi, tol in calls:
-            got = integrate(g, lo, hi, tol)
             # the package's integrands take floats too, through scalar evaluation
-            ref = _ref_integrate(g, lo, hi, tol)
-            assert (got.value, got.err_estimate, got.evaluations) == (
-                ref.value, ref.err_estimate, ref.evaluations
-            )
+            for a, b in zip(lo, hi):
+                assert integrate(g, a, b, tol) == _ref_integrate(g, a, b, tol)
+            assert integrate(g, lo, hi, tol) == _ref_integrate_pieces(g, lo, hi, tol)
+
+
+def _cubic(x):
+    return ((0.3 * x - 1.1) * x + 0.7) * x + 2.0
+
+
+class TestPieces:
+    KINKED = [lambda t: abs(2 * t - 1) * t, lambda t: np.abs(np.sin(7 * t)), _cubic]
+    PIECES = [
+        ([0.0, 0.3, 0.5], [0.3, 0.5, 1.0]),
+        # out of order, then overlapping: sorting all panels by lo alone
+        # adds the error estimates in another order
+        ([0.5, 0.0, 0.3], [1.0, 0.3, 0.5]),
+        ([0.6, -1.0], [1.0, 0.7]),
+        ([0.1], [0.9]),
+    ]
+
+    @pytest.mark.parametrize("los, his", PIECES)
+    def test_each_piece_matches_its_own_recursion(self, los, his):
+        for g in self.KINKED:
+            for tol in (1e-12, 1e-8):
+                got = integrate(g, los, his, tol)
+                refs = [_ref_integrate(_scalar(g), a, b, tol) for a, b in zip(los, his)]
+                alone = [integrate(g, a, b, tol) for a, b in zip(los, his)]
+                assert [(r.value, r.evaluations) for r in alone] == [
+                    (r.value, r.evaluations) for r in refs
+                ]
+                value = 0.0
+                for r in refs:
+                    value += r.value
+                assert got.value == value
+                assert got == _ref_integrate_pieces(_scalar(g), los, his, tol)
+
+    def test_scalar_bounds_are_one_piece(self):
+        for g in self.KINKED:
+            assert integrate(g, 0.2, 0.8, 1e-11) == integrate(g, [0.2], [0.8], 1e-11)
+            assert integrate(g, 0.2, 0.8, 1e-11) == _ref_integrate(_scalar(g), 0.2, 0.8, 1e-11)
+
+    def test_bad_pieces(self):
+        with pytest.raises(ValueError, match=r"piece 1 needs lo < hi, got \[0.5, 0.5\]"):
+            integrate(_cubic, [0.0, 0.5], [0.5, 0.5], 1e-10)
+        with pytest.raises(ValueError, match="piece 2 needs"):
+            integrate(_cubic, [0.0, 0.5, math.nan], [0.5, 1.0, 2.0], 1e-10)
+        for los, his in (([0.0, 0.5], [1.0]), ([], []), ([[0.0]], [[1.0]])):
+            with pytest.raises(ValueError, match="equal-length"):
+                integrate(_cubic, los, his, 1e-10)
+
+    def test_cap_counts_the_whole_call(self):
+        # one piece takes 936,277 evaluations, two would take twice as many
+        assert integrate(np.exp, [0.0], [30.0], 1e-10).evaluations == 936_277
+        with pytest.raises(QuadratureError, match=r"\[0.0, 30.0\] within"):
+            integrate(np.exp, [0.0, 0.0], [30.0, 30.0], 1e-10)
 
 
 class TestEvaluationCap:
