@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .bounds import MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
@@ -193,46 +194,104 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _csv_rows(report: BoundReport):
+    gap = _fmt(report.gap)
     for row in report.rows:
         yield (
             report.spec_id,
             row.theorem_id,
             row.status,
             _fmt(row.bound),
-            _fmt(report.gap),
+            gap,
             _fmt(row.margin),
             _fmt(row.tightness),
             row.notes,
         )
 
 
-def _report_dict(report: BoundReport) -> dict:
-    return {
-        "spec_id": report.spec_id,
-        "gap": report.gap,
-        "lemma_residual": report.lemma_residual,
-        "mean": report.mean,
-        "certificates": [
-            {
-                "target": c.target,
-                "passed": c.passed,
-                "worst_slack": c.worst_slack,
-                "witness": list(c.witness) if c.witness is not None else None,
-            }
-            for c in report.certificates
-        ],
-        "rows": [
-            {
-                "theorem_id": r.theorem_id,
-                "status": r.status,
-                "bound": r.bound,
-                "margin": r.margin,
-                "tightness": r.tightness,
-                "notes": r.notes,
-            }
-            for r in report.rows
-        ],
-    }
+# JSON comes from fixed templates and writes exactly the bytes of
+# ``json.dumps(<the dataclasses' fields as dicts>, indent=2)``, whose indent
+# encoder is pure Python. Leaves are encoded as json encodes them. Escaped
+# strings hold no raw newline, so a report nested in a list is indented by
+# replacing "\n".
+_REPORT_JSON = """{
+  "spec_id": %s,
+  "gap": %s,
+  "lemma_residual": %s,
+  "mean": %s,
+  "certificates": %s,
+  "rows": %s
+}"""
+_CERTIFICATE_JSON = """    {
+      "target": %s,
+      "passed": %s,
+      "worst_slack": %s,
+      "witness": %s
+    }"""
+_ROW_JSON = """    {
+      "theorem_id": %s,
+      "status": %s,
+      "bound": %s,
+      "margin": %s,
+      "tightness": %s,
+      "notes": %s
+    }"""
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_leaf(value) -> str:
+    if isinstance(value, float):
+        text = float.__repr__(value)  # np.float64's own repr differs
+        return _FLOAT_TOKENS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _report_json(report: BoundReport) -> str:
+    certificates = [
+        _CERTIFICATE_JSON
+        % (
+            _json_leaf(c.target),
+            _json_leaf(c.passed),
+            _json_leaf(c.worst_slack),
+            "null"
+            if c.witness is None
+            else _json_list(["        " + _json_leaf(v) for v in c.witness], "      "),
+        )
+        for c in report.certificates
+    ]
+    rows = [
+        _ROW_JSON
+        % (
+            _json_leaf(r.theorem_id),
+            _json_leaf(r.status),
+            _json_leaf(r.bound),
+            _json_leaf(r.margin),
+            _json_leaf(r.tightness),
+            _json_leaf(r.notes),
+        )
+        for r in report.rows
+    ]
+    return _REPORT_JSON % (
+        _json_leaf(report.spec_id),
+        _json_leaf(report.gap),
+        _json_leaf(report.lemma_residual),
+        _json_leaf(report.mean),
+        _json_list(certificates, "  "),
+        _json_list(rows, "  "),
+    )
 
 
 def serialize(report: BoundReport, format: str = "csv") -> bytes:
@@ -241,7 +300,11 @@ def serialize(report: BoundReport, format: str = "csv") -> bytes:
 
 
 def serialize_many(reports: list[BoundReport], format: str = "csv") -> bytes:
-    """Encode several reports: one CSV table, or a JSON list."""
+    """Encode several reports: one CSV table, or a JSON list.
+
+    A single report encodes as a bare JSON object, not a one-element list;
+    ``check --format json`` prints that object.
+    """
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -250,10 +313,13 @@ def serialize_many(reports: list[BoundReport], format: str = "csv") -> bytes:
             writer.writerows(_csv_rows(report))
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        payload = [_report_dict(r) for r in reports]
         if len(reports) == 1:
-            payload = payload[0]
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+            text = _report_json(reports[0])
+        else:
+            text = _json_list(
+                ["  " + _report_json(r).replace("\n", "\n  ") for r in reports], ""
+            )
+        return (text + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
 
 

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhbounds.bounds import BoundValue, GAP_UPPER, MEAN_LOWER, MEAN_UPPER
 from hhbounds.corpus import spec_from_config
@@ -190,3 +193,104 @@ class TestSerialization:
         report = run_check(make(SQ_Q1))
         with pytest.raises(ValueError):
             serialize(report, "yaml")
+
+
+def _old_report_dict(report: BoundReport) -> dict:
+    """Reference: the report as dicts in field order. json.dumps(..., indent=2)
+    of it is the JSON layout the encoder must write byte for byte."""
+    return {
+        "spec_id": report.spec_id,
+        "gap": report.gap,
+        "lemma_residual": report.lemma_residual,
+        "mean": report.mean,
+        "certificates": [
+            {
+                "target": c.target,
+                "passed": c.passed,
+                "worst_slack": c.worst_slack,
+                "witness": list(c.witness) if c.witness is not None else None,
+            }
+            for c in report.certificates
+        ],
+        "rows": [
+            {
+                "theorem_id": r.theorem_id,
+                "status": r.status,
+                "bound": r.bound,
+                "margin": r.margin,
+                "tightness": r.tightness,
+                "notes": r.notes,
+            }
+            for r in report.rows
+        ],
+    }
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1)
+floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+reals = floats | floats.map(np.float64)
+texts = st.text(max_size=10) | st.text(
+    alphabet='"\\\x00\x1f\n\t\x7f,\u00e9\u20ac\U0001f600', max_size=10
+)
+certificates = st.builds(
+    CertificateSummary,
+    target=st.sampled_from(("f", "fprime_q")),
+    passed=st.booleans(),
+    worst_slack=reals,
+    witness=st.none() | st.tuples(reals, reals, reals, reals, reals),
+)
+report_rows = st.builds(
+    ReportRow,
+    theorem_id=st.sampled_from(("power_mean", "holder")),
+    status=st.sampled_from(("HOLDS", "VIOLATED", "INAPPLICABLE", "ERROR")),
+    bound=st.none() | reals,
+    margin=st.none() | reals,
+    tightness=st.none() | reals,
+    notes=texts,
+)
+reports = st.builds(
+    BoundReport,
+    spec_id=texts,
+    gap=reals,
+    lemma_residual=reals,
+    mean=reals,
+    certificates=st.lists(certificates, max_size=2).map(tuple),
+    rows=st.lists(report_rows, max_size=4).map(tuple),
+)
+
+
+def _has_nan(report: BoundReport) -> bool:
+    values = [report.gap, report.lemma_residual, report.mean]
+    for c in report.certificates:
+        values.append(c.worst_slack)
+        values.extend(c.witness or ())
+    for r in report.rows:
+        values.extend(v for v in (r.bound, r.margin, r.tightness) if v is not None)
+    return any(math.isnan(v) for v in values)
+
+
+def assert_same_bytes(got: bytes, want: bytes) -> None:
+    # A short message: pytest's own diff of two long byte strings is slow,
+    # and Hypothesis fails many examples while it shrinks.
+    if got != want:
+        k = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+        lo = max(k - 30, 0)
+        pytest.fail(f"bytes differ at {k}: {got[lo:k + 30]!r} != {want[lo:k + 30]!r}")
+
+
+class TestJsonEncoder:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(reports, min_size=3, max_size=3))
+    def test_bytes_equal_json_dumps_indent_2(self, three):
+        def expected(payload):
+            return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+        dicts = [_old_report_dict(r) for r in three]
+        assert_same_bytes(serialize(three[0], "json"), expected(dicts[0]))
+        assert_same_bytes(serialize_many([], "json"), expected([]))
+        assert_same_bytes(serialize_many(three[:1], "json"), expected(dicts[0]))
+        assert_same_bytes(serialize_many(three, "json"), expected(dicts))
+        for report in three:
+            if not _has_nan(report):
+                assert report_from_json(serialize(report, "json")) == report
