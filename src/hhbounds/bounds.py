@@ -57,8 +57,6 @@ GAP_UPPER = "gap_upper"
 MEAN_LOWER = "mean_lower"
 MEAN_UPPER = "mean_upper"
 
-REASON_Q1 = "p undefined at q=1"
-
 
 class ModulusInfeasibleError(ValueError):
     """A bound bracket went negative for the supplied modulus."""
@@ -151,6 +149,13 @@ def bound_power_mean(inputs: BoundInputs) -> BoundValue:
     return BoundValue("power_mean", (i.delta / 4.0) * root)
 
 
+def _inapplicable_at_q1(theorem_id: str) -> BoundValue:
+    """The row of a bound that needs the Holder conjugate p, at q = 1."""
+    return BoundValue(
+        theorem_id, None, applicable=False, inapplicability_reason="p undefined at q=1"
+    )
+
+
 def _split_prefactor(i: BoundInputs) -> float:
     return (
         (i.delta / 4.0)
@@ -163,9 +168,7 @@ def bound_split_holder(inputs: BoundInputs) -> BoundValue:
     """Half-interval Holder bound using the midpoint derivative (q > 1)."""
     i = inputs
     if i.p is None:
-        return BoundValue(
-            "split_holder", None, applicable=False, inapplicability_reason=REASON_Q1
-        )
+        return _inapplicable_at_q1("split_holder")
     correction = (i.c / 3.0) * i.delta**2
     r1 = _checked_root("split_holder", i.d_m**i.q + i.d_a**i.q - correction, i.c, i.q)
     r2 = _checked_root("split_holder", i.d_m**i.q + i.d_b**i.q - correction, i.c, i.q)
@@ -180,12 +183,7 @@ def bound_split_holder_relaxed(inputs: BoundInputs) -> BoundValue:
     """
     i = inputs
     if i.p is None:
-        return BoundValue(
-            "split_holder_relaxed",
-            None,
-            applicable=False,
-            inapplicability_reason=REASON_Q1,
-        )
+        return _inapplicable_at_q1("split_holder_relaxed")
     correction = (7.0 * i.c / 12.0) * i.delta**2
     r1 = _checked_root(
         "split_holder_relaxed",
@@ -206,9 +204,7 @@ def bound_holder(inputs: BoundInputs) -> BoundValue:
     """Whole-interval Holder bound (q > 1)."""
     i = inputs
     if i.p is None:
-        return BoundValue(
-            "holder", None, applicable=False, inapplicability_reason=REASON_Q1
-        )
+        return _inapplicable_at_q1("holder")
     bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 6.0) * i.delta**2
     root = _checked_root("holder", bracket, i.c, i.q)
     value = (i.delta / 2.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p) * root

@@ -11,8 +11,8 @@ Commands and their flags:
     corpus   run the built-in corpus and write one aggregated report;
              --format, --out
 
-Config schema (JSON object; ``corpus.spec_from_config`` rejects unknown and
-missing keys):
+Config schema (JSON object; ``corpus.spec_from_config`` rejects unknown or
+missing keys and values of the wrong type):
     f         expression string (required)
     a, b      interval endpoints (required)
     phi       expression string or "identity" (default "identity")
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .corpus import corpus_specs, spec_from_config
@@ -96,7 +97,7 @@ def _bad_rows(report) -> bool:
     return any(r.status in (STATUS_VIOLATED, STATUS_ERROR) for r in report.rows)
 
 
-def _cmd_check(args, with_certificates: bool) -> int:
+def _cmd_check(args, with_certificates: bool = True) -> int:
     spec = _spec_from_path(args.config, args.tol)
     report = run_check(spec, with_certificates=with_certificates)
     _emit(serialize_many([report], args.format), args.out)
@@ -138,6 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def config(p):
         p.add_argument("config", help="path to a JSON problem config")
         p.add_argument("--tol", type=float, default=None,
@@ -149,12 +155,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
-    output(config(sub.add_parser("check", help="run the full verification pipeline")))
-    output(config(sub.add_parser("bounds", help="like check, without certificates")))
-    p_mod = config(sub.add_parser("modulus", help="estimate the maximum modulus"))
+    output(config(command("check", _cmd_check, "run the full verification pipeline")))
+    bounds = partial(_cmd_check, with_certificates=False)
+    output(config(command("bounds", bounds, "like check, without certificates")))
+    p_mod = config(command("modulus", _cmd_modulus, "estimate the maximum modulus"))
     p_mod.add_argument("--target", choices=("f", "fprime_q"), default="f")
-    config(sub.add_parser("lemma", help="verify the gap identity"))
-    output(sub.add_parser("corpus", help="run the built-in corpus"))
+    config(command("lemma", _cmd_lemma, "verify the gap identity"))
+    output(command("corpus", _cmd_corpus, "run the built-in corpus"))
     return parser
 
 
@@ -166,17 +173,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        if args.command == "check":
-            return _cmd_check(args, with_certificates=True)
-        if args.command == "bounds":
-            return _cmd_check(args, with_certificates=False)
-        if args.command == "modulus":
-            return _cmd_modulus(args)
-        if args.command == "lemma":
-            return _cmd_lemma(args)
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,7 +188,6 @@ def main(argv=None) -> int:
     except (IdentityViolationError, QuadratureError, DegeneratePhiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

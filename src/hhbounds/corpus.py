@@ -72,11 +72,24 @@ CORPUS_CONFIGS = (
 )
 
 
+def _number(cfg: dict, key: str, default=None, kind=float, name: str | None = None):
+    """``kind(cfg.get(key, default))``; a wrong type is a ``config-type`` error."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise SpecValidationError(
+            "config-type", f"config key {name or key!r} must be {what}, got {value!r}"
+        ) from None
+
+
 def spec_from_config(cfg: dict) -> ProblemSpec:
     """Build an unvalidated ProblemSpec from a config mapping.
 
     Unknown or missing keys, and a ``grid`` that is not a mapping of grid
-    counts, raise SpecValidationError with code ``config-keys``.
+    counts, raise SpecValidationError with code ``config-keys``; a value
+    that is not a number where one is expected, code ``config-type``.
     """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
@@ -93,21 +106,20 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
         raise SpecValidationError(
             "config-keys", f"grid must be an object with keys among {sorted(GRID_KEYS)}"
         )
+    # absent grid counts take GridConfig's defaults
     grid = GridConfig(
-        n_x=int(grid_cfg.get("n_x", 41)),
-        n_y=int(grid_cfg.get("n_y", 41)),
-        n_t=int(grid_cfg.get("n_t", 33)),
+        **{k: _number(grid_cfg, k, kind=int, name=f"grid.{k}") for k in grid_cfg}
     )
     return ProblemSpec(
         f=parse(cfg["f"]),
-        interval=Interval(float(cfg["a"]), float(cfg["b"])),
+        interval=Interval(_number(cfg, "a"), _number(cfg, "b")),
         phi=PhiMap.from_source(str(cfg.get("phi", "identity"))),
-        c=float(cfg.get("c", 0.0)),
-        q=float(cfg.get("q", 1.0)),
-        quad_tol=float(cfg.get("quad_tol", 1e-10)),
+        c=_number(cfg, "c", 0.0),
+        q=_number(cfg, "q", 1.0),
+        quad_tol=_number(cfg, "quad_tol", 1e-10),
         grid=grid,
-        c_f=None if cfg.get("c_f") is None else float(cfg["c_f"]),
-        c_deriv=None if cfg.get("c_deriv") is None else float(cfg["c_deriv"]),
+        c_f=None if cfg.get("c_f") is None else _number(cfg, "c_f"),
+        c_deriv=None if cfg.get("c_deriv") is None else _number(cfg, "c_deriv"),
         spec_id=str(cfg.get("id", "spec")),
     )
 

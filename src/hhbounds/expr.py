@@ -283,36 +283,13 @@ def _unparse(e: Expr, context: int) -> str:
 
 @dataclass(frozen=True)
 class DualValue:
-    """First-order dual number: value plus derivative, both IEEE doubles.
+    """A value and its derivative, both IEEE doubles or numpy arrays.
 
-    Arithmetic follows the dual rules, e.g. (u,u')*(v,v') = (uv, u'v + uv').
-    Components may also be numpy arrays of matching shape.
+    A plain record: ``_eval`` holds the dual-number rules.
     """
 
     value: Scalar
     deriv: Scalar
-
-    def __add__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value + other.value, self.deriv + other.deriv)
-
-    def __sub__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value - other.value, self.deriv - other.deriv)
-
-    def __mul__(self, other: "DualValue") -> "DualValue":
-        return DualValue(
-            self.value * other.value,
-            self.deriv * other.value + self.value * other.deriv,
-        )
-
-    def __truediv__(self, other: "DualValue") -> "DualValue":
-        return DualValue(
-            self.value / other.value,
-            (self.deriv * other.value - self.value * other.deriv)
-            / (other.value * other.value),
-        )
-
-    def __neg__(self) -> "DualValue":
-        return DualValue(-self.value, -self.deriv)
 
 
 def _contains_variable(e: Expr) -> bool:
@@ -368,12 +345,14 @@ def _check(mask, message: str, node: Expr, x):
         raise EvalDomainError(message, node, _first_offender(x, mask))
 
 
+def _like_input(v, x):
+    """``v`` as a float for a float input ``x``; arrays pass through."""
+    return v if isinstance(x, np.ndarray) else float(v)
+
+
 def evaluate(e: Expr, x: Scalar) -> Scalar:
     """Evaluate ``e`` at ``x``. Raises EvalDomainError outside the domain."""
-    value, _ = _eval(e, x, False)
-    if isinstance(x, np.ndarray):
-        return value
-    return float(value)
+    return _like_input(_eval(e, x, False)[0], x)
 
 
 def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
@@ -384,10 +363,7 @@ def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
     exponent is exp(v*ln u) and requires u > 0.
     """
     value, deriv = _eval(e, x, True)
-    deriv = _dense(deriv, x)
-    if isinstance(x, np.ndarray):
-        return DualValue(value, deriv)
-    return DualValue(float(np.asarray(value)), float(np.asarray(deriv)))
+    return DualValue(_like_input(value, x), _like_input(_dense(deriv, x), x))
 
 
 def evaluate_derivative(e: Expr, x: Scalar) -> Scalar:
@@ -395,11 +371,7 @@ def evaluate_derivative(e: Expr, x: Scalar) -> Scalar:
 
     Raises the same EvalDomainError as ``evaluate_dual``.
     """
-    _, deriv = _eval(e, x, True, False)
-    deriv = _dense(deriv, x)
-    if isinstance(x, np.ndarray):
-        return deriv
-    return float(np.asarray(deriv))
+    return _like_input(_dense(_eval(e, x, True, False)[1], x), x)
 
 
 # the derivative of x: 1 wherever x is finite, built only where it is used
@@ -422,8 +394,8 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
     The derivative is None unless ``dual``; the value is None when ``need``
     is false and no derivative rule reads it. The derivative of ``x`` is
     the unit marker ``_UNIT``, so a product with it is skipped. Otherwise
-    derivatives follow the DualValue rules operation for operation, and
-    every domain check runs on the values it tests.
+    derivatives follow the forward-mode rules, e.g. (u*v)' = u'*v + u*v',
+    and every domain check runs on the values it tests.
     """
     if isinstance(e, Constant):
         return e.value, (0.0 if dual else None)
@@ -491,7 +463,8 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
         _check(v == 0, "division by zero", e, x)
         return (
             u / v if need else None,
-            (_scale(v, du) - _scale(u, dv)) / (v * v) if dual else None,
+            # dividing by v twice: v*v under- or overflows where u/v^2 need not
+            (_scale(v, du) - _scale(u, dv)) / v / v if dual else None,
         )
     raise AssertionError(e.op)
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import Expr, evaluate, evaluate_derivative, parse, unparse
+from .expr import Expr, evaluate, evaluate_derivative, parse
 
 __all__ = [
     "Interval",
@@ -85,17 +85,10 @@ class PhiMap:
             return cls.identity()
         return cls(parse(source))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.expr is None
-
     def __call__(self, x):
         if self.expr is None:
             return x
         return evaluate(self.expr, x)
-
-    def describe(self) -> str:
-        return "identity" if self.expr is None else unparse(self.expr)
 
 
 @dataclass(frozen=True)

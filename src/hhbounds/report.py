@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -62,7 +62,7 @@ class CertificateSummary:
     target: str  # "f" or "fprime_q"
     passed: bool
     worst_slack: float
-    witness: Optional[tuple[float, float, float, float, float]] = None
+    witness: Optional[tuple[float, float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class ReportRow:
     bound: Optional[float]
     margin: Optional[float]
     tightness: Optional[float]
-    notes: str = ""
+    notes: str
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,16 @@ def run_check(
     certificates: tuple[CertificateSummary, ...] = ()
     cert_f = cert_deriv = None
     if with_certificates:
-        cert_f = certify_strong_phi_convexity(
-            function_of(spec.f), spec.phi, spec.interval, spec.modulus_f, spec.grid
+        cert_f, cert_deriv = (
+            certify_strong_phi_convexity(g, spec.phi, spec.interval, c, spec.grid)
+            for g, c in (
+                (function_of(spec.f), spec.modulus_f),
+                (derivative_power(spec.f, spec.q), spec.modulus_deriv),
+            )
         )
-        cert_deriv = certify_strong_phi_convexity(
-            derivative_power(spec.f, spec.q),
-            spec.phi,
-            spec.interval,
-            spec.modulus_deriv,
-            spec.grid,
-        )
-        certificates = (
-            CertificateSummary("f", cert_f.passed, cert_f.worst_slack, cert_f.witness),
-            CertificateSummary(
-                "fprime_q", cert_deriv.passed, cert_deriv.worst_slack, cert_deriv.witness
-            ),
+        certificates = tuple(
+            CertificateSummary(target, c.passed, c.worst_slack, c.witness)
+            for target, c in (("f", cert_f), ("fprime_q", cert_deriv))
         )
     gap_result = verify_lemma_identity(spec)
     bound_values = evaluate_all(
@@ -324,33 +319,17 @@ def serialize_many(reports: list[BoundReport], format: str = "csv") -> bytes:
 
 
 def report_from_json(data: bytes | str) -> BoundReport:
-    """Inverse of ``serialize(report, 'json')`` for a single report."""
-    obj = json.loads(data)
-    certificates = tuple(
-        CertificateSummary(
-            target=c["target"],
-            passed=c["passed"],
-            worst_slack=c["worst_slack"],
-            witness=tuple(c["witness"]) if c["witness"] is not None else None,
-        )
-        for c in obj["certificates"]
-    )
-    rows = tuple(
-        ReportRow(
-            theorem_id=r["theorem_id"],
-            status=r["status"],
-            bound=r["bound"],
-            margin=r["margin"],
-            tightness=r["tightness"],
-            notes=r["notes"],
-        )
-        for r in obj["rows"]
-    )
-    return BoundReport(
-        spec_id=obj["spec_id"],
-        gap=obj["gap"],
-        lemma_residual=obj["lemma_residual"],
-        mean=obj["mean"],
-        certificates=certificates,
-        rows=rows,
-    )
+    """Inverse of ``serialize(report, 'json')`` for a single report.
+
+    Each object must hold exactly its dataclass's fields: a missing or
+    unknown key raises TypeError.
+    """
+    report = BoundReport(**json.loads(data))
+    certificates = []
+    for obj in report.certificates:
+        c = CertificateSummary(**obj)
+        if c.witness is not None:
+            c = replace(c, witness=tuple(c.witness))
+        certificates.append(c)
+    rows = tuple(ReportRow(**obj) for obj in report.rows)
+    return replace(report, certificates=tuple(certificates), rows=rows)

@@ -99,6 +99,28 @@ class TestConfigSchema:
         assert exc.value.code == "config-keys"
 
 
+    # (config edit, what the error says of the key)
+    WRONG_TYPES = [
+        ({"q": None}, "'q' must be a number"),
+        ({"a": [0]}, "'a' must be a number"),
+        ({"grid": {"n_x": None}}, "'grid.n_x' must be an integer"),
+        # JSON's Infinity is a float that int() cannot convert
+        ({"grid": {"n_t": float("inf")}}, "'grid.n_t' must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("edit, key", WRONG_TYPES)
+    def test_wrong_value_type_is_rejected(self, edit, key):
+        with pytest.raises(SpecValidationError) as exc:
+            spec_from_config(dict(SQ_Q1, **edit))
+        assert exc.value.code == "config-type"
+        assert f"config key {key}, got " in str(exc.value)
+
+    @pytest.mark.parametrize("edit, key", WRONG_TYPES)
+    def test_wrong_value_type_exits_two(self, tmp_path, capsys, edit, key):
+        assert main(["check", write_config(tmp_path, dict(SQ_Q1, **edit))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config ") and key in err
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,6 +187,14 @@ class TestLemma:
         assert err.startswith("error: negative power overflows in ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+
+    def test_tiny_divisor_exits_one_without_traceback(self, tmp_path, capsys):
+        # the derivative of x/1e-170 is 1e170; (1e-170)^2 underflows to 0
+        path = write_config(tmp_path, {"f": "abs(x/1e-170 - 5e169)", "a": 0, "b": 1})
+        assert main(["lemma", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 class TestCorpus:
     def test_all_rows_hold(self, tmp_path):

@@ -183,6 +183,23 @@ class TestSerialization:
                                  "c_deriv": 1.0}))
         assert report_from_json(serialize(report, "json")) == report
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.pop("mean"),
+            lambda obj: obj["rows"][0].pop("notes"),
+            lambda obj: obj["certificates"][0].pop("witness"),
+            lambda obj: obj.update(extra=1),
+            lambda obj: obj["rows"][0].update(extra=1),
+        ],
+        ids=["missing", "missing-row-key", "missing-witness", "unknown", "unknown-row-key"],
+    )
+    def test_json_keys_must_match_the_fields(self, edit):
+        obj = json.loads(serialize(run_check(make(SQ_Q1)), "json"))
+        edit(obj)
+        with pytest.raises(TypeError):
+            report_from_json(json.dumps(obj))
+
     def test_multi_report_csv_concatenates_rows(self):
         reports = [run_check(make(SQ_Q1)),
                    run_check(make({"f": "exp(x)", "a": 0, "b": 1, "id": "e"}))]
