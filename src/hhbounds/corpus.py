@@ -73,9 +73,16 @@ CORPUS_CONFIGS = (
 
 
 def _number(cfg: dict, key: str, default=None, kind=float, name: str | None = None):
-    """``kind(cfg.get(key, default))``; a wrong type is a ``config-type`` error."""
+    """``kind(cfg.get(key, default))``; a wrong type is a ``config-type`` error.
+
+    A bool is not a number, and an integer may not drop a fraction.
+    """
     value = cfg.get(key, default)
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
@@ -89,7 +96,9 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
 
     Unknown or missing keys, and a ``grid`` that is not a mapping of grid
     counts, raise SpecValidationError with code ``config-keys``; a value
-    that is not a number where one is expected, code ``config-type``.
+    that is not a number where one is expected (a bool included), a grid
+    count with a fraction, or an ``id`` that is not a string, code
+    ``config-type``.
     """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
@@ -106,6 +115,11 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
         raise SpecValidationError(
             "config-keys", f"grid must be an object with keys among {sorted(GRID_KEYS)}"
         )
+    spec_id = cfg.get("id", "spec")
+    if not isinstance(spec_id, str):
+        raise SpecValidationError(
+            "config-type", f"config key 'id' must be a string, got {spec_id!r}"
+        )
     # absent grid counts take GridConfig's defaults
     grid = GridConfig(
         **{k: _number(grid_cfg, k, kind=int, name=f"grid.{k}") for k in grid_cfg}
@@ -120,7 +134,7 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
         grid=grid,
         c_f=None if cfg.get("c_f") is None else _number(cfg, "c_f"),
         c_deriv=None if cfg.get("c_deriv") is None else _number(cfg, "c_deriv"),
-        spec_id=str(cfg.get("id", "spec")),
+        spec_id=spec_id,
     )
 
 

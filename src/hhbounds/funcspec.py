@@ -261,32 +261,41 @@ def _phi_samples(g, phi, iv, grid):
 
 
 def _scanned_ts(ts, weight, phix, phiy, gx, gy):
-    """The t values a scan visits: those up to 1/2 on a mirrored grid, else all.
+    """The t columns a scan visits, and which of them stand for a mirror.
 
-    The element at (y, x, 1-t) forms the same products as the one at
-    (x, y, t) and adds them in the other order, so it repeats it bit for bit
-    when the y samples are the x samples, 1 - ts is ts reversed and the
-    penalty ``weight`` over ts is its own reverse, both bit for bit. A NaN
-    sample fails the test: two NaN addends may differ in payload.
+    Returns ``(cols, matched)``: the indices into ts of the scanned columns,
+    ascending, and for each whether it is matched. The element at
+    (y, x, ts[K-1-k]) forms the same products as the one at (x, y, ts[k])
+    and adds them in the other order, so it repeats it bit for bit when the
+    y samples are the x samples and, bit for bit, (1 - ts)[k] is ts[K-1-k],
+    (1 - ts)[K-1-k] is ts[k] and the penalty ``weight`` is equal at k and
+    K-1-k. Columns k and K-1-k are then matched, and the scan skips the
+    upper one; the middle column of an odd grid matches itself. A NaN
+    sample matches nothing: two NaN addends may differ in payload.
     """
-    mirrored = (
-        phiy is phix
-        and gy is gx
-        and not (np.isnan(phix).any() or np.isnan(gx).any())
-        and (1.0 - ts).tobytes() == ts[::-1].tobytes()
-        and weight.tobytes() == weight[::-1].tobytes()
-    )
-    return ts[:(ts.size + 1) // 2] if mirrored else ts
+    matched = np.zeros(ts.size, dtype=bool)
+    if phiy is phix and gy is gx and not (np.isnan(phix).any() or np.isnan(gx).any()):
+        t, s, w = ts.view(np.uint64), (1.0 - ts).view(np.uint64), weight.view(np.uint64)
+        matched = (s == t[::-1]) & (s[::-1] == t) & (w == w[::-1])
+    skipped = matched.copy()
+    skipped[:(ts.size + 1) // 2] = False
+    cols = np.flatnonzero(~skipped)
+    return cols, matched[cols]
 
 
 def _row_blocks(g, phix, phiy, gx, gy, ts):
     """Walk the (x, y, t) grid in blocks of whole x-rows.
 
-    Yields ``(i0, diff, gmix, chord)`` per block, for the x indices from i0:
-    ``diff`` is phi(x) - phi(y) shaped (rows, n_y, 1); ``gmix`` and ``chord``
-    are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
-    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, len(ts)). A block
-    holds max(1, CHUNK_POINTS // (n_y*len(ts))) rows, so memory is
+    Yields ``(i0, diff, gmix, chord, spare)`` per block, for the x indices
+    from i0: ``diff`` is phi(x) - phi(y) shaped (rows, n_y, 1); ``gmix`` and
+    ``chord`` are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
+    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, len(ts)), and
+    ``spare`` is the mixture array, which g has read, for the caller to
+    overwrite (a gmix that shares its memory is copied). The mixture and
+    chord arrays are allocated once per scan and rewritten with ``out=`` for
+    every block, so a caller may overwrite chord and spare but must be done
+    with a block before asking for the next. A block holds
+    max(1, CHUNK_POINTS // (n_y*len(ts))) rows, so memory is
     O(max(CHUNK_POINTS, n_y*len(ts))) whatever n_x. A scan of at most
     8*CHUNK_POINTS points takes half as many points per block: its arrays
     then stay below 64 KiB, whose free does not make glibc trim the heap, so
@@ -301,11 +310,17 @@ def _row_blocks(g, phix, phiy, gx, gy, ts):
     row = phiy.size * ts.size
     chunk = CHUNK_POINTS // 2 if phix.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
     rows = max(1, chunk // row)
+    shape = (min(rows, phix.size), phiy.size, ts.size)
+    mix_buf, chord_buf = np.empty(shape), np.empty(shape)
     for i0 in range(0, phix.size, rows):
         X = phix[i0:i0 + rows, None, None]
-        mix = T * X + mix_y
+        n = X.shape[0]
+        mix = np.add(T * X, mix_y, out=mix_buf[:n])
         gmix = _sample(g, mix)
-        yield i0, X - Y, gmix, T * gx[i0:i0 + rows, None, None] + chord_y
+        if np.may_share_memory(gmix, mix):
+            gmix = gmix.copy()
+        chord = np.add(T * gx[i0:i0 + n, None, None], chord_y, out=chord_buf[:n])
+        yield i0, X - Y, gmix, chord, mix
 
 
 def certify_strong_phi_convexity(
@@ -322,23 +337,23 @@ def certify_strong_phi_convexity(
     the certificate; ties on the minimum resolve to the lexicographically
     smallest (x, y, t), and a NaN slack is the minimum wherever it occurs,
     as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the
-    grid). A zero minimum is -0.0 only when every zero slack is. On a
-    mirrored grid (see ``_scanned_ts``) only t <= 1/2 is evaluated; the
-    result is the full grid's, bit for bit.
+    grid). A zero minimum is -0.0 only when every zero slack is. A t column
+    whose mirror column repeats it (see ``_scanned_ts``) is evaluated once
+    for both; the result is the full grid's, bit for bit.
     """
     xs, ys, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
     if tol is None:
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
     weight = c * ts * (1.0 - ts)
-    scan = _scanned_ts(ts, weight, phix, phiy, gx, gy)
-    mirrored = scan.size < ts.size
-    weight = weight[None, None, :scan.size]
+    cols, matched = _scanned_ts(ts, weight, phix, phiy, gx, gy)
+    weight = weight[None, None, cols]
     worst = hit = None
     plus_zero = False
-    for i0, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, scan):
-        corrected = chord - weight * diff ** 2
-        slack = corrected - gmix
+    for i0, diff, gmix, chord, spare in _row_blocks(g, phix, phiy, gx, gy, ts[cols]):
+        penalty = np.multiply(weight, diff ** 2, out=spare)
+        corrected = np.subtract(chord, penalty, out=spare)
+        slack = np.subtract(corrected, gmix, out=chord)
         m = slack.min()
         # which signed zero ndarray.min returns depends on the layout
         if m == 0 and not plus_zero:
@@ -347,10 +362,10 @@ def certify_strong_phi_convexity(
         if worst is None or m < worst or (np.isnan(m) and not np.isnan(worst)):
             worst, hit = m, None
         elif not (m == worst or np.isnan(m)):
-            continue  # on a mirrored scan a tie may hold a smaller witness
+            continue  # a tie may hold a smaller witness through a mirror
         if m >= -tol:
             continue  # a passing certificate has no witness
-        index, at = _first_minimum(slack, m, i0, ts.size, mirrored)
+        index, at = _first_minimum(slack, m, i0, ts.size, cols, matched)
         if hit is None or index < hit[0]:
             hit = (index, gmix.flat[at], corrected.flat[at])
     worst = float(worst)
@@ -364,22 +379,24 @@ def certify_strong_phi_convexity(
     return CertificateResult(False, worst, witness)
 
 
-def _first_minimum(slack, m, i0, n_t, mirrored):
+def _first_minimum(slack, m, i0, n_t, cols, matched):
     """Where a block of ``_row_blocks`` first reaches its minimum ``m``.
 
     Returns the grid index of (i, j, k) as (i*n_y + j)*n_t + k, which orders
     like (x, y, t), and the element's flat position in the block, over every
-    element equal to m (every NaN when m is NaN). On a mirrored scan each
-    counts as the smaller of itself and its mirror (j, i, n_t-1-k), whose
-    lhs and rhs are the same.
+    element equal to m (every NaN when m is NaN). The block's column c is
+    the grid's column k = cols[c]; in a matched column each element counts
+    as the smaller of itself and its mirror (j, i, n_t-1-k), whose lhs and
+    rhs are the same.
     """
     at = np.flatnonzero(np.isnan(slack) if np.isnan(m) else slack == m)
-    i, j, k = np.unravel_index(at, slack.shape)
+    i, j, c = np.unravel_index(at, slack.shape)
     i = i + i0
+    k = cols[c]
     n_y = slack.shape[1]
     index = (i * n_y + j) * n_t + k
-    if mirrored:
-        index = np.minimum(index, (j * n_y + i) * n_t + (n_t - 1 - k))
+    mirror = (j * n_y + i) * n_t + (n_t - 1 - k)
+    index = np.where(matched[c], np.minimum(index, mirror), index)
     a = np.argmin(index)
     return int(index[a]), int(at[a])
 
@@ -396,8 +413,8 @@ def estimate_max_modulus(
     information and are excluded. The result is clamped below at 0: a
     clamp to 0 means some grid chord ratio was negative (or NaN), so
     certifying at 0 fails on this grid unless that deficit is within the
-    certificate's tolerance. On a mirrored grid (see ``_scanned_ts``) only
-    t <= 1/2 is evaluated, with the same result.
+    certificate's tolerance. A t column whose mirror column repeats it (see
+    ``_scanned_ts``) is evaluated once for both, with the same result.
     """
     _, _, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
@@ -410,13 +427,19 @@ def estimate_max_modulus(
     ):
         raise DegeneratePhiError("phi is constant on the grid")
     weight = ts * (1.0 - ts)
-    scan = _scanned_ts(ts, weight, phix, phiy, gx, gy)
-    weight = weight[None, None, :scan.size]
+    cols, _ = _scanned_ts(ts, weight, phix, phiy, gx, gy)
+    weight = weight[None, None, cols]
     best = np.inf
-    for _, diff, gmix, chord in _row_blocks(g, phix, phiy, gx, gy, scan):
+    for _, diff, gmix, chord, spare in _row_blocks(g, phix, phiy, gx, gy, ts[cols]):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (chord - gmix) / (weight * diff ** 2)
-        m = np.where(np.abs(diff) >= floor, ratio, np.inf).min()
+            ratio = np.divide(
+                np.subtract(chord, gmix, out=chord),
+                np.multiply(weight, diff ** 2, out=spare),
+                out=chord,
+            )
+        # pairs too close (or NaN) to separate carry no information
+        ratio[~(np.abs(diff[..., 0]) >= floor)] = np.inf
+        m = ratio.min()
         if m < best or np.isnan(m):
             best = m
     return max(0.0, float(best))

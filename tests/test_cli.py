@@ -106,6 +106,10 @@ class TestConfigSchema:
         ({"grid": {"n_x": None}}, "'grid.n_x' must be an integer"),
         # JSON's Infinity is a float that int() cannot convert
         ({"grid": {"n_t": float("inf")}}, "'grid.n_t' must be an integer"),
+        # int() would truncate these to 41, and bool is a subclass of int
+        ({"grid": {"n_x": 41.9}}, "'grid.n_x' must be an integer"),
+        ({"a": True}, "'a' must be a number"),
+        ({"id": None}, "'id' must be a string"),
     ]
 
     @pytest.mark.parametrize("edit, key", WRONG_TYPES)

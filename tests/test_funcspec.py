@@ -1,6 +1,8 @@
 """Validation and strong phi-convexity certification tests."""
 
 import math
+import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -352,6 +354,14 @@ class TestRowBlockScan:
                     g, IDENTITY, IV01, c, grid, tol=0.0
                 ).passed
 
+    def test_g_that_returns_its_input(self):
+        # the scan overwrites the mixture array once g has read it, so a g
+        # whose result is that array, or a view of it, must not be clobbered
+        for g in (function_of(parse("x")), lambda u: u[...]):
+            for grid in (GridConfig(), GridConfig(41, 41, 53), GridConfig(30, 27, 20)):
+                assert_scan_matches_reference(g, grid, (0.0, 0.6, 2.5))
+                assert_scan_matches_reference(g, grid, (1.0,), tol=0.0)
+
     def test_nan_stays_the_minimum(self):
         # NaN only at mixtures in (0.0003, 0.0023): no grid x or y lies
         # there, and for 0 < t < 1 only x <= 0.075, in the first row block,
@@ -367,7 +377,7 @@ class TestRowBlockScan:
         assert_scan_matches_reference(g, grid, (0.3, 2.1))
 
     def test_certify_memory_does_not_grow_with_the_grid(self):
-        # 141x141x129 takes the mirrored half scan, 141x141x91 the full one
+        # 141x141x129 takes the mirrored half scan, 141x141x91 skips 13 of 91 columns
         g = function_of(parse("exp(x)"))
         for grid in (GridConfig(141, 141, 91), GridConfig(141, 141, 129)):
             tracemalloc.start()
@@ -397,6 +407,36 @@ def counting(g):
     return wrapped
 
 
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def matched_pairs(ts, c=1.0):
+    """Test-local rule, on Python floats: the columns k of ``ts`` whose
+    element at (x, y, t_k) is repeated at (y, x, t_{K-1-k}) under the weight
+    c*t*(1-t), i.e. 1 - t_k is t_{K-1-k}, 1 - t_{K-1-k} is t_k and the
+    weights agree, all bit for bit."""
+    K = len(ts)
+    weight = [c * t * (1.0 - t) for t in ts]
+    return {
+        k for k in range(K)
+        if _bits(1.0 - ts[k]) == _bits(ts[K - 1 - k])
+        and _bits(1.0 - ts[K - 1 - k]) == _bits(ts[k])
+        and _bits(weight[k]) == _bits(weight[K - 1 - k])
+    }
+
+
+def skipped_columns(ts, c=1.0):
+    """The upper column of each matched pair, which a scan does not visit."""
+    K = len(ts)
+    return {k for k in matched_pairs(ts, c) if k > K - 1 - k}
+
+
+def scanned_count(ts, c=1.0):
+    """Columns a scan of ``ts`` visits: all but the upper of each matched pair."""
+    return len(ts) - len(skipped_columns(ts, c))
+
+
 class TestMirroredHalfScan:
     def test_symmetric_grid_evaluates_t_up_to_one_half(self):
         g = counting(np.exp)
@@ -407,13 +447,25 @@ class TestMirroredHalfScan:
         assert sum(g.points) == 41 + 41 * 41 * 16
 
     def test_asymmetric_grids_scan_every_t(self):
-        for grid, c in ((GridConfig(41, 37, 33), 0.5), (GridConfig(41, 41, 20), 0.5),
-                        (GridConfig(), 0.6)):
+        # n_y != n_x: the y samples are not the x samples, so nothing matches
+        for grid, c in ((GridConfig(41, 37, 33), 0.5), (GridConfig(41, 37, 53), 1.0)):
             g = counting(np.exp)
             certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
             n_t = _t_grid(grid.n_t).size
-            y_samples = 0 if grid.n_y == grid.n_x else grid.n_y
-            assert sum(g.points) == grid.n_x + y_samples + grid.n_x * grid.n_y * n_t
+            assert sum(g.points) == grid.n_x + grid.n_y + grid.n_x * grid.n_y * n_t
+
+    def test_partly_mirrored_grids_skip_the_matched_upper_columns(self):
+        # (41, 41, 20) inserts 1/2 into 20 points: 21 columns, of which 3
+        # upper ones match; at c = 0.6 the default grid's weight differs at
+        # columns 13, 14, 18 and 19, so 19 of its 33 columns are scanned
+        for grid, c, n_cols in ((GridConfig(41, 41, 20), 0.5, 18),
+                                (GridConfig(), 0.6, 19),
+                                (GridConfig(41, 41, 53), 0.6, 48)):
+            ts = _t_grid(grid.n_t)
+            assert scanned_count(ts.tolist(), c) == n_cols
+            g = counting(np.exp)
+            certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
+            assert sum(g.points) == grid.n_x + grid.n_x * grid.n_y * n_cols
 
     def test_symmetry_test(self):
         ts = _t_grid(33)
@@ -421,18 +473,31 @@ class TestMirroredHalfScan:
         gx = np.exp(phix)
 
         def scanned(c, phiy=phix, gy=gx, ts=ts, phix=phix, gx=gx):
-            return _scanned_ts(ts, c * ts * (1.0 - ts), phix, phiy, gx, gy).size
+            return _scanned_ts(ts, c * ts * (1.0 - ts), phix, phiy, gx, gy)[0].size
 
         assert scanned(0.5) == 17
-        assert scanned(0.6) == 33  # (0.6*t)*(1-t) rounds unlike (0.6*(1-t))*t
+        assert scanned(0.6) == 19  # (0.6*t)*(1-t) rounds unlike (0.6*(1-t))*t at 4 pairs
         assert scanned(0.5, phiy=phix.copy(), gy=gx.copy()) == 33  # equal, not shared
         nan_phi = np.where(phix == 0.5, np.nan, phix)
         assert scanned(0.5, phix=nan_phi, phiy=nan_phi) == 33
         nan_g = np.where(phix == 0.5, np.nan, gx)
         assert scanned(0.5, gx=nan_g, gy=nan_g) == 33
-        for n_t, mirrored in ((9, True), (129, True), (20, False), (99, False)):
+        for n_t in (9, 129, 20, 53, 59, 91, 99):
             ts_n = _t_grid(n_t)
-            assert scanned(1.0, ts=ts_n) == ((ts_n.size + 1) // 2 if mirrored else ts_n.size)
+            assert scanned(1.0, ts=ts_n) == scanned_count(ts_n.tolist(), 1.0)
+        for n_t in (9, 129):
+            assert scanned(1.0, ts=_t_grid(n_t)) == (n_t + 1) // 2
+        # the columns and their flags against the test-local rule
+        for n_t, c in ((20, 1.0), (33, 0.6), (53, 0.7), (91, 0.6)):
+            ts_n = _t_grid(n_t)
+            cols, matched = _scanned_ts(
+                ts_n, c * ts_n * (1.0 - ts_n), phix, phix, gx, gx
+            )
+            pairs = matched_pairs(ts_n.tolist(), c)
+            skipped = skipped_columns(ts_n.tolist(), c)
+            want = [k for k in range(ts_n.size) if k not in skipped]
+            assert cols.tolist() == want
+            assert matched.tolist() == [k in pairs for k in want]
 
     def test_corpus_targets_match_the_full_grid(self):
         witnesses = 0
@@ -502,6 +567,103 @@ class TestMirroredHalfScan:
 
 
 # ---------------------------------------------------------------------------
+# the per-column mirror: matched column pairs on grids that are not 2^k + 1
+
+
+class TestPerColumnMirror:
+    N_TS = (20, 33, 53, 59, 91)
+
+    @pytest.mark.parametrize("n_t", N_TS)
+    def test_matches_the_full_grid(self, n_t):
+        # square grids match some columns, non-square ones none; c = 0.6
+        # and the drawn moduli leave some matched pairs with unequal weights
+        rng = random.Random(n_t)
+        targets = (
+            np.exp,
+            function_of(parse("x^2 + 1 - cos(x)")),
+            derivative_power(parse("x^4 + x^2"), 2.0),
+        )
+        for grid in (GridConfig(33, 33, n_t), GridConfig(33, 29, n_t)):
+            for g in targets:
+                moduli = (0.6, rng.uniform(0.0, 1.0), rng.uniform(1.0, 8.0))
+                assert_scan_matches_reference(g, grid, moduli)
+                assert_scan_matches_reference(g, grid, moduli, tol=0.0)
+
+    def test_random_moduli_and_phi_maps(self):
+        rng = random.Random(10)
+        phis = [IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")]
+        for _ in range(12):
+            n = rng.choice((17, 24, 31))
+            grid = GridConfig(n, rng.choice((n, n - 4)), rng.choice(self.N_TS))
+            g = derivative_power(parse(rng.choice(("exp(x)", "x^4", "sin(x) + x^2"))), 2.0)
+            moduli = tuple(rng.choice((rng.uniform(0, 3), rng.expovariate(0.5))) for _ in range(3))
+            assert_scan_matches_reference(g, grid, moduli, phi=rng.choice(phis), tol=0.0)
+
+    @pytest.mark.parametrize("n_t, c", [(53, 1.0), (59, 4.0)])
+    def test_witness_in_a_skipped_column(self, n_t, c):
+        # the first minimum is at x = 0, y = 1 in an upper column the scan
+        # skips; it is found through its mirror in row y = 1
+        grid = GridConfig(21, 21, n_t)
+        ts = _t_grid(n_t).tolist()
+        res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, grid, tol=0.0)
+        assert res.witness[:2] == (0.0, 1.0)
+        assert ts.index(res.witness[2]) in skipped_columns(ts, c)
+        assert_scan_matches_reference(np.exp, grid, (c,), tol=0.0)
+
+    def test_one_sided_column_pair_is_not_matched(self):
+        # at n_t = 20, 1 - ts[7] is ts[13] but 1 - ts[13] is not ts[7], so
+        # (1, 0, ts[7]) is not repeated at (0, 1, ts[13]) and is the witness
+        grid = GridConfig(21, 21, 20)
+        ts = _t_grid(20).tolist()
+        assert _bits(1.0 - ts[7]) == _bits(ts[13]) and _bits(1.0 - ts[13]) != _bits(ts[7])
+        g = function_of(parse("x^4 + x^2"))
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 4.31, grid, tol=0.0)
+        assert res.witness[:3] == (1.0, 0.0, ts[7])
+        assert_scan_matches_reference(g, grid, (4.31, 1.31), tol=0.0)
+
+    def test_ties_across_a_matched_pair(self):
+        # g is 1 at one mixture value and 0 elsewhere, so the slack is -1 at
+        # five grid points; the first, (0, y_3, ts[36]), lies in a skipped
+        # column and is reached only as the mirror of (y_3, 0, ts[16])
+        v = 0.02307692307692308
+
+        def g(u):
+            return np.where(u == v, 1.0, 0.0)
+
+        grid = GridConfig(41, 41, 53)
+        ts = _t_grid(53).tolist()
+        assert 36 in skipped_columns(ts, 0.0) and 52 - 36 == 16
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid, tol=0.0)
+        assert res.witness == (0.0, np.linspace(0.0, 1.0, 41)[3], ts[36], 1.0, 0.0)
+        assert_scan_matches_reference(g, grid, (0.0, 0.5), tol=0.0)
+
+    @pytest.mark.parametrize("n_t", [20, 53, 91])
+    def test_middle_column(self, n_t):
+        # x^2 beyond modulus 1 fails worst at t = 1/2, the middle column,
+        # which stands for itself; 20 points get 1/2 inserted
+        ts = _t_grid(n_t).tolist()
+        middle = (len(ts) - 1) // 2
+        assert len(ts) % 2 == 1 and ts[middle] == 0.5 and middle in matched_pairs(ts, 1.5)
+        grid = GridConfig(25, 25, n_t)
+        res = certify_strong_phi_convexity(square, IDENTITY, IV01, 1.5, grid)
+        assert res.witness[:3] == (0.0, 1.0, 0.5)
+        assert_scan_matches_reference(square, grid, (1.5,), tol=0.0)
+
+    @pytest.mark.parametrize("grid", [GridConfig(41, 41, 53), GridConfig(45, 45, 91)])
+    def test_nan_bands(self, grid):
+        # the first band lies between grid samples, so the scan meets NaN at
+        # mixtures only; the second covers the sample 1/2, so nothing matches
+        for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
+            def g(u):
+                return np.where(np.abs(u - center) < half, np.nan, u * u)
+
+            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
+            assert math.isnan(res.worst_slack) and res.witness is not None
+            assert_scan_matches_reference(g, grid, (0.0, 0.5, 7.0))
+            assert_scan_matches_reference(g, grid, (0.6,), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # block sizes: small scans stay below 64 KiB per block array
 
 
@@ -511,11 +673,11 @@ class TestBlockSize:
     SMALL_BLOCK = 8188
 
     def test_default_grid_blocks_stay_below_64_kib(self):
-        # c = 0.5 takes the mirrored half scan, c = 0.6 the full one; the
-        # estimate scans the interior t values
+        # c = 0.5 takes the mirrored half scan, c = 0.6 skips 14 of the 33
+        # columns; the estimate scans half the interior t values
         for scan, n_t in (
             (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5), 17),
-            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.6), 33),
+            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.6), 19),
             (lambda g: estimate_max_modulus(g, IDENTITY, IV01), 16),
         ):
             g = counting(np.exp)
@@ -524,15 +686,23 @@ class TestBlockSize:
             assert sum(math.prod(shape) for shape in blocks) == 41 * 41 * n_t
             assert max(math.prod(shape) for shape in blocks) <= self.SMALL_BLOCK
             assert len(blocks) > 1
+            rows = (CHUNK_POINTS // 2) // (41 * n_t)
+            assert blocks == [(min(rows, 41 - i0), 41, n_t) for i0 in range(0, 41, rows)]
 
     @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
     def test_large_scans_keep_the_full_size_rule(self, grid):
-        n_t = _t_grid(grid.n_t).size
-        assert (1.0 - _t_grid(grid.n_t)).tobytes() != _t_grid(grid.n_t)[::-1].tobytes()
-        assert grid.n_x * grid.n_y * (n_t - 2) > 8 * CHUNK_POINTS
+        ts = _t_grid(grid.n_t).tolist()
+        n_t = len(ts)
+        # 141x141x91 scans 78 of 91 columns for certification and 77 of 89
+        # interior ones for the estimate; 81x65x53 has n_y != n_x and scans all
+        square = grid.n_y == grid.n_x
+        k_cert = scanned_count(ts, 0.5) if square else n_t
+        k_est = scanned_count(ts[1:-1]) if square else n_t - 2
+        assert (k_cert, k_est) == ((78, 77) if square else (53, 51))
+        assert grid.n_x * grid.n_y * k_est > 8 * CHUNK_POINTS
         for scan, k in (
-            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid), n_t),
-            (lambda g: estimate_max_modulus(g, IDENTITY, IV01, grid), n_t - 2),
+            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid), k_cert),
+            (lambda g: estimate_max_modulus(g, IDENTITY, IV01, grid), k_est),
         ):
             rows = max(1, CHUNK_POINTS // (grid.n_y * k))
             want = [(min(rows, grid.n_x - i0), grid.n_y, k) for i0 in range(0, grid.n_x, rows)]
