@@ -3,7 +3,9 @@
 A function g is strongly phi-convex with modulus c when the chord through
 g(phi(x)) and g(phi(y)), lowered by c*t*(1-t)*(phi(x)-phi(y))^2, still lies
 above g at the mixture point. The certifier samples that inequality on a
-full (x, y, t) grid and reports the worst slack.
+full (x, y, t) grid and reports the worst slack. The largest modulus is
+min g''/2 over phi([a, b]), which the estimator reads off second
+differences of g on a fine 1-D sample.
 """
 
 import numpy as np
@@ -28,11 +30,13 @@ for c in (0.5, 1.0, 1.5):
         x, y, t, lhs, rhs = res.witness
         print(f"          witness: x={x}, y={y}, t={t}, lhs={lhs}, rhs={rhs}")
 
-print("\nThe largest surviving modulus can be estimated directly:")
+print("\nThe largest modulus, min g''/2, can be estimated directly:")
 print("  c*(u^2)  =", estimate_max_modulus(square, identity, iv))
 print("  c*(e^u)  =", estimate_max_modulus(np.exp, identity, iv),
       " (the curvature floor is e^0 / 2 = 0.5)")
 print("  c*(linear) =", estimate_max_modulus(lambda u: 3 * u + 1, identity, iv))
+print("  c*(2u + sin u) =", estimate_max_modulus(lambda u: 2 * u + np.sin(u), identity, iv),
+      " (concave, about -sin(1)/2: no modulus >= 0 is admissible)")
 
 print("\nA non-identity phi tests convexity along mixtures of phi values:")
 phi = PhiMap.from_source("0.25 + 0.5*x")

@@ -26,8 +26,8 @@ phi-convex with modulus c) is
           <= mean <= (f(phi(a)) + f(phi(b)))/2 - (c/6) delta^2.
 
 A negative bracket raises ModulusInfeasibleError rather than producing a
-NaN: the supplied c is too large for the derivative data, which
-estimate_max_modulus would have caught.
+NaN: the supplied c exceeds what the derivative data admits. The largest
+admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Commands and their flags:
              --tol, --format, --out
     bounds   like check but skipping the convexity certificates;
              --tol, --format, --out
-    modulus  print the estimated maximum modulus for f or |f'|^q;
-             --tol, --target
+    modulus  print the estimated maximum modulus (negative when not convex)
+             for f or |f'|^q; --tol, --target
     lemma    print both sides of the gap identity and their residual; --tol
     corpus   run the built-in corpus and write one aggregated report;
              --format, --out
@@ -109,11 +109,14 @@ def _cmd_check(args, with_certificates: bool = True) -> int:
 def _cmd_modulus(args) -> int:
     spec = _spec_from_path(args.config, args.tol)
     if args.target == "f":
-        g = function_of(spec.f)
+        g, target = function_of(spec.f), "f"
     else:
-        g = derivative_power(spec.f, spec.q)
+        g, target = derivative_power(spec.f, spec.q), "|f'|^q"
     c_star = estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
     print("%#.6g" % c_star)
+    if c_star < 0:
+        print(f"note: {target} is not convex on phi([a, b]), "
+              "so no modulus >= 0 is admissible", file=sys.stderr)
     return 0
 
 

@@ -97,8 +97,8 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
     Unknown or missing keys, and a ``grid`` that is not a mapping of grid
     counts, raise SpecValidationError with code ``config-keys``; a value
     that is not a number where one is expected (a bool included), a grid
-    count with a fraction, or an ``id`` that is not a string, code
-    ``config-type``.
+    count with a fraction, or an ``f``, ``phi`` or ``id`` that is not a
+    string, code ``config-type``.
     """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
@@ -115,11 +115,11 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
         raise SpecValidationError(
             "config-keys", f"grid must be an object with keys among {sorted(GRID_KEYS)}"
         )
-    spec_id = cfg.get("id", "spec")
-    if not isinstance(spec_id, str):
-        raise SpecValidationError(
-            "config-type", f"config key 'id' must be a string, got {spec_id!r}"
-        )
+    for key in ("f", "phi", "id"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise SpecValidationError(
+                "config-type", f"config key {key!r} must be a string, got {cfg[key]!r}"
+            )
     # absent grid counts take GridConfig's defaults
     grid = GridConfig(
         **{k: _number(grid_cfg, k, kind=int, name=f"grid.{k}") for k in grid_cfg}
@@ -127,14 +127,14 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
     return ProblemSpec(
         f=parse(cfg["f"]),
         interval=Interval(_number(cfg, "a"), _number(cfg, "b")),
-        phi=PhiMap.from_source(str(cfg.get("phi", "identity"))),
+        phi=PhiMap.from_source(cfg.get("phi", "identity")),
         c=_number(cfg, "c", 0.0),
         q=_number(cfg, "q", 1.0),
         quad_tol=_number(cfg, "quad_tol", 1e-10),
         grid=grid,
         c_f=None if cfg.get("c_f") is None else _number(cfg, "c_f"),
         c_deriv=None if cfg.get("c_deriv") is None else _number(cfg, "c_deriv"),
-        spec_id=spec_id,
+        spec_id=cfg.get("id", "spec"),
     )
 
 

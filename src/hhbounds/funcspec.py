@@ -7,9 +7,9 @@ c >= 0 and a power q >= 1. The certifier samples the defining inequality
     g(t*phi(x) + (1-t)*phi(y))
         <= t*g(phi(x)) + (1-t)*g(phi(y)) - c*t*(1-t)*(phi(x)-phi(y))**2
 
-on a finite grid and reports the worst slack, or estimates the largest
-modulus c for which the inequality survives the grid. Certification is
-sampling based, not a formal proof; its job is falsification and modulus
+on a finite (x, y, t) grid and reports the worst slack, or estimates the
+largest modulus, min g''/2 on phi([a, b]), from a 1-D sample of g. Both are
+sampling based, not formal proofs; their job is falsification and modulus
 estimation at desk scale.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 PHI_RANGE_GRID = 1001
-PAIR_SEPARATION = 1e-9  # relative floor on |phi(x)-phi(y)| for ratio samples
 CHUNK_POINTS = 2**14  # grid points per row block of a certification scan
 MAX_GRID_POINTS = 2**27  # validate rejects larger (x, y, t) grids
 
@@ -56,7 +55,7 @@ class SpecValidationError(ValueError):
 
 
 class DegeneratePhiError(ValueError):
-    """phi is constant on the sampling grid; no modulus information exists."""
+    """phi is constant on its sample; no modulus information exists."""
 
 
 @dataclass(frozen=True)
@@ -176,12 +175,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             "grid-size", f"grid has up to {points} points, above {MAX_GRID_POINTS}"
         )
 
-    xs = np.linspace(iv.a, iv.b, PHI_RANGE_GRID)
     try:
-        phis = np.asarray(spec.phi(xs), dtype=float)
+        xs, phis = _phi_sample(spec.phi, iv)
     except Exception as exc:
         raise SpecValidationError("phi-domain", f"phi not evaluable on [a, b]: {exc}")
-    phis = np.broadcast_to(phis, xs.shape)
     eps = 1e-12 * iv.width
     escape = (phis < iv.a - eps) | (phis > iv.b + eps)
     if np.any(escape):
@@ -236,6 +233,12 @@ def _sample(g, x: np.ndarray) -> np.ndarray:
     """``g(x)`` as a float array of x's shape; broadcast only if g returns another."""
     f = np.asarray(g(x), dtype=float)
     return f if f.shape == x.shape else np.broadcast_to(f, x.shape)
+
+
+def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """PHI_RANGE_GRID equispaced points of [a, b] and phi at them."""
+    xs = np.linspace(iv.a, iv.b, PHI_RANGE_GRID)
+    return xs, _sample(phi, xs)
 
 
 def _t_grid(n_t: int) -> np.ndarray:
@@ -344,7 +347,8 @@ def certify_strong_phi_convexity(
     xs, ys, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
     ts = _t_grid(grid.n_t)
     if tol is None:
-        tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
+        g_max = np.abs(gx).max()
+        tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
     weight = c * ts * (1.0 - ts)
     cols, matched = _scanned_ts(ts, weight, phix, phiy, gx, gy)
     weight = weight[None, None, cols]
@@ -407,42 +411,30 @@ def estimate_max_modulus(
     iv: Interval,
     grid: GridConfig = GridConfig(),
 ) -> float:
-    """Largest modulus surviving the grid: the minimum chord/penalty ratio.
+    """Largest modulus c for which g is strongly phi-convex: min g''/2 on phi([a, b]).
 
-    Samples with t in {0, 1} or |phi(x)-phi(y)| below 1e-9*(b-a) carry no
-    information and are excluded. The result is clamped below at 0: a
-    clamp to 0 means some grid chord ratio was negative (or NaN), so
-    certifying at 0 fails on this grid unless that deficit is within the
-    certificate's tolerance. A t column whose mirror column repeats it (see
-    ``_scanned_ts``) is evaluated once for both, with the same result.
+    As c*t*(1-t)*(u-v)**2 = c*[t*u**2 + (1-t)*v**2 - (t*u + (1-t)*v)**2],
+    modulus c holds exactly when g - c*u**2 is convex on [m, M] = phi([a, b])
+    (Nikodem and Pales, Banach J. Math. Anal. 5, 2011). [m, M] comes from
+    ``validate``'s phi sample. The result, not clamped, is the least second
+    divided difference (g[i-1] - 2*g[i] + g[i+1]) / (2*h**2) on N =
+    (n_x-1)*(n_t-1) + 1 equispaced points; a negative value means g is not
+    convex on [m, M]. A minimum within the roundoff bound 4*eps*max|g|/h**2
+    (a relative error of eps per sample, then two roundings of a sum of at
+    most 4*max|g|) returns 0.0, so a linear g reads exactly 0. A NaN sample
+    gives NaN. Raises DegeneratePhiError when phi is constant (m == M).
     """
-    _, _, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
-    ts = _t_grid(grid.n_t)
-    ts = ts[(ts > 0.0) & (ts < 1.0)]
-    floor = PAIR_SEPARATION * iv.width
-    rows = max(1, CHUNK_POINTS // phiy.size)
-    if not any(
-        np.any(np.abs(phix[i0:i0 + rows, None] - phiy[None, :]) >= floor)
-        for i0 in range(0, phix.size, rows)
-    ):
-        raise DegeneratePhiError("phi is constant on the grid")
-    weight = ts * (1.0 - ts)
-    cols, _ = _scanned_ts(ts, weight, phix, phiy, gx, gy)
-    weight = weight[None, None, cols]
-    best = np.inf
-    for _, diff, gmix, chord, spare in _row_blocks(g, phix, phiy, gx, gy, ts[cols]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(
-                np.subtract(chord, gmix, out=chord),
-                np.multiply(weight, diff ** 2, out=spare),
-                out=chord,
-            )
-        # pairs too close (or NaN) to separate carry no information
-        ratio[~(np.abs(diff[..., 0]) >= floor)] = np.inf
-        m = ratio.min()
-        if m < best or np.isnan(m):
-            best = m
-    return max(0.0, float(best))
+    _, phis = _phi_sample(phi, iv)
+    lo, hi = phis.min(), phis.max()
+    if lo == hi:
+        raise DegeneratePhiError("phi is constant on [a, b]")
+    n = (grid.n_x - 1) * (grid.n_t - 1) + 1
+    h = (hi - lo) / (n - 1)
+    gu = _sample(g, np.linspace(lo, hi, n))
+    best = float((gu[:-2] - 2.0 * gu[1:-1] + gu[2:]).min() / (2.0 * h * h))
+    if abs(best) <= 4.0 * np.finfo(float).eps * np.abs(gu).max() / (h * h):
+        return 0.0
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,11 @@ class TestConfigSchema:
         ({"grid": {"n_x": 41.9}}, "'grid.n_x' must be an integer"),
         ({"a": True}, "'a' must be a number"),
         ({"id": None}, "'id' must be a string"),
+        # str() would make these the constant map 5 and the identifier 'None'
+        ({"phi": 5}, "'phi' must be a string"),
+        ({"phi": None}, "'phi' must be a string"),
+        ({"f": 5}, "'f' must be a string"),
+        ({"f": None}, "'f' must be a string"),
     ]
 
     @pytest.mark.parametrize("edit, key", WRONG_TYPES)
@@ -167,7 +172,19 @@ class TestModulus:
     def test_linear_target_f(self, tmp_path, capsys):
         cfg = dict(SQ_Q1, f="2*x + 1")
         assert main(["modulus", write_config(tmp_path, cfg), "--target", "f"]) == 0
-        assert float(capsys.readouterr().out) == 0.0
+        captured = capsys.readouterr()
+        assert captured.out == "0.00000\n" and captured.err == ""
+
+    def test_non_convex_target_is_negative_with_a_note(self, tmp_path, capsys):
+        # |f'| = 2x + sin(x) is concave: min g''/2 is about -sin(1)/2
+        cfg = dict(SQ_Q1, f="x^2 + 1 - cos(x)")
+        code = main(["modulus", write_config(tmp_path, cfg), "--target", "fprime_q"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "-0.420524\n"
+        assert captured.err == (
+            "note: |f'|^q is not convex on phi([a, b]), so no modulus >= 0 is admissible\n"
+        )
 
 
 class TestLemma:

@@ -175,6 +175,19 @@ class TestCertify:
                 for t in ts:
                     assert slack(x, y, t) == slack(y, x, 1 - t)
 
+    def test_default_tol_reads_the_y_samples(self):
+        # g = 1e3*((u - 1/3)^2 - 1) has max|g| = 1e3 at y = 1/3, which no x
+        # sample hits (max|g| = 972 there), so the default tol is 1.001e-6,
+        # not 9.73e-7; past the modulus 1e3 the worst slack is -9.87e-7
+        def g(u):
+            return 1e3 * ((u - 1 / 3) ** 2 - 1.0)
+
+        grid = GridConfig(3, 4, 5)
+        c = 1e3 + 4 * 9.87e-7
+        res = certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
+        assert res.passed and res.worst_slack == pytest.approx(-9.87e-7, rel=1e-3)
+        assert_certify_matches_reference(g, grid, (c,))
+
     def test_domain_error_propagates(self):
         g = function_of(parse("ln(x)"))
         with pytest.raises(Exception):
@@ -187,8 +200,16 @@ class TestEstimateMaxModulus:
         assert c == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_gives_zero(self):
-        c = estimate_max_modulus(function_of(parse("3*x + 2")), IDENTITY, IV01)
-        assert c == pytest.approx(0.0, abs=1e-12)
+        # the minimum second difference of 3*x + 2 is -7.3e-10 on the default
+        # grid, within its roundoff bound, so the estimate reads exactly 0
+        g = function_of(parse("3*x + 2"))
+        raw = reference_estimate_1d(g, IDENTITY, IV01, GridConfig(), roundoff=False)
+        assert raw == pytest.approx(-7.3e-10, rel=0.01)
+        for src, iv in (("3*x + 2", IV01), ("2*x + 1", IV01),
+                        ("0.25 - 5*x", Interval(-2.0, 5.0)), ("1e6*x", IV01)):
+            g = function_of(parse(src))
+            for grid in (GridConfig(), GridConfig(141, 141, 91), GridConfig(30, 30, 20)):
+                assert _key(estimate_max_modulus(g, IDENTITY, iv, grid)) == _key(0.0)
 
     def test_exp_matches_curvature_oracle(self):
         # independent oracle: half the minimum second derivative on a fine grid
@@ -201,35 +222,85 @@ class TestEstimateMaxModulus:
         assert c == pytest.approx(0.5, abs=1e-2)
 
     def test_matches_brute_force_on_default_grid(self):
-        # plain-loop reimplementation of the grid minimum
-        c_impl = estimate_max_modulus(np.exp, IDENTITY, IV01)
-        xs = np.linspace(0, 1, 41)
-        ts = np.linspace(0, 1, 33)[1:-1]
-        best = math.inf
-        for x in xs:
-            for y in xs:
-                if abs(x - y) < 1e-9:
-                    continue
-                for t in ts:
-                    num = t * math.exp(x) + (1 - t) * math.exp(y) - math.exp(
-                        t * x + (1 - t) * y
-                    )
-                    best = min(best, num / (t * (1 - t) * (x - y) ** 2))
-        assert c_impl == pytest.approx(best, abs=1e-12)
+        # plain-loop reimplementation of the 1-D minimum, bit for bit
+        for g in (np.exp, square, function_of(parse("x^2 + 1 - cos(x)")),
+                  derivative_power(parse("x^4 + x^2"), 3.0)):
+            for phi in (IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")):
+                assert_estimate_matches_reference(g, phi, IV01, GridConfig())
+        c = estimate_max_modulus(np.exp, IDENTITY, IV01)
+        assert c == pytest.approx(0.5003908030630554, abs=1e-15)
+
+    def test_depends_on_phi_only_through_its_range(self):
+        # 4x(1-x) is not monotone but covers [0, 1], as the identity does;
+        # 0.25 + 0.5x covers [0.25, 0.75] with the same end bits
+        for g in (np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
+            c = estimate_max_modulus(g, IDENTITY, IV01)
+            assert estimate_max_modulus(g, PhiMap.from_source("4*x*(1 - x)"), IV01) == c
+            c = estimate_max_modulus(g, IDENTITY, Interval(0.25, 0.75))
+            assert estimate_max_modulus(g, PhiMap.from_source("0.25 + 0.5*x"), IV01) == c
+
+    def test_samples_g_once_on_the_1d_grid(self):
+        # N = (n_x-1)*(n_t-1) + 1 points of phi([a, b]) in one call, whatever n_y
+        for grid, n in ((GridConfig(), 1281), (GridConfig(141, 141, 91), 12601),
+                        (GridConfig(41, 7, 20), 761)):
+            g = counting(np.exp)
+            estimate_max_modulus(g, IDENTITY, IV01, grid)
+            assert g.shapes == [(n,)]
 
     def test_certify_passes_at_estimate(self):
         for g in (square, np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
             c = estimate_max_modulus(g, IDENTITY, IV01)
             assert certify_strong_phi_convexity(g, IDENTITY, IV01, c).passed
 
-    def test_clamp_to_zero_means_certifying_at_zero_fails(self):
-        # |f'| = 2x + sin(x) is concave on [0, 1]: every chord ratio is <= 0
+    def test_concave_target_reads_negative_and_certifies_there(self):
+        # |f'| = 2x + sin(x) is concave on [0, 1]: min g''/2 is -sin(1)/2, so
+        # no modulus >= 0 is admissible, and the estimate is not clamped
         g = derivative_power(parse("x^2 + 1 - cos(x)"), 1.0)
         c = estimate_max_modulus(g, IDENTITY, IV01)
-        assert c == 0.0
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, c)
-        assert not res.passed
-        assert res.worst_slack == pytest.approx(-0.060, abs=5e-4)
+        assert c == pytest.approx(-math.sin(1.0) / 2, abs=1e-3)
+        assert certify_strong_phi_convexity(g, IDENTITY, IV01, c).passed
+        assert not certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0).passed
+        g = function_of(parse("0 - x^2"))
+        assert estimate_max_modulus(g, IDENTITY, IV01) == pytest.approx(-1.0, abs=1e-9)
+
+    def test_nan_sample_gives_nan(self):
+        def g(u):
+            return np.where(np.abs(u - 0.5) < 1e-6, np.nan, u * u)
+
+        assert math.isnan(estimate_max_modulus(g, IDENTITY, IV01))
+
+    def test_3d_certificate_passes_at_the_estimate(self):
+        # every chord ratio of the 3-D grid is a weighted mean of g''/2 in
+        # exact arithmetic, so certifying at the 1-D min g''/2 passes
+        targets = [
+            (g, spec.phi, spec.interval, spec.grid)
+            for spec in corpus_specs()
+            for g in (function_of(spec.f), derivative_power(spec.f, spec.q))
+        ]
+        rng = random.Random(11)
+        phis = [IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")]
+        sources = ("exp(x)", "x^4 + x^2", "x^2 + 1 - cos(x)", "sin(x) + x^2", "2*x + 1")
+        for _ in range(16):
+            f = parse(rng.choice(sources))
+            g = rng.choice((function_of(f), derivative_power(f, rng.choice((1.0, 2.0, 3.0)))))
+            n = rng.randint(17, 61)
+            grid = GridConfig(n, rng.choice((n, n - 4)), rng.choice((20, 33, 53)))
+            targets.append((g, rng.choice(phis), IV01, grid))
+        for g, phi, iv, grid in targets:
+            c = estimate_max_modulus(g, phi, iv, grid)
+            assert reference_certify(g, phi, iv, c, grid).passed
+
+    def test_estimate_above_the_chord_ratio_minimum_under_phi_squared(self):
+        # phi = x^2 puts 3-D pairs near 0 closer than the 1-D spacing, and
+        # exp's g'' grows from there, so a 3-D ratio undercuts the 1-D
+        # estimate; the deficit times t(1-t)(u-v)^2 stays within tol
+        spec = next(s for s in corpus_specs() if s.spec_id == "exp-phisq-q2")
+        for g in (function_of(spec.f), derivative_power(spec.f, spec.q)):
+            c = estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
+            ratio = reference_estimate(g, spec.phi, spec.interval, spec.grid)
+            assert ratio < c < ratio + 3e-3
+            res = reference_certify(g, spec.phi, spec.interval, c, spec.grid)
+            assert res.passed and res.worst_slack < 0
 
     def test_constant_phi_is_degenerate(self):
         with pytest.raises(DegeneratePhiError):
@@ -286,14 +357,41 @@ def reference_certify(g, phi, iv, c, grid, tol=None):
 
 
 def reference_estimate(g, phi, iv, grid):
-    """Full-grid modulus estimate: the minimum ratio over usable samples."""
+    """Full-grid chord-ratio minimum: the smallest ratio over samples with
+    0 < t < 1 and |phi(x) - phi(y)| >= 1e-9*(b - a), not clamped. Each
+    ratio is a weighted mean of g''/2 in exact arithmetic."""
     _, _, ts, X, Y, T, _, _, gmix, chord = _reference_samples(
         g, phi, iv, grid, interior=True
     )
     usable = np.broadcast_to(np.abs(X - Y) >= 1e-9 * iv.width, gmix.shape)
     numer = (chord - gmix)[usable]
     denom = (T * (1.0 - T) * (X - Y) ** 2)[usable]
-    return max(0.0, float(np.min(numer / denom)))
+    return float(np.min(numer / denom))
+
+
+def reference_estimate_1d(g, phi, iv, grid, roundoff=True):
+    """Plain-loop 1-D estimate: the smallest second divided difference of g
+    on (n_x-1)*(n_t-1) + 1 equispaced points of [m, M], the range of phi on
+    1001 equispaced points of [a, b]. With ``roundoff`` a minimum within
+    4*eps*max|g|/h**2 reads 0.0. A NaN difference is the minimum."""
+    step = (iv.b - iv.a) / 1000
+    xs = [k * step + iv.a for k in range(1000)] + [iv.b]
+    phis = np.broadcast_to(np.asarray(phi(np.array(xs)), dtype=float), (1001,))
+    lo = hi = phis[0]
+    for v in phis:
+        lo, hi = min(lo, v), max(hi, v)
+    n = (grid.n_x - 1) * (grid.n_t - 1) + 1
+    h = (hi - lo) / (n - 1)
+    us = [i * h + lo for i in range(n - 1)] + [hi]
+    gu = np.broadcast_to(np.asarray(g(np.array(us)), dtype=float), (n,)).tolist()
+    best = math.inf
+    for i in range(1, n - 1):
+        d = (gu[i - 1] - 2.0 * gu[i] + gu[i + 1]) / (2.0 * h * h)
+        if math.isnan(d):
+            return d
+        best = min(best, d)
+    bound = 4.0 * np.finfo(float).eps * max(abs(v) for v in gu) / (h * h)
+    return 0.0 if roundoff and abs(best) <= bound else float(best)
 
 
 def _key(value):
@@ -307,14 +405,22 @@ def _key(value):
     return value
 
 
-def assert_scan_matches_reference(g, grid, moduli, phi=IDENTITY, iv=IV01, tol=None):
+def assert_certify_matches_reference(g, grid, moduli, phi=IDENTITY, iv=IV01, tol=None):
     for c in moduli:
         got = certify_strong_phi_convexity(g, phi, iv, c, grid, tol)
         want = reference_certify(g, phi, iv, c, grid, tol)
         assert _key(got) == _key(want), c
+
+
+def assert_estimate_matches_reference(g, phi, iv, grid):
     assert _key(estimate_max_modulus(g, phi, iv, grid)) == _key(
-        reference_estimate(g, phi, iv, grid)
+        reference_estimate_1d(g, phi, iv, grid)
     )
+
+
+def assert_scan_matches_reference(g, grid, moduli, phi=IDENTITY, iv=IV01, tol=None):
+    assert_certify_matches_reference(g, grid, moduli, phi, iv, tol)
+    assert_estimate_matches_reference(g, phi, iv, grid)
 
 
 class TestRowBlockScan:
@@ -373,7 +479,7 @@ class TestRowBlockScan:
         assert 41 * 41 * 33 > 2 * CHUNK_POINTS
         res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
         assert math.isnan(res.worst_slack) and not res.passed
-        assert estimate_max_modulus(g, IDENTITY, IV01, grid) == 0.0
+        assert math.isnan(estimate_max_modulus(g, IDENTITY, IV01, grid))
         assert_scan_matches_reference(g, grid, (0.3, 2.1))
 
     def test_certify_memory_does_not_grow_with_the_grid(self):
@@ -442,9 +548,6 @@ class TestMirroredHalfScan:
         g = counting(np.exp)
         certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5)
         assert sum(g.points) == 41 + 41 * 41 * 17
-        g = counting(np.exp)
-        estimate_max_modulus(g, IDENTITY, IV01)
-        assert sum(g.points) == 41 + 41 * 41 * 16
 
     def test_asymmetric_grids_scan_every_t(self):
         # n_y != n_x: the y samples are not the x samples, so nothing matches
@@ -674,14 +777,10 @@ class TestBlockSize:
 
     def test_default_grid_blocks_stay_below_64_kib(self):
         # c = 0.5 takes the mirrored half scan, c = 0.6 skips 14 of the 33
-        # columns; the estimate scans half the interior t values
-        for scan, n_t in (
-            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5), 17),
-            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.6), 19),
-            (lambda g: estimate_max_modulus(g, IDENTITY, IV01), 16),
-        ):
+        # columns
+        for c, n_t in ((0.5, 17), (0.6, 19)):
             g = counting(np.exp)
-            scan(g)
+            certify_strong_phi_convexity(g, IDENTITY, IV01, c)
             blocks = [shape for shape in g.shapes if len(shape) == 3]
             assert sum(math.prod(shape) for shape in blocks) == 41 * 41 * n_t
             assert max(math.prod(shape) for shape in blocks) <= self.SMALL_BLOCK
@@ -692,21 +791,14 @@ class TestBlockSize:
     @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
     def test_large_scans_keep_the_full_size_rule(self, grid):
         ts = _t_grid(grid.n_t).tolist()
-        n_t = len(ts)
-        # 141x141x91 scans 78 of 91 columns for certification and 77 of 89
-        # interior ones for the estimate; 81x65x53 has n_y != n_x and scans all
-        square = grid.n_y == grid.n_x
-        k_cert = scanned_count(ts, 0.5) if square else n_t
-        k_est = scanned_count(ts[1:-1]) if square else n_t - 2
-        assert (k_cert, k_est) == ((78, 77) if square else (53, 51))
-        assert grid.n_x * grid.n_y * k_est > 8 * CHUNK_POINTS
-        for scan, k in (
-            (lambda g: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid), k_cert),
-            (lambda g: estimate_max_modulus(g, IDENTITY, IV01, grid), k_est),
-        ):
-            rows = max(1, CHUNK_POINTS // (grid.n_y * k))
-            want = [(min(rows, grid.n_x - i0), grid.n_y, k) for i0 in range(0, grid.n_x, rows)]
-            g = counting(np.exp)
-            scan(g)
-            assert [shape for shape in g.shapes if len(shape) == 3] == want
+        # 141x141x91 scans 78 of 91 columns; 81x65x53 has n_y != n_x and
+        # scans all
+        k = scanned_count(ts, 0.5) if grid.n_y == grid.n_x else len(ts)
+        assert k == (78 if grid.n_y == grid.n_x else 53)
+        assert grid.n_x * grid.n_y * k > 8 * CHUNK_POINTS
+        rows = max(1, CHUNK_POINTS // (grid.n_y * k))
+        want = [(min(rows, grid.n_x - i0), grid.n_y, k) for i0 in range(0, grid.n_x, rows)]
+        g = counting(np.exp)
+        certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
+        assert [shape for shape in g.shapes if len(shape) == 3] == want
 
