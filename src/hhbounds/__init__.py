@@ -2,8 +2,8 @@
 
 The package parses one-variable expressions, certifies strong phi-convexity
 on sampling grids, computes the trapezoid-minus-mean gap with an adaptive
-Simpson oracle, verifies the derivative-based gap identity, and evaluates
-every closed-form bound with margins and tightness ratios.
+Gauss-Kronrod oracle, verifies the derivative-based gap identity, and
+evaluates every closed-form bound with margins and tightness ratios.
 """
 
 from .expr import (

@@ -1,9 +1,10 @@
-"""Adaptive Simpson quadrature and the trapezoid-minus-mean gap machinery.
+"""Adaptive Gauss-Kronrod quadrature and the trapezoid-minus-mean gap machinery.
 
 ``integrate`` is the oracle used everywhere an integral is needed: adaptive
-Simpson with Richardson extrapolation and a per-panel error estimate, chosen
-for determinism and auditability. The gap helpers pre-split integrands at
-every known kink so the error estimate stays honest.
+Gauss-Kronrod (7, 15) panels, each checked against the 7-point Gauss rule
+embedded in its 15 nodes, chosen for determinism and auditability. The gap
+helpers pre-split integrands at every known kink so each piece is smooth and
+the error estimate stays honest.
 """
 
 from __future__ import annotations
@@ -30,10 +31,27 @@ MAX_DEPTH = 60
 # breadth-first refinement doubles the open panels per level wherever the
 # integrand does not converge, so this cap, not the depth, stops it
 MAX_EVALUATIONS = 2**20
-# inward offset applied at derivative-kink panel endpoints: Simpson samples
-# panel ends, and the kink-point derivative convention (0) would otherwise
-# poison the refinement
-KINK_NUDGE = 1e-13
+# Gauss-Kronrod (7, 15) on [-1, 1] (Piessens et al., QUADPACK, Springer 1983,
+# qk15): the Kronrod nodes x >= 0 and their 15-point weights from the
+# outermost node in, and the 7-point Gauss weights, 0 at the nodes the Gauss
+# rule does not use
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+# the 15 nodes x0, -x0, x1, -x1, ..., 0: panel sums add the weighted samples
+# one at a time in this order, smallest weights first, so a panel's sums
+# depend on its own samples alone
+_PAIRS = np.repeat(np.arange(8), 2)[:-1]
+KRONROD_NODES = np.array(_XK)[_PAIRS] * np.resize([1.0, -1.0], 15)
+# per node: the 15-point weight, then the 7-point one
+WEIGHTS = np.array((_WK, _WG)).T[_PAIRS]
 
 
 class QuadratureError(RuntimeError):
@@ -64,29 +82,26 @@ class GapResult:
     residual: float
 
 
-def _simpson(h, fa, fm, fb):
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
 def integrate(g, lo, hi, tol: float) -> QuadResult:
     """Integrate ``g`` over [lo, hi] to absolute tolerance ``tol``.
 
     ``lo`` and ``hi`` may also be equal-length sequences of piece bounds;
     each piece gets, in the one loop, the panels a call on it alone would.
-    Adaptive Simpson, searched breadth-first: each refinement level
-    evaluates the new points of all open panels in one call, so ``g`` must
-    take and return numpy arrays (a scalar result is broadcast). A panel is
-    accepted, with its Richardson correction, when halving it moves the
-    estimate by at most 15*tol; the tolerance halves per level. Accepted
-    panel sums are added up the refinement tree as left + right, so the
-    value and the evaluation count are those of the depth-first recursion.
-    Pieces add up left to right from 0.0, and the error estimate sums the
-    per-panel estimates left to right, piece by piece. Raises
-    QuadratureError past depth MAX_DEPTH, and before a level that would
-    take the call's evaluations past MAX_EVALUATIONS, which is what stops
-    an integrand that does not converge anywhere.
+    Adaptive Gauss-Kronrod (7, 15), searched breadth-first: each refinement
+    level evaluates the 15 interior nodes of all open panels in one call, so
+    ``g`` must take and return numpy arrays (a scalar result is broadcast).
+    Both rules weight f - f(mid), then add 2 f(mid) back, so a constant
+    integrates exactly, and two values that round to the same float agree.
+    A panel is accepted, with its 15-point value, when that differs from the
+    7-point Gauss value by at most tol; the tolerance halves per level, and
+    a panel that is not accepted is bisected. Accepted values and their
+    differences are summed from 0.0 in piece, then lo order, so the value,
+    the error estimate and the evaluation count are those of the
+    depth-first recursion. Raises QuadratureError past depth MAX_DEPTH, and
+    before a level that would take the call's evaluations past
+    MAX_EVALUATIONS, which is what stops an integrand that does not converge
+    anywhere.
     """
-    single = np.ndim(lo) == 0 and np.ndim(hi) == 0
     los, his = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if los.ndim != 1 or los.shape != his.shape or not los.size:
         raise ValueError("lo and hi must be scalars or equal-length sequences")
@@ -95,34 +110,29 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         raise ValueError(f"piece {i} needs lo < hi, got [{los[i]}, {his[i]}]")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    p = los.size
-    f = _sample(g, np.concatenate((los, 0.5 * (los + his), his)))
-    evals = 3 * p
-    # the open panels of the current level: piece, ends, samples, Simpson value
-    piece, a, b, fa, fm, fb = np.arange(p), los, his, f[:p], f[p:2 * p], f[2 * p:]
-    whole = _simpson(b - a, fa, fm, fb)
-    levels = []  # per level: piece, panel lo, accepted mask, |delta|, value if accepted
-    depth = 0
+    # the open panels of the current level: piece and ends
+    piece, a, b = np.arange(los.size), los, his
+    accepted_panels = []  # per level: piece, lo, |K15 - G7|, K15 of the accepted panels
+    evals = depth = 0
     while True:
         n = a.size
-        if evals + 2 * n > MAX_EVALUATIONS:
+        if evals + 15 * n > MAX_EVALUATIONS:
             i = piece.min()
             raise QuadratureError(
                 f"no convergence on [{los[i]}, {his[i]}] within {MAX_EVALUATIONS} "
                 f"evaluations (depth {depth})"
             )
-        # children in blocks: the left halves of all panels, then the right
-        mid = 0.5 * (a + b)
-        ca, cb = np.concatenate((a, mid)), np.concatenate((mid, b))
-        cfa, cfb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
-        cfm = _sample(g, 0.5 * (ca + cb))
-        evals += 2 * n
-        halves = _simpson(cb - ca, cfa, cfm, cfb)
-        pair = halves[:n] + halves[n:]
-        delta = pair - whole
-        err = np.abs(delta)
-        accepted = err <= 15.0 * tol
-        levels.append((piece, a, accepted, err, pair + delta / 15.0))
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        f = _sample(g, mid[:, None] + half[:, None] * KRONROD_NODES)
+        evals += 15 * n
+        # both rules weight f - f(mid) and add 2 f(mid) back: their weights
+        # sum to 2, so a constant integrates exactly
+        fm = f[:, -1:]
+        sums = 2.0 * fm + np.cumsum((f - fm)[:, :, None] * WEIGHTS, axis=1)[:, -1]
+        kronrod = half * sums[:, 0]
+        err = np.abs(kronrod - half * sums[:, 1])
+        accepted = err <= tol
+        accepted_panels.append((piece[accepted], a[accepted], err[accepted], kronrod[accepted]))
         if accepted.all():
             break
         if depth >= MAX_DEPTH:
@@ -131,33 +141,24 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
                 f"no convergence on [{float(a[i])}, {float(b[i])}] after depth {MAX_DEPTH}"
             )
         split = np.logical_not(accepted)
-        split = np.concatenate((split, split))
-        piece = np.concatenate((piece, piece))[split]
-        a, b, fa, fm, fb = ca[split], cb[split], cfa[split], cfm[split], cfb[split]
-        whole = halves[split]
+        piece, a, b, mid = piece[split], a[split], b[split], mid[split]
+        # children in blocks: the left halves of all split panels, then the right
+        piece = np.concatenate((piece, piece))
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         tol = 0.5 * tol
         depth += 1
-    # fold from the deepest level up: a split panel's value is the sum of
-    # its halves, which sit at k and k + m in the next level's m-split block
-    total = levels[-1][4]
-    for _, _, accepted, _, value in reversed(levels[:-1]):
-        m = total.size // 2
-        value[np.logical_not(accepted)] = total[:m] + total[m:]
-        total = value
-    # leaves ordered by piece, then lo, are the depth-first order; panels of
-    # zero width share their lo but add exactly 0 to the estimate
-    piece_all, lo_all, acc_all, err_all = (np.concatenate(c) for c in list(zip(*levels))[:4])
-    order = np.lexsort((lo_all[acc_all], piece_all[acc_all]))
-    err_estimate = float(np.cumsum(err_all[acc_all][order] / 15.0)[-1])
-    value = float(total[0]) if single else float(np.cumsum(np.append(0.0, total))[-1])
-    return QuadResult(value, err_estimate, evals)
+    # leaves ordered by piece, then lo, are the depth-first order; no two
+    # share a lo, since a panel one ulp wide has one sample value and is accepted
+    piece, lo, err, kronrod = (np.concatenate(c) for c in zip(*accepted_panels))
+    order = np.lexsort((lo, piece))
+    value = float(np.cumsum(np.append(0.0, kronrod[order]))[-1])
+    return QuadResult(value, float(np.cumsum(err[order])[-1]), evals)
 
 
 def hh_gap(spec: ProblemSpec) -> float:
     """Trapezoid value minus integral mean of f over [phi(a), phi(b)].
 
-    The integral is pre-split at the kinks of f (f stays continuous there,
-    so panel-end sampling is safe).
+    The integral is pre-split at the kinks of f, so each piece is smooth.
     """
     ends = endpoints(spec)
     kinks = abs_kink_points(spec.f, ends.phi_a, ends.phi_b)
@@ -172,9 +173,9 @@ def lemma_rhs(spec: ProblemSpec) -> float:
 
     Computes (delta/2) * integral over [0,1] of (2t-1)*f'(t*phi(b) +
     (1-t)*phi(a)) dt with f' from dual numbers. The t range is always split
-    at 1/2, plus at the preimages of linear abs kinks of f; those panel ends
-    are nudged inward so Simpson samples one-sided derivative limits rather
-    than the kink convention value.
+    at 1/2, plus at the preimages of linear abs kinks of f. Gauss-Kronrod
+    nodes are interior, so each piece sees only one side of a kink and never
+    the kink convention value.
     """
     ends = endpoints(spec)
     phi_a, phi_b, delta = ends.phi_a, ends.phi_b, ends.delta
@@ -185,15 +186,13 @@ def lemma_rhs(spec: ProblemSpec) -> float:
         if 0.0 < t < 1.0:
             cuts.add(t)
     points = [0.0] + sorted(cuts) + [1.0]
-    kink_ts = cuts - {0.5}
-    los = [t + KINK_NUDGE if t in kink_ts else t for t in points[:-1]]
-    his = [t - KINK_NUDGE if t in kink_ts else t for t in points[1:]]
 
     def integrand(t):
         u = t * phi_b + (1.0 - t) * phi_a
         return (2.0 * t - 1.0) * evaluate_derivative(spec.f, u)
 
-    integral = integrate(integrand, los, his, spec.quad_tol / len(los)).value
+    tol = spec.quad_tol / (len(points) - 1)
+    integral = integrate(integrand, points[:-1], points[1:], tol).value
     return (delta / 2.0) * integral
 
 

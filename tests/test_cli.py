@@ -209,13 +209,16 @@ class TestLemma:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-    def test_tiny_divisor_exits_one_without_traceback(self, tmp_path, capsys):
-        # the derivative of x/1e-170 is 1e170; (1e-170)^2 underflows to 0
+    def test_tiny_divisor_runs_without_traceback(self, tmp_path, capsys):
+        # the derivative of x/1e-170 is 1e170; (1e-170)^2 underflows to 0.
+        # The gap is 5e169 - 2.5e169, and both sides agree to the last bit
         path = write_config(tmp_path, {"f": "abs(x/1e-170 - 5e169)", "a": 0, "b": 1})
-        assert main(["lemma", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert main(["lemma", path]) == 0
+        captured = capsys.readouterr()
+        lines = dict(l.split("=") for l in captured.out.strip().split("\n"))
+        assert float(lines["lhs      "]) == pytest.approx(2.5e169, rel=1e-15)
+        assert float(lines["residual "]) == 0.0
+        assert captured.err == ""
 
 class TestCorpus:
     def test_all_rows_hold(self, tmp_path):

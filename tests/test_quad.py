@@ -2,7 +2,7 @@
 
 Expected values were computed from closed-form antiderivatives and
 cross-checked against scipy.integrate.quad, which stays independent of the
-adaptive Simpson implementation under test.
+adaptive Gauss-Kronrod implementation under test.
 """
 
 import math
@@ -10,14 +10,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad as scipy_quad
 
 import hhbounds.quad
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.funcspec import validate
 from hhbounds.quad import (
+    KRONROD_NODES,
     MAX_DEPTH,
     MAX_EVALUATIONS,
+    WEIGHTS,
     QuadResult,
     QuadratureError,
     hh_gap,
@@ -35,8 +38,8 @@ def make(cfg):
 
 class TestIntegrate:
     def test_cubic_exactness_on_random_subintervals(self):
-        # Simpson is exact on cubics; what remains is double roundoff, which
-        # scales with the magnitude of the integral
+        # both rules are exact on cubics; what remains is double roundoff,
+        # which scales with the magnitude of the integral
         rng = np.random.default_rng(42)
         for _ in range(300):
             c = rng.uniform(-1, 1, size=4)
@@ -54,7 +57,7 @@ class TestIntegrate:
             got = integrate(g, lo, hi, 1e-12)
             assert abs(got.value - true) <= 1e-13 * max(1.0, abs(true))
             assert got.err_estimate >= 0.0
-            assert got.evaluations >= 5
+            assert got.evaluations >= 15
 
     def test_moment_kernels(self):
         assert integrate(lambda t: abs(2 * t - 1) * t, 0, 1, 1e-12).value == (
@@ -95,60 +98,80 @@ class TestIntegrate:
             integrate(lambda t: np.sin(1e18 * t), 0.0, 1.0, 1e-12)
 
 
+class TestRule:
+    def test_gauss_nodes_and_weights_are_legendre(self):
+        gauss = WEIGHTS[:, 1] != 0.0
+        order = np.argsort(KRONROD_NODES[gauss])
+        nodes, weights = leggauss(7)
+        # leggauss's weights are up to 4 ulps off, and not symmetric
+        np.testing.assert_allclose(KRONROD_NODES[gauss][order], nodes, rtol=1e-15)
+        np.testing.assert_allclose(WEIGHTS[gauss, 1][order], weights, rtol=1e-15)
+
+    def test_kronrod_rule_is_exact_to_degree_22(self):
+        # one panel: K15 is exact to degree 22, to within an ulp of max x^k = 1
+        for k in range(23):
+            got = integrate(lambda x: x**k, 0.0, 1.0, 1.0)
+            assert got.evaluations == 15
+            assert abs(got.value - 1.0 / (k + 1)) <= np.spacing(1.0), k
+        # but not to degree 24
+        assert abs(integrate(lambda x: x**24, -1.0, 1.0, 1.0).value - 2 / 25) > 1e-9
+
+
 # ---------------------------------------------------------------------------
-# reference: the depth-first recursion that breadth-first integrate replaced,
-# kept verbatim (scalar calls to g, one panel at a time) so that value, error
-# estimate and evaluation count can be compared with ==
-
-
-def _ref_simpson(h, fa, fm, fb):
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
+# reference: the depth-first recursion that breadth-first integrate must
+# reproduce, one panel at a time with scalar calls to g and plain float
+# arithmetic, so that value, error estimate and evaluation count can be
+# compared with ==
 
 
 class _RefAccumulator:
+    """Running sums over accepted panels, in the order the recursion accepts them."""
+
     def __init__(self):
+        self.value = 0.0
         self.err = 0.0
         self.evals = 0
 
 
-def _ref_adapt(g, lo, hi, fa, fm, fb, whole, tol, depth, acc):
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    flm = g(lm)
-    frm = g(rm)
-    acc.evals += 2
-    left = _ref_simpson(mid - lo, fa, flm, fm)
-    right = _ref_simpson(hi - mid, fm, frm, fb)
-    delta = (left + right) - whole
-    if abs(delta) <= 15.0 * tol:
-        acc.err += abs(delta) / 15.0
-        return left + right + delta / 15.0
+def _ref_rules(g, lo, hi):
+    """The 15-point and 7-point values of one panel, each sum formed left to
+    right over the nodes in the module's order."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    samples = [g(mid + half * x) for x in KRONROD_NODES.tolist()]
+    fm = samples[-1]
+    kronrod = gauss = 0.0
+    for fx, (wk, wg) in zip(samples, WEIGHTS.tolist()):
+        kronrod += wk * (fx - fm)
+        gauss += wg * (fx - fm)
+    return half * (2.0 * fm + kronrod), half * (2.0 * fm + gauss)
+
+
+def _ref_adapt(g, lo, hi, tol, depth, acc):
+    kronrod, gauss = _ref_rules(g, lo, hi)
+    acc.evals += 15
+    err = abs(kronrod - gauss)
+    if err <= tol:
+        acc.value += kronrod
+        acc.err += err
+        return
     if depth >= MAX_DEPTH:
         raise QuadratureError(f"no convergence on [{lo}, {hi}] after depth {MAX_DEPTH}")
-    half = 0.5 * tol
-    return _ref_adapt(g, lo, mid, fa, flm, fm, left, half, depth + 1, acc) + _ref_adapt(
-        g, mid, hi, fm, frm, fb, right, half, depth + 1, acc
-    )
-
-
-def _ref_integrate(g, lo, hi, tol, acc=None):
-    acc = _RefAccumulator() if acc is None else acc
-    fa, fm, fb = g(lo), g(0.5 * (lo + hi)), g(hi)
-    acc.evals += 3
-    whole = _ref_simpson(hi - lo, fa, fm, fb)
-    value = _ref_adapt(g, lo, hi, fa, fm, fb, whole, tol, 0, acc)
-    return QuadResult(value, acc.err, acc.evals)
+    mid = 0.5 * (lo + hi)
+    _ref_adapt(g, lo, mid, 0.5 * tol, depth + 1, acc)
+    _ref_adapt(g, mid, hi, 0.5 * tol, depth + 1, acc)
 
 
 def _ref_integrate_pieces(g, los, his, tol):
-    """The pieces one after another: values summed from 0.0, left to right,
-    and one accumulator, so panel error estimates also add up in order."""
+    """The pieces one after another into one accumulator, so values and
+    panel error estimates add up from 0.0 in piece, then panel order."""
     acc = _RefAccumulator()
-    value = 0.0
     for lo, hi in zip(los, his):
-        value += _ref_integrate(g, lo, hi, tol, acc).value
-    return QuadResult(value, acc.err, acc.evals)
+        _ref_adapt(g, lo, hi, tol, 0, acc)
+    return QuadResult(acc.value, acc.err, acc.evals)
+
+
+def _ref_integrate(g, lo, hi, tol):
+    return _ref_integrate_pieces(g, [lo], [hi], tol)
 
 
 def _scalar(g):
@@ -185,12 +208,14 @@ class TestBreadthFirstMatchesRecursion:
         ]
         for g in kernels:
             for lo, hi, tol in ((0.0, 1.0, 1e-12), (0.1, 0.9, 1e-10), (0.0, 0.7, 1e-13)):
-                assert _assert_same_as_recursion(g, lo, hi, tol).evaluations > 5
+                assert _assert_same_as_recursion(g, lo, hi, tol).evaluations > 15
 
-    def test_jump_with_zero_width_panels(self):
-        # refinement at the jump runs below float resolution, where panels
-        # of zero width share their lo with their neighbour
-        _assert_same_as_recursion(lambda t: np.where(t < 1 / 3, 0.0, 1.0), 0.0, 1.0, 1e-12)
+    def test_jump_refines_to_one_ulp_panels(self):
+        # refinement at the jump runs down to panels one ulp wide, about two
+        # per level for 54 levels; there all 15 nodes round to one point, so
+        # both rules agree exactly and no panel of zero width is ever made
+        got = _assert_same_as_recursion(lambda t: np.where(t < 1 / 3, 0.0, 1.0), 0.0, 1.0, 1e-12)
+        assert got.evaluations > 15 * 100
 
     def test_corpus_gap_and_lemma_pieces(self, monkeypatch):
         calls = []
@@ -236,13 +261,10 @@ class TestPieces:
                 got = integrate(g, los, his, tol)
                 refs = [_ref_integrate(_scalar(g), a, b, tol) for a, b in zip(los, his)]
                 alone = [integrate(g, a, b, tol) for a, b in zip(los, his)]
-                assert [(r.value, r.evaluations) for r in alone] == [
-                    (r.value, r.evaluations) for r in refs
-                ]
-                value = 0.0
-                for r in refs:
-                    value += r.value
-                assert got.value == value
+                assert alone == refs
+                assert got.evaluations == sum(r.evaluations for r in refs)
+                # one running sum over all accepted panels, not a sum of piece sums
+                assert got.value == pytest.approx(sum(r.value for r in refs), abs=1e-15)
                 assert got == _ref_integrate_pieces(_scalar(g), los, his, tol)
 
     def test_scalar_bounds_are_one_piece(self):
@@ -260,10 +282,13 @@ class TestPieces:
                 integrate(_cubic, los, his, 1e-10)
 
     def test_cap_counts_the_whole_call(self):
-        # one piece takes 936,277 evaluations, two would take twice as many
-        assert integrate(np.exp, [0.0], [30.0], 1e-10).evaluations == 936_277
-        with pytest.raises(QuadratureError, match=r"\[0.0, 30.0\] within"):
-            integrate(np.exp, [0.0, 0.0], [30.0, 30.0], 1e-10)
+        # one piece takes 977,415 evaluations, two would take twice as many
+        def wave(t):
+            return np.sin(1e5 * t)
+
+        assert integrate(wave, [0.0], [1.0], 1e-10).evaluations == 977_415
+        with pytest.raises(QuadratureError, match=r"\[0.0, 1.0\] within"):
+            integrate(wave, [0.0, 0.0], [1.0, 1.0], 1e-10)
 
 
 class TestEvaluationCap:
@@ -278,9 +303,11 @@ class TestEvaluationCap:
         assert peak < 64 * 2**20
 
     def test_cap_does_not_bite_on_steep_exp(self):
-        r = integrate(np.exp, 0.0, 30.0, 1e-10)
-        assert r.evaluations == 936_277 <= MAX_EVALUATIONS
-        assert r.value == pytest.approx(math.expm1(30.0), rel=1e-12)
+        # 1e-10 is below the roundoff of this 1.07e13 integral; panels whose
+        # 15- and 7-point values round to the same float stop refining
+        r = _assert_same_as_recursion(np.exp, 0.0, 30.0, 1e-10)
+        assert r.evaluations == 795 <= MAX_EVALUATIONS
+        assert r.value == pytest.approx(math.expm1(30.0), rel=1e-15)
 
 
 class TestHHGap:
@@ -355,3 +382,37 @@ class TestLemmaIdentity:
         for spec in corpus_specs():
             res = verify_lemma_identity(spec)
             assert res.residual <= 10 * spec.quad_tol, spec.spec_id
+
+
+class TestRegressions:
+    def test_scaled_quadratic_probe(self):
+        # adaptive Simpson refined this to depth 38 and raised QuadratureError:
+        # 1e-10 absolute is below the roundoff of the 1.05e7 integral
+        spec = make({"f": "1e8*(x^2)", "a": 0.3, "b": 0.7})
+        res = verify_lemma_identity(spec)
+        # the gap of x^2 over [a, b] is (b - a)^2 / 6
+        assert res.lhs_gap == pytest.approx(1e8 * 0.4**2 / 6, rel=1e-14)
+        assert res.rhs_identity == pytest.approx(1e8 * 0.4**2 / 6, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("a, b", [(0.3, 0.7), (0.0, 1.0), (1.0, 2.0)])
+    def test_scaled_quadratics_converge_at_every_scale(self, k, a, b):
+        # both rules are exact here; once their values round to the same
+        # float, a panel is accepted however far tol sits below roundoff
+        spec = make({"f": f"{k}*(x^2)", "a": a, "b": b})
+        exact = k * (b - a) ** 2 / 6
+        assert hh_gap(spec) == pytest.approx(exact, rel=1e-14)
+        assert lemma_rhs(spec) == pytest.approx(exact, rel=1e-14)
+
+    def test_kink_of_a_nonlinear_abs_argument(self):
+        # lemma_rhs cuts only at kinks of linear abs arguments, so the jump of
+        # f' at t = sqrt(0.3) lies inside the [1/2, 1] piece. Every Simpson
+        # sample there but t = 1/2, where 2t - 1 = 0, lay right of it, so the
+        # identity read 0.25 against a gap of 0.2476 (IdentityViolationError)
+        spec = make({"f": "abs(x^2 - 0.3)", "a": 0, "b": 1})
+        res = verify_lemma_identity(spec)
+        # trapezoid 1/2 minus mean 1/30 + 0.4 sqrt(0.3)
+        exact = 0.5 - 1 / 30 - 0.4 * math.sqrt(0.3)
+        assert res.lhs_gap == pytest.approx(exact, abs=1e-14)
+        assert res.rhs_identity == pytest.approx(exact, abs=1e-12)
+        assert res.residual <= 10 * spec.quad_tol
