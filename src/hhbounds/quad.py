@@ -87,20 +87,18 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
 
     ``lo`` and ``hi`` may also be equal-length sequences of piece bounds;
     each piece gets, in the one loop, the panels a call on it alone would.
-    Adaptive Gauss-Kronrod (7, 15), searched breadth-first: each refinement
-    level evaluates the 15 interior nodes of all open panels in one call, so
-    ``g`` must take and return numpy arrays (a scalar result is broadcast).
-    Both rules weight f - f(mid), then add 2 f(mid) back, so a constant
-    integrates exactly, and two values that round to the same float agree.
-    A panel is accepted, with its 15-point value, when that differs from the
-    7-point Gauss value by at most tol; the tolerance halves per level, and
-    a panel that is not accepted is bisected. Accepted values and their
-    differences are summed from 0.0 in piece, then lo order, so the value,
-    the error estimate and the evaluation count are those of the
-    depth-first recursion. Raises QuadratureError past depth MAX_DEPTH, and
-    before a level that would take the call's evaluations past
-    MAX_EVALUATIONS, which is what stops an integrand that does not converge
-    anywhere.
+    Adaptive Gauss-Kronrod (7, 15), searched breadth-first: each level
+    evaluates the 15 interior nodes of all open panels in one call, so ``g``
+    must take and return numpy arrays (a scalar result is broadcast). Both
+    rules weight f - f(mid) and add 2 f(mid) back, so a constant integrates
+    exactly and values that round to the same float agree. A panel is
+    accepted, with its 15-point value, when that is within tol of the 7-point
+    Gauss value; tol halves per level, and other panels are bisected. The
+    value, error estimate and evaluation count are those of the depth-first
+    recursion, and the value that of separate calls per piece summed in
+    order. Raises QuadratureError past depth MAX_DEPTH, and before a level
+    that would take the evaluations past MAX_EVALUATIONS, which is what stops
+    an integrand that does not converge anywhere.
     """
     los, his = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if los.ndim != 1 or los.shape != his.shape or not los.size:
@@ -110,8 +108,7 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         raise ValueError(f"piece {i} needs lo < hi, got [{los[i]}, {his[i]}]")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    # the open panels of the current level: piece and ends
-    piece, a, b = np.arange(los.size), los, his
+    piece, a, b = np.arange(los.size), los, his  # the open panels: piece and ends
     accepted_panels = []  # per level: piece, lo, |K15 - G7|, K15 of the accepted panels
     evals = depth = 0
     while True:
@@ -125,8 +122,7 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         f = _sample(g, mid[:, None] + half[:, None] * KRONROD_NODES)
         evals += 15 * n
-        # both rules weight f - f(mid) and add 2 f(mid) back: their weights
-        # sum to 2, so a constant integrates exactly
+        # each rule's weights sum to 2, so a constant integrates exactly
         fm = f[:, -1:]
         sums = 2.0 * fm + np.cumsum((f - fm)[:, :, None] * WEIGHTS, axis=1)[:, -1]
         kronrod = half * sums[:, 0]
@@ -141,9 +137,8 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
                 f"no convergence on [{float(a[i])}, {float(b[i])}] after depth {MAX_DEPTH}"
             )
         split = np.logical_not(accepted)
-        piece, a, b, mid = piece[split], a[split], b[split], mid[split]
+        a, b, mid, piece = a[split], b[split], mid[split], np.tile(piece[split], 2)
         # children in blocks: the left halves of all split panels, then the right
-        piece = np.concatenate((piece, piece))
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         tol = 0.5 * tol
         depth += 1
@@ -151,8 +146,13 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
     # share a lo, since a panel one ulp wide has one sample value and is accepted
     piece, lo, err, kronrod = (np.concatenate(c) for c in zip(*accepted_panels))
     order = np.lexsort((lo, piece))
-    value = float(np.cumsum(np.append(0.0, kronrod[order]))[-1])
-    return QuadResult(value, float(np.cumsum(err[order])[-1]), evals)
+    # values add up per piece, then left to right; differences in one sum
+    sums, value, err_estimate = [0.0] * los.size, 0.0, 0.0
+    for p, k, e in zip(piece[order].tolist(), kronrod[order].tolist(), err[order].tolist()):
+        sums[p], err_estimate = sums[p] + k, err_estimate + e
+    for s in sums:
+        value += s
+    return QuadResult(value, err_estimate, evals)
 
 
 def hh_gap(spec: ProblemSpec) -> float:

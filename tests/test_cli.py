@@ -220,6 +220,16 @@ class TestLemma:
         assert float(lines["residual "]) == 0.0
         assert captured.err == ""
 
+    def test_false_identity_violation_exits_one_without_traceback(self, tmp_path, capsys):
+        # 1e-10 absolute is below the roundoff of the 1.07e13 integral of
+        # exp over [0, 30], so the two sides differ by more than 100 * quad_tol
+        path = write_config(tmp_path, {"f": "exp(x)", "a": 0, "b": 30})
+        assert main(["lemma", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gap identity residual ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestCorpus:
     def test_all_rows_hold(self, tmp_path):
         out = tmp_path / "corpus.csv"
