@@ -235,30 +235,26 @@ def evaluate_all(
     spec: ProblemSpec,
     cert_f: Optional[CertificateResult] = None,
     cert_deriv: Optional[CertificateResult] = None,
-    assume_certified: bool = False,
 ) -> list[BoundValue]:
     """Evaluate every bound plus the c=0 reductions, without aborting.
 
     Certificates gate the rows: sandwich rows need the certificate for f,
-    derivative rows the one for |f'|^q. A missing or failed certificate
-    turns the affected rows into errors unless ``assume_certified``.
-    Reduction rows rerun the same operations with c = 0 and are reported
-    under distinct ids.
+    derivative rows the one for |f'|^q. A failed certificate turns the rows
+    it gates into errors; with no certificate given for a target, its
+    hypotheses are assumed. Reduction rows rerun the same operations with
+    c = 0 and are reported under distinct ids.
     """
     rows: list[BoundValue] = []
 
     def gate(value: BoundValue, certificate, target: str) -> BoundValue:
-        if assume_certified or value.error is not None or not value.applicable:
+        failed = certificate is not None and not certificate.passed
+        if not failed or value.error is not None or not value.applicable:
             return value
-        if certificate is None:
-            return _errored(value, f"no convexity certificate computed for {target}")
-        if not certificate.passed:
-            return _errored(
-                value,
-                f"cert-failed: {target} is not strongly phi-convex at the "
-                f"requested modulus (worst slack {certificate.worst_slack})",
-            )
-        return value
+        return _errored(
+            value,
+            f"cert-failed: {target} is not strongly phi-convex at the "
+            f"requested modulus (worst slack {certificate.worst_slack})",
+        )
 
     lower, upper = bound_sandwich(spec)
     rows.append(gate(BoundValue("sandwich_lower", lower, kind=MEAN_LOWER), cert_f, "f"))

@@ -155,15 +155,15 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             "interval-order", f"interval requires a < b, got [{iv.a}, {iv.b}]"
         )
     for label, value in (("c", spec.c), ("c_f", spec.c_f), ("c_deriv", spec.c_deriv)):
-        if value is not None and value < 0:
+        if value is not None and not (np.isfinite(value) and value >= 0):
             raise SpecValidationError(
-                "modulus-negative", f"{label} must be >= 0, got {value}"
+                "modulus-negative", f"{label} must be finite and >= 0, got {value}"
             )
-    if spec.q < 1.0:
-        raise SpecValidationError("power-range", f"q must be >= 1, got {spec.q}")
-    if not spec.quad_tol > 0:
+    if not (np.isfinite(spec.q) and spec.q >= 1.0):
+        raise SpecValidationError("power-range", f"q must be finite and >= 1, got {spec.q}")
+    if not (np.isfinite(spec.quad_tol) and spec.quad_tol > 0):
         raise SpecValidationError(
-            "quad-tol", f"quad_tol must be positive, got {spec.quad_tol}"
+            "quad-tol", f"quad_tol must be finite and positive, got {spec.quad_tol}"
         )
     for n in (spec.grid.n_x, spec.grid.n_y, spec.grid.n_t):
         if n < 3:
@@ -249,20 +249,6 @@ def _t_grid(n_t: int) -> np.ndarray:
     return ts
 
 
-def _phi_samples(g, phi, iv, grid):
-    """The x and y samples, phi at them, and g at those images.
-
-    With n_y == n_x the y arrays are the x arrays themselves, computed once.
-    """
-    xs = np.linspace(iv.a, iv.b, grid.n_x)
-    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
-    phix = _sample(phi, xs)
-    phiy = phix if ys is xs else _sample(phi, ys)
-    gx = _sample(g, phix)
-    gy = gx if ys is xs else _sample(g, phiy)
-    return xs, ys, phix, phiy, gx, gy
-
-
 def _scanned_ts(ts, weight, phix, phiy, gx, gy):
     """The t columns a scan visits, and which of them stand for a mirror.
 
@@ -286,46 +272,6 @@ def _scanned_ts(ts, weight, phix, phiy, gx, gy):
     return cols, matched[cols]
 
 
-def _row_blocks(g, phix, phiy, gx, gy, ts):
-    """Walk the (x, y, t) grid in blocks of whole x-rows.
-
-    Yields ``(i0, diff, gmix, chord, spare)`` per block, for the x indices
-    from i0: ``diff`` is phi(x) - phi(y) shaped (rows, n_y, 1); ``gmix`` and
-    ``chord`` are g at the mixture t*phi(x) + (1-t)*phi(y) and the chord
-    t*g(phi(x)) + (1-t)*g(phi(y)), shaped (rows, n_y, len(ts)), and
-    ``spare`` is the mixture array, which g has read, for the caller to
-    overwrite (a gmix that shares its memory is copied). The mixture and
-    chord arrays are allocated once per scan and rewritten with ``out=`` for
-    every block, so a caller may overwrite chord and spare but must be done
-    with a block before asking for the next. A block holds
-    max(1, CHUNK_POINTS // (n_y*len(ts))) rows, so memory is
-    O(max(CHUNK_POINTS, n_y*len(ts))) whatever n_x. A scan of at most
-    8*CHUNK_POINTS points takes half as many points per block: its arrays
-    then stay below 64 KiB, whose free does not make glibc trim the heap, so
-    the next scan need not fault the pages in again. Every element gets the
-    same floating-point operations in the same order as on the full grid,
-    so results do not depend on the block size.
-    """
-    T = ts[None, None, :]
-    Y = phiy[None, :, None]
-    mix_y = (1.0 - T) * Y
-    chord_y = (1.0 - T) * gy[None, :, None]
-    row = phiy.size * ts.size
-    chunk = CHUNK_POINTS // 2 if phix.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
-    rows = max(1, chunk // row)
-    shape = (min(rows, phix.size), phiy.size, ts.size)
-    mix_buf, chord_buf = np.empty(shape), np.empty(shape)
-    for i0 in range(0, phix.size, rows):
-        X = phix[i0:i0 + rows, None, None]
-        n = X.shape[0]
-        mix = np.add(T * X, mix_y, out=mix_buf[:n])
-        gmix = _sample(g, mix)
-        if np.may_share_memory(gmix, mix):
-            gmix = gmix.copy()
-        chord = np.add(T * gx[i0:i0 + n, None, None], chord_y, out=chord_buf[:n])
-        yield i0, X - Y, gmix, chord, mix
-
-
 def certify_strong_phi_convexity(
     g: Callable,
     phi: PhiMap,
@@ -343,8 +289,25 @@ def certify_strong_phi_convexity(
     grid). A zero minimum is -0.0 only when every zero slack is. A t column
     whose mirror column repeats it (see ``_scanned_ts``) is evaluated once
     for both; the result is the full grid's, bit for bit.
+
+    The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*len(ts)))
+    whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*len(ts))) whatever
+    n_x. A scan of at most 8*CHUNK_POINTS points halves the block, so its
+    arrays stay below 64 KiB, whose free does not make glibc trim the heap
+    and the next scan fault the pages in again. The mixture and chord arrays
+    are allocated once and rewritten with ``out=``; once g has read the
+    mixture (a result sharing its memory is copied), the penalty and the
+    corrected chord overwrite it, and the slack the chord. Each element gets
+    the same floating-point operations in the same order as on the full
+    grid, so results do not depend on the block size.
     """
-    xs, ys, phix, phiy, gx, gy = _phi_samples(g, phi, iv, grid)
+    xs = np.linspace(iv.a, iv.b, grid.n_x)
+    # with n_y == n_x the y arrays are the x arrays, which _scanned_ts tests by identity
+    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
+    phix = _sample(phi, xs)
+    phiy = phix if ys is xs else _sample(phi, ys)
+    gx = _sample(g, phix)
+    gy = gx if ys is xs else _sample(g, phiy)
     ts = _t_grid(grid.n_t)
     if tol is None:
         g_max = np.abs(gx).max()
@@ -352,11 +315,27 @@ def certify_strong_phi_convexity(
     weight = c * ts * (1.0 - ts)
     cols, matched = _scanned_ts(ts, weight, phix, phiy, gx, gy)
     weight = weight[None, None, cols]
+    T = ts[cols][None, None, :]
+    Y = phiy[None, :, None]
+    mix_y = (1.0 - T) * Y
+    chord_y = (1.0 - T) * gy[None, :, None]
+    row = ys.size * cols.size
+    chunk = CHUNK_POINTS // 2 if xs.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
+    rows = max(1, chunk // row)
+    shape = (min(rows, xs.size), ys.size, cols.size)
+    mix_buf, chord_buf = np.empty(shape), np.empty(shape)
     worst = hit = None
     plus_zero = False
-    for i0, diff, gmix, chord, spare in _row_blocks(g, phix, phiy, gx, gy, ts[cols]):
-        penalty = np.multiply(weight, diff ** 2, out=spare)
-        corrected = np.subtract(chord, penalty, out=spare)
+    for i0 in range(0, xs.size, rows):
+        X = phix[i0:i0 + rows, None, None]
+        n = X.shape[0]
+        mix = np.add(T * X, mix_y, out=mix_buf[:n])
+        gmix = _sample(g, mix)
+        if np.may_share_memory(gmix, mix):
+            gmix = gmix.copy()
+        chord = np.add(T * gx[i0:i0 + n, None, None], chord_y, out=chord_buf[:n])
+        penalty = np.multiply(weight, (X - Y) ** 2, out=mix)
+        corrected = np.subtract(chord, penalty, out=mix)
         slack = np.subtract(corrected, gmix, out=chord)
         m = slack.min()
         # which signed zero ndarray.min returns depends on the layout
@@ -384,7 +363,7 @@ def certify_strong_phi_convexity(
 
 
 def _first_minimum(slack, m, i0, n_t, cols, matched):
-    """Where a block of ``_row_blocks`` first reaches its minimum ``m``.
+    """Where a block of the certification scan first reaches its minimum ``m``.
 
     Returns the grid index of (i, j, k) as (i*n_y + j)*n_t + k, which orders
     like (x, y, t), and the element's flat position in the block, over every

@@ -158,12 +158,7 @@ def run_check(
             for target, c in (("f", cert_f), ("fprime_q", cert_deriv))
         )
     gap_result = verify_lemma_identity(spec)
-    bound_values = evaluate_all(
-        spec,
-        cert_f=cert_f,
-        cert_deriv=cert_deriv,
-        assume_certified=not with_certificates,
-    )
+    bound_values = evaluate_all(spec, cert_f=cert_f, cert_deriv=cert_deriv)
     return build_report(spec, certificates, gap_result, bound_values)
 
 

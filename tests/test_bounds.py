@@ -21,8 +21,15 @@ from hhbounds.bounds import (
     evaluate_all,
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
-from hhbounds.funcspec import SpecValidationError, estimate_max_modulus, derivative_power, validate
-from hhbounds.quad import hh_gap, lemma_rhs
+from hhbounds.funcspec import (
+    CertificateResult,
+    SpecValidationError,
+    derivative_power,
+    estimate_max_modulus,
+    validate,
+)
+from hhbounds.quad import hh_gap, lemma_rhs, verify_lemma_identity
+from hhbounds.report import build_report, run_check
 
 E = math.e
 
@@ -209,7 +216,7 @@ class TestReductions:
 
     def test_reduction_rows_equal_main_ops_at_zero_modulus(self):
         spec = sq_spec(q=2.0, c_deriv=2.0)
-        rows = {bv.theorem_id: bv for bv in evaluate_all(spec, assume_certified=True)}
+        rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
         i0 = dataclasses.replace(derivative_inputs(spec), c=0.0)
         assert rows["power_mean_c0"].value == bound_power_mean(i0).value
         assert rows["split_holder_c0"].value == bound_split_holder(i0).value
@@ -255,7 +262,7 @@ class TestDerivativeInputs:
 class TestEvaluateAll:
     def test_q1_applicability_pattern(self):
         spec = sq_spec(q=1.0)
-        rows = evaluate_all(spec, assume_certified=True)
+        rows = evaluate_all(spec)
         by_id = {bv.theorem_id: bv for bv in rows}
         assert by_id["power_mean"].value == 0.25
         assert by_id["sandwich_lower"].applicable
@@ -264,7 +271,7 @@ class TestEvaluateAll:
             assert not by_id[tid].applicable
 
     def test_row_order_is_fixed(self):
-        rows = [bv.theorem_id for bv in evaluate_all(sq_spec(q=2.0), assume_certified=True)]
+        rows = [bv.theorem_id for bv in evaluate_all(sq_spec(q=2.0))]
         assert rows == [
             "sandwich_lower",
             "sandwich_upper",
@@ -277,14 +284,34 @@ class TestEvaluateAll:
             "holder_c0",
         ]
 
+    def test_without_certificates_the_hypotheses_are_assumed(self):
+        # c_f = 2 and c_deriv = 5 both fail certification for x^2 at q = 2
+        spec = sq_spec(q=2.0, c_f=2.0, c_deriv=5.0)
+        report = run_check(spec, with_certificates=False)
+        rows = evaluate_all(spec)
+        assert build_report(spec, (), verify_lemma_identity(spec), rows) == report
+        assert not any("no convexity certificate" in r.notes for r in report.rows)
+        # a certificate gates its own rows only; a passing one changes nothing
+        ok, failed = CertificateResult(True, 0.0), CertificateResult(False, -1.0)
+        assert evaluate_all(spec, ok, ok) == rows
+        for cert_f, cert_deriv, target in ((failed, None, "f"), (ok, failed, "|f'|^q")):
+            got = evaluate_all(spec, cert_f, cert_deriv)
+            for k, (want, row) in enumerate(zip(rows, got)):
+                # the first two rows are the sandwich rows, gated by f
+                if (k < 2) != (target == "f") or want.error is not None:
+                    assert row == want
+                else:
+                    assert row.value is None
+                    assert row.error.startswith(f"cert-failed: {target} is not")
+
     def test_unvalidated_spec_is_rejected(self):
         spec = spec_from_config({"f": "x^2", "a": 0, "b": 1})
         with pytest.raises(SpecValidationError):
-            evaluate_all(spec, assume_certified=True)
+            evaluate_all(spec)
 
     def test_infeasible_bracket_becomes_error_row(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)
-        rows = {bv.theorem_id: bv for bv in evaluate_all(spec, assume_certified=True)}
+        rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
         assert rows["split_holder"].error is not None
         assert rows["power_mean"].error is None  # its bracket is still positive
 

@@ -1,8 +1,11 @@
 """CLI behavior: commands, exit codes, determinism."""
 
 import csv
+import io
 import json
+import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ def write_config(tmp_path, payload, name="spec.json"):
 
 
 SQ_Q1 = {"f": "x^2", "a": 0, "b": 1, "phi": "identity", "c": 0, "q": 1}
+PINNED_CORPUS = Path(__file__).parent / "data" / "corpus.csv"
 
 
 class TestCheck:
@@ -28,11 +32,18 @@ class TestCheck:
         assert "power_mean,HOLDS,0.25" in out
 
     def test_failed_certificate_exits_one(self, tmp_path, capsys):
-        cfg = {"f": "x^2", "a": 0, "b": 1, "q": 2, "c_deriv": 5}
-        code = main(["check", write_config(tmp_path, cfg)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "cert-failed" in out
+        # x^2 at q = 2 admits c_f <= 1 and c_deriv <= 4; each failed
+        # certificate turns only its own rows into ERROR
+        sandwich = {"sandwich_lower", "sandwich_upper"}
+        for moduli, target in (({"c_deriv": 5}, "|f'|^q"), ({"c_f": 5}, "f")):
+            cfg = dict({"f": "x^2", "a": 0, "b": 1, "q": 2}, **moduli)
+            code = main(["check", write_config(tmp_path, cfg)])
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert code == 1
+            for row in rows:
+                gated = (row["theorem_id"] in sandwich) == (target == "f")
+                assert (row["status"] == "ERROR") == gated, row
+            assert any(row["notes"].startswith(f"cert-failed: {target} ") for row in rows)
 
     def test_feasible_modulus_passes(self, tmp_path):
         cfg = {"f": "x^2", "a": 0, "b": 1, "q": 2, "c_deriv": 1.5}
@@ -50,6 +61,17 @@ class TestCheck:
     def test_invalid_phi_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(SQ_Q1, phi="1 - x"))
         assert main(["check", path]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "bounds"])
+    @pytest.mark.parametrize("key, value", [
+        ("c", math.nan), ("c_f", math.inf), ("q", math.nan), ("quad_tol", math.inf),
+    ])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, key, value):
+        # json writes and reads NaN and Infinity, which JSON itself does not have
+        path = write_config(tmp_path, dict(SQ_Q1, **{key: value}))
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     def test_bad_expression_exits_two(self, tmp_path):
         path = write_config(tmp_path, dict(SQ_Q1, f="exp(x"))
@@ -270,6 +292,31 @@ class TestCorpus:
             ("holder_c0", "INAPPLICABLE", q1): 7,
         })
         assert len(rows) == 153
+
+    def test_report_matches_the_pinned_csv(self, tmp_path):
+        # tests/data/corpus.csv is a checked-in `hhbounds corpus` report;
+        # numbers may move by 1e-12 relative (other CPUs, other libm), the
+        # rest must not move at all. An intended change rewrites the file
+        # with `hhbounds corpus --out tests/data/corpus.csv` and is stated
+        # in CHANGES.md.
+        out = tmp_path / "corpus.csv"
+        assert main(["corpus", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        with open(PINNED_CORPUS, newline="") as fh:
+            want = list(csv.DictReader(fh))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for key in ("spec_id", "theorem_id", "status", "notes"):
+                assert g[key] == w[key], (w["spec_id"], w["theorem_id"], key)
+            for key in ("bound", "gap", "margin", "tightness"):
+                if w[key] == "":
+                    assert g[key] == "", (w["spec_id"], w["theorem_id"], key)
+                else:
+                    value = float(w[key])
+                    assert abs(float(g[key]) - value) <= 1e-12 * (1.0 + abs(value)), (
+                        w["spec_id"], w["theorem_id"], key, g[key], w[key]
+                    )
 
     def test_unwritable_out_exits_two(self, capsys):
         assert main(["corpus", "--out", "/nonexistent-dir/x.csv"]) == 2

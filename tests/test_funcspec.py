@@ -75,6 +75,16 @@ class TestValidate:
             validate(make_spec(quad_tol=0.0))
         assert exc.value.code == "quad-tol"
 
+    @pytest.mark.parametrize("key, code", [
+        ("c", "modulus-negative"), ("c_f", "modulus-negative"),
+        ("c_deriv", "modulus-negative"), ("q", "power-range"), ("quad_tol", "quad-tol"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, key, code, value):
+        with pytest.raises(SpecValidationError, match="finite") as exc:
+            validate(make_spec(**{key: value}))
+        assert exc.value.code == code
+
     def test_small_grid_rejected(self):
         with pytest.raises(SpecValidationError) as exc:
             validate(make_spec(grid=GridConfig(n_x=2)))
@@ -662,11 +672,18 @@ class TestMirroredHalfScan:
         # the slack is 0.0 at most points and -0.0 where x and y lie outside
         # (0.4, 0.6) and their mixture inside
         g = function_of(parse("(0.1 - abs(x - 0.5))*0"))
+        failing = (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 27, 20))
         for chunk in (2**10, 2**12, 2**14, 2**16):
             monkeypatch.setattr("hhbounds.funcspec.CHUNK_POINTS", chunk)
             for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20)):
                 res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
                 assert _key(res.worst_slack) == _key(0.0)
+            # so do a failed certificate's slack and witness, which the scan
+            # reads from block buffers it rewrites
+            for grid in failing:
+                res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 2.9, grid)
+                assert not res.passed
+                assert _key(res) == _key(reference_certify(np.exp, IDENTITY, IV01, 2.9, grid))
 
 
 # ---------------------------------------------------------------------------
