@@ -28,6 +28,10 @@ phi-convex with modulus c) is
 A negative bracket raises ModulusInfeasibleError rather than producing a
 NaN: the supplied c exceeds what the derivative data admits. The largest
 admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
+
+evaluate_all returns one BoundValue per report row. Its status is set when
+no margin decides the row: INAPPLICABLE when the bound needs p at q = 1,
+ERROR when a bracket is negative or the row's certificate failed.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ __all__ = [
     "bound_holder",
     "evaluate_all",
 ]
+
+STATUS_HOLDS = "HOLDS"
+STATUS_VIOLATED = "VIOLATED"
+STATUS_INAPPLICABLE = "INAPPLICABLE"
+STATUS_ERROR = "ERROR"
 
 # row kinds steer how the report orients margins
 GAP_UPPER = "gap_upper"
@@ -88,14 +97,14 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """One evaluated bound: value, applicability, and any evaluation error."""
+    """One evaluated bound. ``status`` is None when the value's margin decides
+    the row; otherwise it is STATUS_INAPPLICABLE or STATUS_ERROR, ``value``
+    is None and ``notes`` holds the reason or the error message."""
 
     theorem_id: str
     value: Optional[float]
     kind: str = GAP_UPPER
-    applicable: bool = True
-    inapplicability_reason: Optional[str] = None
-    error: Optional[str] = None
+    status: Optional[str] = None
     notes: str = ""
 
 
@@ -152,7 +161,7 @@ def bound_power_mean(inputs: BoundInputs) -> BoundValue:
 def _inapplicable_at_q1(theorem_id: str) -> BoundValue:
     """The row of a bound that needs the Holder conjugate p, at q = 1."""
     return BoundValue(
-        theorem_id, None, applicable=False, inapplicability_reason="p undefined at q=1"
+        theorem_id, None, status=STATUS_INAPPLICABLE, notes="p undefined at q=1"
     )
 
 
@@ -185,18 +194,10 @@ def bound_split_holder_relaxed(inputs: BoundInputs) -> BoundValue:
     if i.p is None:
         return _inapplicable_at_q1("split_holder_relaxed")
     correction = (7.0 * i.c / 12.0) * i.delta**2
-    r1 = _checked_root(
-        "split_holder_relaxed",
-        (i.d_b**i.q + 3.0 * i.d_a**i.q) / 2.0 - correction,
-        i.c,
-        i.q,
-    )
-    r2 = _checked_root(
-        "split_holder_relaxed",
-        (3.0 * i.d_b**i.q + i.d_a**i.q) / 2.0 - correction,
-        i.c,
-        i.q,
-    )
+    bracket_a = (i.d_b**i.q + 3.0 * i.d_a**i.q) / 2.0 - correction
+    bracket_b = (3.0 * i.d_b**i.q + i.d_a**i.q) / 2.0 - correction
+    r1 = _checked_root("split_holder_relaxed", bracket_a, i.c, i.q)
+    r2 = _checked_root("split_holder_relaxed", bracket_b, i.c, i.q)
     return BoundValue("split_holder_relaxed", _split_prefactor(i) * (r1 + r2))
 
 
@@ -224,11 +225,21 @@ def _guarded(builder, inputs, theorem_id: str) -> BoundValue:
     try:
         return builder(inputs)
     except ModulusInfeasibleError as exc:
-        return BoundValue(theorem_id, None, error=str(exc))
+        return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=str(exc))
 
 
-def _errored(value: BoundValue, message: str) -> BoundValue:
-    return dataclasses.replace(value, value=None, error=message)
+def _gated(row: BoundValue, certificate, target: str, notes: str = "") -> BoundValue:
+    """A row already decided passes unchanged; a failed certificate makes an
+    undecided row an error; ``notes`` go on the undecided rows left."""
+    if row.status is not None:
+        return row
+    if certificate is not None and not certificate.passed:
+        notes = (
+            f"cert-failed: {target} is not strongly phi-convex at the "
+            f"requested modulus (worst slack {certificate.worst_slack})"
+        )
+        return dataclasses.replace(row, value=None, status=STATUS_ERROR, notes=notes)
+    return dataclasses.replace(row, notes=notes) if notes else row
 
 
 def evaluate_all(
@@ -241,25 +252,15 @@ def evaluate_all(
     Certificates gate the rows: sandwich rows need the certificate for f,
     derivative rows the one for |f'|^q. A failed certificate turns the rows
     it gates into errors; with no certificate given for a target, its
-    hypotheses are assumed. Reduction rows rerun the same operations with
-    c = 0 and are reported under distinct ids.
+    hypotheses are assumed. Derivative rows still undecided carry the kink
+    flags of their inputs as notes. Reduction rows rerun the same operations
+    with c = 0 and are reported under distinct ids.
     """
-    rows: list[BoundValue] = []
-
-    def gate(value: BoundValue, certificate, target: str) -> BoundValue:
-        failed = certificate is not None and not certificate.passed
-        if not failed or value.error is not None or not value.applicable:
-            return value
-        return _errored(
-            value,
-            f"cert-failed: {target} is not strongly phi-convex at the "
-            f"requested modulus (worst slack {certificate.worst_slack})",
-        )
-
     lower, upper = bound_sandwich(spec)
-    rows.append(gate(BoundValue("sandwich_lower", lower, kind=MEAN_LOWER), cert_f, "f"))
-    rows.append(gate(BoundValue("sandwich_upper", upper, kind=MEAN_UPPER), cert_f, "f"))
-
+    rows = [
+        _gated(BoundValue("sandwich_lower", lower, kind=MEAN_LOWER), cert_f, "f"),
+        _gated(BoundValue("sandwich_upper", upper, kind=MEAN_UPPER), cert_f, "f"),
+    ]
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
     # c = 0 reductions share the arithmetic path of the main operations
@@ -271,8 +272,5 @@ def evaluate_all(
         if has_c0_row
     ]
     for row in deriv_rows + reduction_rows:
-        row = gate(row, cert_deriv, "|f'|^q")
-        if flags and row.error is None and row.applicable:
-            row = dataclasses.replace(row, notes=flags)
-        rows.append(row)
+        rows.append(_gated(row, cert_deriv, "|f'|^q", flags))
     return rows

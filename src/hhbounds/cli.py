@@ -37,10 +37,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import corpus_specs, spec_from_config
-from .expr import EvalDomainError, ExprError
 from .funcspec import (
-    DegeneratePhiError,
-    SpecValidationError,
     derivative_power,
     estimate_max_modulus,
     function_of,
@@ -79,7 +76,7 @@ def _spec_from_path(path: str, tol: float | None):
         cfg["quad_tol"] = tol
     try:
         return validate(spec_from_config(cfg))
-    except (ExprError, SpecValidationError, ValueError) as exc:
+    except ValueError as exc:  # ExprError and SpecValidationError included
         raise ConfigError(f"invalid config {path}: {exc}")
 
 
@@ -180,15 +177,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvalDomainError as exc:
+    except (IdentityViolationError, QuadratureError, ValueError) as exc:
         # a config's expressions are checked while loading it (ConfigError),
-        # so a domain error here comes from the numerics
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExprError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IdentityViolationError, QuadratureError, DegeneratePhiError, ValueError) as exc:
+        # so a domain error (EvalDomainError) here comes from the numerics
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,9 @@
 """Aggregation of certificates, gap and bound values into serializable reports.
 
-Row semantics: rows bounding the gap from above carry margin = bound - gap;
-the sandwich rows bound the integral mean from below or above and carry the
+Row semantics: a bound value whose status is already set (INAPPLICABLE or
+ERROR) keeps it and its notes, with no margin. Otherwise the margin decides:
+rows bounding the gap from above carry margin = bound - gap; the sandwich
+rows bound the integral mean from below or above and carry the
 correspondingly oriented margin (mean - bound, bound - mean), so that HOLDS
 always means margin >= -1e-8. Tightness is the achievement ratio of the
 bound, clamped into [0, inf) and defined as 0 for the 0/0 case.
@@ -9,7 +11,7 @@ bound, clamped into [0, inf) and defined as 0 for the 0/0 case.
 CSV columns are fixed: spec_id, theorem_id, status, bound, gap, margin,
 tightness, notes, with reals printed to 17 significant digits so every value
 reparses to the identical double. JSON mirrors the dataclasses field for
-field and round-trips exactly.
+field, in templates built from their fields, and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .bounds import MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
+from .bounds import STATUS_ERROR, STATUS_HOLDS, STATUS_INAPPLICABLE, STATUS_VIOLATED
 from .funcspec import (
     ProblemSpec,
     certify_strong_phi_convexity,
@@ -50,11 +53,6 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-8
-
-STATUS_HOLDS = "HOLDS"
-STATUS_VIOLATED = "VIOLATED"
-STATUS_INAPPLICABLE = "INAPPLICABLE"
-STATUS_ERROR = "ERROR"
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,8 @@ def _ratio(numer: float, denom: float) -> float:
 
 
 def _row_from_bound(bv: BoundValue, gap: float, mean: float) -> ReportRow:
-    if not bv.applicable:
-        return ReportRow(
-            bv.theorem_id,
-            STATUS_INAPPLICABLE,
-            None,
-            None,
-            None,
-            bv.inapplicability_reason or "",
-        )
-    if bv.error is not None:
-        return ReportRow(bv.theorem_id, STATUS_ERROR, bv.value, None, None, bv.error)
+    if bv.status is not None:
+        return ReportRow(bv.theorem_id, bv.status, bv.value, None, None, bv.notes)
     if bv.kind == MEAN_LOWER:
         margin = mean - bv.value
         tightness = _ratio(bv.value, mean)
@@ -198,33 +187,23 @@ def _csv_rows(report: BoundReport):
         )
 
 
-# JSON comes from fixed templates and writes exactly the bytes of
+# JSON comes from templates and writes exactly the bytes of
 # ``json.dumps(<the dataclasses' fields as dicts>, indent=2)``, whose indent
-# encoder is pure Python. Leaves are encoded as json encodes them. Escaped
-# strings hold no raw newline, so a report nested in a list is indented by
-# replacing "\n".
-_REPORT_JSON = """{
-  "spec_id": %s,
-  "gap": %s,
-  "lemma_residual": %s,
-  "mean": %s,
-  "certificates": %s,
-  "rows": %s
-}"""
-_CERTIFICATE_JSON = """    {
-      "target": %s,
-      "passed": %s,
-      "worst_slack": %s,
-      "witness": %s
-    }"""
-_ROW_JSON = """    {
-      "theorem_id": %s,
-      "status": %s,
-      "bound": %s,
-      "margin": %s,
-      "tightness": %s,
-      "notes": %s
-    }"""
+# encoder is pure Python. A template holds one %s per dataclass field, so
+# ``_report_json`` fills the fields in field order. Leaves are encoded as
+# json encodes them. Escaped strings hold no raw newline, so a report nested
+# in a list is indented by replacing "\n".
+def _json_template(cls, indent: str) -> str:
+    """The JSON object of ``cls`` at ``indent``, one %s per field."""
+    members = ",\n".join(
+        f"{indent}  {encode_basestring_ascii(f.name)}: %s" for f in fields(cls)
+    )
+    return f"{indent}{{\n{members}\n{indent}}}"
+
+
+_REPORT_JSON = _json_template(BoundReport, "")
+_CERTIFICATE_JSON = _json_template(CertificateSummary, "    ")
+_ROW_JSON = _json_template(ReportRow, "    ")
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 

@@ -11,6 +11,8 @@ import math
 import pytest
 
 from hhbounds.bounds import (
+    STATUS_ERROR,
+    STATUS_INAPPLICABLE,
     ModulusInfeasibleError,
     bound_holder,
     bound_power_mean,
@@ -112,8 +114,8 @@ class TestSplitHolder:
     def test_q1_inapplicable(self):
         spec = sq_spec(q=1.0)
         bv = bound_split_holder(derivative_inputs(spec))
-        assert not bv.applicable
-        assert bv.inapplicability_reason == "p undefined at q=1"
+        assert bv.status == STATUS_INAPPLICABLE
+        assert bv.notes == "p undefined at q=1"
 
     def test_infeasible_modulus_raises(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)  # midpoint bracket 1 - 4/3 < 0
@@ -165,7 +167,7 @@ class TestHolder:
 
     def test_q1_inapplicable(self):
         spec = sq_spec(q=1.0)
-        assert not bound_holder(derivative_inputs(spec)).applicable
+        assert bound_holder(derivative_inputs(spec)).status == STATUS_INAPPLICABLE
 
 
 class TestCMonotonicity:
@@ -265,10 +267,11 @@ class TestEvaluateAll:
         rows = evaluate_all(spec)
         by_id = {bv.theorem_id: bv for bv in rows}
         assert by_id["power_mean"].value == 0.25
-        assert by_id["sandwich_lower"].applicable
+        assert by_id["sandwich_lower"].status is None
         for tid in ("split_holder", "split_holder_relaxed", "holder",
                     "split_holder_c0", "holder_c0"):
-            assert not by_id[tid].applicable
+            assert by_id[tid].status == STATUS_INAPPLICABLE
+            assert by_id[tid].notes == "p undefined at q=1"
 
     def test_row_order_is_fixed(self):
         rows = [bv.theorem_id for bv in evaluate_all(sq_spec(q=2.0))]
@@ -298,11 +301,11 @@ class TestEvaluateAll:
             got = evaluate_all(spec, cert_f, cert_deriv)
             for k, (want, row) in enumerate(zip(rows, got)):
                 # the first two rows are the sandwich rows, gated by f
-                if (k < 2) != (target == "f") or want.error is not None:
+                if (k < 2) != (target == "f") or want.status is not None:
                     assert row == want
                 else:
-                    assert row.value is None
-                    assert row.error.startswith(f"cert-failed: {target} is not")
+                    assert row.value is None and row.status == STATUS_ERROR
+                    assert row.notes.startswith(f"cert-failed: {target} is not")
 
     def test_unvalidated_spec_is_rejected(self):
         spec = spec_from_config({"f": "x^2", "a": 0, "b": 1})
@@ -312,8 +315,8 @@ class TestEvaluateAll:
     def test_infeasible_bracket_becomes_error_row(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)
         rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
-        assert rows["split_holder"].error is not None
-        assert rows["power_mean"].error is None  # its bracket is still positive
+        assert rows["split_holder"].status == STATUS_ERROR
+        assert rows["power_mean"].status is None  # its bracket is still positive
 
 
 class TestBracketFeasibility:

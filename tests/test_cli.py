@@ -22,6 +22,7 @@ def write_config(tmp_path, payload, name="spec.json"):
 
 SQ_Q1 = {"f": "x^2", "a": 0, "b": 1, "phi": "identity", "c": 0, "q": 1}
 PINNED_CORPUS = Path(__file__).parent / "data" / "corpus.csv"
+PINNED_CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
 
 
 class TestCheck:
@@ -317,6 +318,33 @@ class TestCorpus:
                     assert abs(float(g[key]) - value) <= 1e-12 * (1.0 + abs(value)), (
                         w["spec_id"], w["theorem_id"], key, g[key], w[key]
                     )
+
+    def test_report_matches_the_pinned_json(self, tmp_path):
+        # tests/data/corpus.json is a checked-in `hhbounds corpus --format
+        # json` report. It carries what the CSV does not: mean,
+        # lemma_residual and both certificates per spec. Same rule as the
+        # CSV: numbers within 1e-12 relative, everything else exactly.
+        out = tmp_path / "corpus.json"
+        assert main(["corpus", "--format", "json", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        want = json.loads(PINNED_CORPUS_JSON.read_text())
+
+        def compare(g, w, path):
+            if isinstance(w, dict):
+                assert isinstance(g, dict) and list(g) == list(w), path
+                for key in w:
+                    compare(g[key], w[key], path + (key,))
+            elif isinstance(w, list):
+                assert isinstance(g, list) and len(g) == len(w), path
+                for k, (gk, wk) in enumerate(zip(g, w)):
+                    compare(gk, wk, path + (k,))
+            elif isinstance(w, float):
+                assert type(g) is float, (path, g)
+                assert abs(g - w) <= 1e-12 * (1.0 + abs(w)), (path, g, w)
+            else:  # strings, booleans and null
+                assert type(g) is type(w) and g == w, (path, g, w)
+
+        compare(got, want, ())
 
     def test_unwritable_out_exits_two(self, capsys):
         assert main(["corpus", "--out", "/nonexistent-dir/x.csv"]) == 2
