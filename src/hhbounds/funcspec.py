@@ -242,34 +242,29 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _t_grid(n_t: int) -> np.ndarray:
-    """Uniform t grid over [0, 1] guaranteed to contain 0, 1/2 and 1."""
-    ts = np.linspace(0.0, 1.0, n_t)
-    if not np.any(ts == 0.5):
-        ts = np.sort(np.append(ts, 0.5))
-    return ts
+    """Uniform t grid over [0, 1] whose middle point is exactly 1/2.
 
-
-def _scanned_ts(ts, weight, phix, phiy, gx, gy):
-    """The t columns a scan visits, and which of them stand for a mirror.
-
-    Returns ``(cols, matched)``: the indices into ts of the scanned columns,
-    ascending, and for each whether it is matched. The element at
-    (y, x, ts[K-1-k]) forms the same products as the one at (x, y, ts[k])
-    and adds them in the other order, so it repeats it bit for bit when the
-    y samples are the x samples and, bit for bit, (1 - ts)[k] is ts[K-1-k],
-    (1 - ts)[K-1-k] is ts[k] and the penalty ``weight`` is equal at k and
-    K-1-k. Columns k and K-1-k are then matched, and the scan skips the
-    upper one; the middle column of an odd grid matches itself. A NaN
-    sample matches nothing: two NaN addends may differ in payload.
+    1/2 replaces linspace's middle value for odd n_t (which misses it by an
+    ulp at n_t = 99) and is inserted for even n_t, so the size K is odd.
     """
-    matched = np.zeros(ts.size, dtype=bool)
-    if phiy is phix and gy is gx and not (np.isnan(phix).any() or np.isnan(gx).any()):
-        t, s, w = ts.view(np.uint64), (1.0 - ts).view(np.uint64), weight.view(np.uint64)
-        matched = (s == t[::-1]) & (s[::-1] == t) & (w == w[::-1])
-    skipped = matched.copy()
-    skipped[:(ts.size + 1) // 2] = False
-    cols = np.flatnonzero(~skipped)
-    return cols, matched[cols]
+    ts = np.linspace(0.0, 1.0, n_t)
+    if n_t % 2:
+        ts[n_t // 2] = 0.5
+        return ts
+    return np.insert(ts, n_t // 2, 0.5)
+
+
+def _scanned_ts(ts, phix, phiy, gx, gy):
+    """How many t columns a scan visits, and whether they stand for their mirrors.
+
+    The inequality is unchanged under (x, y, t) -> (y, x, 1 - t). When the
+    y samples are the x samples and no phi or g sample at them is NaN, the
+    scan visits the columns k <= (K-1)/2 only, and the grid element (x_j,
+    x_i, t_{K-1-k}) is evaluated as (x_i, x_j, t_k). Otherwise it visits all.
+    """
+    mirrored = (phiy is phix and gy is gx
+                and not (np.isnan(phix).any() or np.isnan(gx).any()))
+    return ((ts.size + 1) // 2 if mirrored else ts.size), mirrored
 
 
 def certify_strong_phi_convexity(
@@ -285,21 +280,25 @@ def certify_strong_phi_convexity(
     ``g`` must accept numpy arrays. The minimum slack over the grid decides
     the certificate; ties on the minimum resolve to the lexicographically
     smallest (x, y, t), and a NaN slack is the minimum wherever it occurs,
-    as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the
-    grid). A zero minimum is -0.0 only when every zero slack is. A t column
-    whose mirror column repeats it (see ``_scanned_ts``) is evaluated once
-    for both; the result is the full grid's, bit for bit.
+    as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the x
+    and y samples). A zero minimum is -0.0 only when every zero slack is.
 
-    The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*len(ts)))
-    whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*len(ts))) whatever
+    A square grid (n_y == n_x) is symmetric: its t columns past 1/2 take
+    the values of their mirrors (see ``_scanned_ts``), so a witness with
+    t > 1/2 is the mirror (y, x, t) of a scanned element (x, y, t'), t' =
+    1 - t up to an ulp, with that element's lhs and rhs. A non-square grid,
+    or one with a NaN phi or g sample at the axes, is evaluated everywhere.
+
+    The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*cols))
+    whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever
     n_x. A scan of at most 8*CHUNK_POINTS points halves the block, so its
     arrays stay below 64 KiB, whose free does not make glibc trim the heap
     and the next scan fault the pages in again. The mixture and chord arrays
     are allocated once and rewritten with ``out=``; once g has read the
     mixture (a result sharing its memory is copied), the penalty and the
     corrected chord overwrite it, and the slack the chord. Each element gets
-    the same floating-point operations in the same order as on the full
-    grid, so results do not depend on the block size.
+    the same floating-point operations in the same order whatever the
+    blocks, so results do not depend on the block size.
     """
     xs = np.linspace(iv.a, iv.b, grid.n_x)
     # with n_y == n_x the y arrays are the x arrays, which _scanned_ts tests by identity
@@ -312,17 +311,16 @@ def certify_strong_phi_convexity(
     if tol is None:
         g_max = np.abs(gx).max()
         tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
-    weight = c * ts * (1.0 - ts)
-    cols, matched = _scanned_ts(ts, weight, phix, phiy, gx, gy)
-    weight = weight[None, None, cols]
-    T = ts[cols][None, None, :]
+    cols, mirrored = _scanned_ts(ts, phix, phiy, gx, gy)
+    T = ts[None, None, :cols]
+    weight = c * T * (1.0 - T)
     Y = phiy[None, :, None]
     mix_y = (1.0 - T) * Y
     chord_y = (1.0 - T) * gy[None, :, None]
-    row = ys.size * cols.size
+    row = ys.size * cols
     chunk = CHUNK_POINTS // 2 if xs.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
     rows = max(1, chunk // row)
-    shape = (min(rows, xs.size), ys.size, cols.size)
+    shape = (min(rows, xs.size), ys.size, cols)
     mix_buf, chord_buf = np.empty(shape), np.empty(shape)
     worst = hit = None
     plus_zero = False
@@ -348,7 +346,7 @@ def certify_strong_phi_convexity(
             continue  # a tie may hold a smaller witness through a mirror
         if m >= -tol:
             continue  # a passing certificate has no witness
-        index, at = _first_minimum(slack, m, i0, ts.size, cols, matched)
+        index, at = _first_minimum(slack, m, i0, ts.size, mirrored)
         if hit is None or index < hit[0]:
             hit = (index, gmix.flat[at], corrected.flat[at])
     worst = float(worst)
@@ -362,24 +360,22 @@ def certify_strong_phi_convexity(
     return CertificateResult(False, worst, witness)
 
 
-def _first_minimum(slack, m, i0, n_t, cols, matched):
+def _first_minimum(slack, m, i0, n_t, mirrored):
     """Where a block of the certification scan first reaches its minimum ``m``.
 
     Returns the grid index of (i, j, k) as (i*n_y + j)*n_t + k, which orders
     like (x, y, t), and the element's flat position in the block, over every
-    element equal to m (every NaN when m is NaN). The block's column c is
-    the grid's column k = cols[c]; in a matched column each element counts
-    as the smaller of itself and its mirror (j, i, n_t-1-k), whose lhs and
-    rhs are the same.
+    element equal to m (every NaN when m is NaN). In a ``mirrored`` scan
+    each element counts as the smaller of itself and its mirror (j, i,
+    n_t-1-k), which takes its values.
     """
     at = np.flatnonzero(np.isnan(slack) if np.isnan(m) else slack == m)
-    i, j, c = np.unravel_index(at, slack.shape)
+    i, j, k = np.unravel_index(at, slack.shape)
     i = i + i0
-    k = cols[c]
     n_y = slack.shape[1]
     index = (i * n_y + j) * n_t + k
-    mirror = (j * n_y + i) * n_t + (n_t - 1 - k)
-    index = np.where(matched[c], np.minimum(index, mirror), index)
+    if mirrored:
+        index = np.minimum(index, (j * n_y + i) * n_t + (n_t - 1 - k))
     a = np.argmin(index)
     return int(index[a]), int(at[a])
 

@@ -2,8 +2,8 @@
 
 import math
 import random
-import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,8 +333,12 @@ def _reference_samples(g, phi, iv, grid, interior=False):
     phiy = np.broadcast_to(np.asarray(phi(ys), dtype=float), ys.shape)
     gx = np.broadcast_to(np.asarray(g(phix), dtype=float), xs.shape)
     gy = np.broadcast_to(np.asarray(g(phiy), dtype=float), ys.shape)
+    # the middle t is exactly 1/2: it replaces linspace's for odd n_t and is
+    # inserted for even n_t
     ts = np.linspace(0.0, 1.0, grid.n_t)
-    if not np.any(ts == 0.5):
+    if grid.n_t % 2:
+        ts[grid.n_t // 2] = 0.5
+    else:
         ts = np.sort(np.append(ts, 0.5))
     if interior:
         ts = ts[(ts > 0.0) & (ts < 1.0)]
@@ -348,7 +352,7 @@ def _reference_samples(g, phi, iv, grid, interior=False):
 
 
 def reference_certify(g, phi, iv, c, grid, tol=None):
-    """Full-grid certification: every (x, y, t) array built at once."""
+    """Plain full-grid certification: every (x, y, t) evaluated as itself."""
     xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
     penalty = c * T * (1.0 - T) * (X - Y) ** 2
     slack = chord - penalty - gmix
@@ -364,6 +368,90 @@ def reference_certify(g, phi, iv, c, grid, tol=None):
         float(gmix[i, j, k]), float(corrected[i, j, k]),
     )
     return CertificateResult(False, worst, witness)
+
+
+def symmetric_certify(g, phi, iv, c, grid, tol=None):
+    """Test-local scan of the symmetric grid, element by element.
+
+    On a square grid whose phi and g samples at the axes hold no NaN, the
+    element (i, j, K-1-k) past the middle t column is evaluated as (j, i, k);
+    every other element as itself, as in ``reference_certify``. The first
+    minimum in (x, y, t) order is the witness, a NaN is the minimum wherever
+    it is, and a zero minimum is -0.0 only when every zero slack is.
+    """
+    xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
+    gmix = np.array(gmix)
+    corrected = chord - c * T * (1.0 - T) * (X - Y) ** 2
+    slack = corrected - gmix
+    K = ts.size
+    if grid.n_y == grid.n_x and not (np.isnan(X).any() or np.isnan(gx).any()):
+        for k in range(K // 2 + 1, K):
+            for values in (gmix, corrected, slack):
+                values[:, :, k] = values[:, :, K - 1 - k].T
+    if tol is None:
+        tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
+    flat = slack.ravel()
+    if np.isnan(flat).any():
+        at = int(np.argmax(np.isnan(flat)))
+        worst = math.nan
+    else:
+        worst = float(flat.min())
+        at = int(np.argmax(flat == worst))
+        if worst == 0:
+            worst = -0.0 if np.signbit(flat[flat == 0]).all() else 0.0
+    if worst >= -tol:
+        return CertificateResult(True, worst, None)
+    i, j, k = np.unravel_index(at, slack.shape)
+    witness = (
+        float(xs[i]), float(ys[j]), float(ts[k]),
+        float(gmix[i, j, k]), float(corrected[i, j, k]),
+    )
+    return CertificateResult(False, worst, witness)
+
+
+# allowance for one evaluation of g, in units of u*max|g|
+G_ULPS = 32
+
+
+def mirror_roundoff_bound(g, phi, iv, c, grid):
+    """Bound on |slack(x_j, x_i, t') - slack(x_i, x_j, t)| for t = t_k and
+    t' = t_{K-1-k} = 1 - t + d, as the plain grid computes the two, to first
+    order in u = 2**-53. With [m, M] the range of the phi samples, R = M - m,
+    U = max(|m|, |M|), G = max|g| over the samples and mixtures, P =
+    c*R**2/4 and L >= sup|g'| on [m, M]:
+
+    - each mixture t*x + (1-t)*y carries at most 4*u*U of rounding (1 - t,
+      two products, a sum), and the exact ones differ by d*(x_j - x_i); so
+      the lhs differ by at most L*(8*u*U + |d|*R) + 2*G_ULPS*u*G;
+    - the chords likewise by 8*u*G + 2*|d|*G;
+    - each penalty c*t*(1-t)*(x-y)**2 carries 7*u relative (three roundings
+      in the weight, three in the square, one product), and the exact ones
+      differ by c*(d*(2*t-1) - d**2)*(x-y)**2: together 14*u*P + c*|d|*R**2;
+    - the two subtractions add u*(|corrected| + |slack|) <= u*(3*G + 2*P)
+      per element.
+
+    Sum: u*((14 + 2*G_ULPS)*G + 18*P + 8*L*U) + |d|*(L*R + 2*G + c*R**2),
+    with |d| the largest over the grid's column pairs, computed exactly. L is
+    twice the largest difference quotient of g on 4097 points of [m, M]. The
+    symmetric grid's values are a subset of the plain grid's, so its worst
+    slack is at least the plain one and exceeds it by at most this bound.
+    """
+    _, _, ts, X, _, _, gx, gy, gmix, _ = _reference_samples(g, phi, iv, grid)
+    K = ts.size
+    d = max(abs(Fraction(ts[K - 1 - k]) - (1 - Fraction(ts[k]))) for k in range(K))
+    m, M = float(X.min()), float(X.max())
+    R, U = M - m, max(abs(m), abs(M))
+    G = max(np.abs(gx).max(), np.abs(gy).max(), np.abs(gmix).max())
+    P = c * R * R / 4.0
+    us = np.linspace(m, M, 4097)
+    L = 2.0 * float(np.max(np.abs(np.diff(_sample_of(g, us))) / np.diff(us)))
+    u = 2.0**-53
+    return (u * ((14 + 2 * G_ULPS) * G + 18 * P + 8 * L * U)
+            + float(d) * (L * R + 2 * G + c * R * R))
+
+
+def _sample_of(g, u):
+    return np.broadcast_to(np.asarray(g(u), dtype=float), u.shape)
 
 
 def reference_estimate(g, phi, iv, grid):
@@ -416,10 +504,20 @@ def _key(value):
 
 
 def assert_certify_matches_reference(g, grid, moduli, phi=IDENTITY, iv=IV01, tol=None):
+    """The scan equals ``symmetric_certify`` bit for bit, and has the plain
+    grid's pass flag and a worst slack at most ``mirror_roundoff_bound``
+    above the plain one. That bound assumes g has a derivative; the spike
+    targets below meet it because their mirrored mixtures round alike."""
     for c in moduli:
         got = certify_strong_phi_convexity(g, phi, iv, c, grid, tol)
+        assert _key(got) == _key(symmetric_certify(g, phi, iv, c, grid, tol)), c
         want = reference_certify(g, phi, iv, c, grid, tol)
-        assert _key(got) == _key(want), c
+        assert got.passed == want.passed, c
+        if math.isnan(want.worst_slack):
+            assert math.isnan(got.worst_slack), c
+        else:
+            bound = mirror_roundoff_bound(g, phi, iv, c, grid)
+            assert want.worst_slack <= got.worst_slack <= want.worst_slack + bound, c
 
 
 def assert_estimate_matches_reference(g, phi, iv, grid):
@@ -493,7 +591,7 @@ class TestRowBlockScan:
         assert_scan_matches_reference(g, grid, (0.3, 2.1))
 
     def test_certify_memory_does_not_grow_with_the_grid(self):
-        # 141x141x129 takes the mirrored half scan, 141x141x91 skips 13 of 91 columns
+        # both grids take the mirrored half scan
         g = function_of(parse("exp(x)"))
         for grid in (GridConfig(141, 141, 91), GridConfig(141, 141, 129)):
             tracemalloc.start()
@@ -506,7 +604,8 @@ class TestRowBlockScan:
 
 
 # ---------------------------------------------------------------------------
-# the mirrored half scan: t <= 1/2 only, when (y, x, 1-t) repeats (x, y, t)
+# the symmetric grid: a square scan visits t <= 1/2 only, and (y, x, t_{K-1-k})
+# takes the values of (x, y, t_k)
 
 
 def counting(g):
@@ -523,34 +622,30 @@ def counting(g):
     return wrapped
 
 
-def _bits(value):
-    return struct.pack("<d", value)
-
-
-def matched_pairs(ts, c=1.0):
-    """Test-local rule, on Python floats: the columns k of ``ts`` whose
-    element at (x, y, t_k) is repeated at (y, x, t_{K-1-k}) under the weight
-    c*t*(1-t), i.e. 1 - t_k is t_{K-1-k}, 1 - t_{K-1-k} is t_k and the
-    weights agree, all bit for bit."""
+def skipped_columns(ts):
+    """The columns past the middle, which a square scan takes from their mirrors."""
     K = len(ts)
-    weight = [c * t * (1.0 - t) for t in ts]
-    return {
-        k for k in range(K)
-        if _bits(1.0 - ts[k]) == _bits(ts[K - 1 - k])
-        and _bits(1.0 - ts[K - 1 - k]) == _bits(ts[k])
-        and _bits(weight[k]) == _bits(weight[K - 1 - k])
-    }
+    return set(range(K // 2 + 1, K))
 
 
-def skipped_columns(ts, c=1.0):
-    """The upper column of each matched pair, which a scan does not visit."""
-    K = len(ts)
-    return {k for k in matched_pairs(ts, c) if k > K - 1 - k}
-
-
-def scanned_count(ts, c=1.0):
-    """Columns a scan of ``ts`` visits: all but the upper of each matched pair."""
-    return len(ts) - len(skipped_columns(ts, c))
+class TestTGrid:
+    def test_middle_point_is_exactly_one_half(self):
+        # linspace misses 1/2 by an ulp at some odd n_t, and a grid holding
+        # both that point and 1/2 has an even size and no middle column
+        for n_t in (99, 197, 207):
+            assert np.linspace(0.0, 1.0, n_t)[n_t // 2] == 0.5 - 2**-54
+        assert 0.5 - 2**-54 not in _t_grid(99).tolist()
+        for n_t in range(3, 2001):
+            ts = _t_grid(n_t)
+            K = ts.size
+            assert K == (n_t if n_t % 2 else n_t + 1)
+            assert ts[K // 2] == 0.5 and ts[0] == 0.0 and ts[-1] == 1.0
+            assert np.all(np.diff(ts) > 0)
+            # every other point is linspace's
+            want = np.linspace(0.0, 1.0, n_t)
+            if n_t % 2:
+                want = np.delete(want, n_t // 2)
+            assert np.array_equal(np.delete(ts, K // 2), want)
 
 
 class TestMirroredHalfScan:
@@ -560,57 +655,50 @@ class TestMirroredHalfScan:
         assert sum(g.points) == 41 + 41 * 41 * 17
 
     def test_asymmetric_grids_scan_every_t(self):
-        # n_y != n_x: the y samples are not the x samples, so nothing matches
+        # n_y != n_x: the y samples are not the x samples, so nothing mirrors
         for grid, c in ((GridConfig(41, 37, 33), 0.5), (GridConfig(41, 37, 53), 1.0)):
             g = counting(np.exp)
             certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
             n_t = _t_grid(grid.n_t).size
             assert sum(g.points) == grid.n_x + grid.n_y + grid.n_x * grid.n_y * n_t
 
-    def test_partly_mirrored_grids_skip_the_matched_upper_columns(self):
-        # (41, 41, 20) inserts 1/2 into 20 points: 21 columns, of which 3
-        # upper ones match; at c = 0.6 the default grid's weight differs at
-        # columns 13, 14, 18 and 19, so 19 of its 33 columns are scanned
-        for grid, c, n_cols in ((GridConfig(41, 41, 20), 0.5, 18),
-                                (GridConfig(), 0.6, 19),
-                                (GridConfig(41, 41, 53), 0.6, 48)):
-            ts = _t_grid(grid.n_t)
-            assert scanned_count(ts.tolist(), c) == n_cols
+    def test_square_grids_scan_half_the_columns_for_any_modulus(self):
+        # (K + 1) // 2 of K columns whatever c and n_t: (41, 41, 20) inserts
+        # 1/2 into 20 points; at c = 0.6 and 2.9 some mirrored weights
+        # c*t*(1-t) differ in their last bits
+        for grid, c, n_cols in ((GridConfig(41, 41, 20), 0.5, 11),
+                                (GridConfig(), 0.6, 17),
+                                (GridConfig(41, 41, 53), 0.6, 27),
+                                (GridConfig(41, 41, 99), 2.9, 50)):
+            assert (_t_grid(grid.n_t).size + 1) // 2 == n_cols
             g = counting(np.exp)
             certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
             assert sum(g.points) == grid.n_x + grid.n_x * grid.n_y * n_cols
 
+    def test_nan_samples_scan_every_t(self):
+        # a NaN g sample at the axes: the square grid is scanned in full
+        def g(u):
+            return np.where(u == 0.5, np.nan, np.exp(u))
+
+        for grid in (GridConfig(), GridConfig(41, 41, 53)):
+            g_counted = counting(g)
+            certify_strong_phi_convexity(g_counted, IDENTITY, IV01, 0.6, grid)
+            n_t = _t_grid(grid.n_t).size
+            assert sum(g_counted.points) == grid.n_x + grid.n_x * grid.n_y * n_t
+
     def test_symmetry_test(self):
-        ts = _t_grid(33)
         phix = np.linspace(0.0, 1.0, 41)
         gx = np.exp(phix)
-
-        def scanned(c, phiy=phix, gy=gx, ts=ts, phix=phix, gx=gx):
-            return _scanned_ts(ts, c * ts * (1.0 - ts), phix, phiy, gx, gy)[0].size
-
-        assert scanned(0.5) == 17
-        assert scanned(0.6) == 19  # (0.6*t)*(1-t) rounds unlike (0.6*(1-t))*t at 4 pairs
-        assert scanned(0.5, phiy=phix.copy(), gy=gx.copy()) == 33  # equal, not shared
         nan_phi = np.where(phix == 0.5, np.nan, phix)
-        assert scanned(0.5, phix=nan_phi, phiy=nan_phi) == 33
         nan_g = np.where(phix == 0.5, np.nan, gx)
-        assert scanned(0.5, gx=nan_g, gy=nan_g) == 33
-        for n_t in (9, 129, 20, 53, 59, 91, 99):
-            ts_n = _t_grid(n_t)
-            assert scanned(1.0, ts=ts_n) == scanned_count(ts_n.tolist(), 1.0)
-        for n_t in (9, 129):
-            assert scanned(1.0, ts=_t_grid(n_t)) == (n_t + 1) // 2
-        # the columns and their flags against the test-local rule
-        for n_t, c in ((20, 1.0), (33, 0.6), (53, 0.7), (91, 0.6)):
-            ts_n = _t_grid(n_t)
-            cols, matched = _scanned_ts(
-                ts_n, c * ts_n * (1.0 - ts_n), phix, phix, gx, gx
-            )
-            pairs = matched_pairs(ts_n.tolist(), c)
-            skipped = skipped_columns(ts_n.tolist(), c)
-            want = [k for k in range(ts_n.size) if k not in skipped]
-            assert cols.tolist() == want
-            assert matched.tolist() == [k in pairs for k in want]
+        for n_t in (9, 20, 33, 53, 59, 91, 99, 129):
+            ts = _t_grid(n_t)
+            K = ts.size
+            assert _scanned_ts(ts, phix, phix, gx, gx) == ((K + 1) // 2, True)
+            # equal samples that are not shared are not the same samples
+            assert _scanned_ts(ts, phix, phix.copy(), gx, gx.copy()) == (K, False)
+            assert _scanned_ts(ts, nan_phi, nan_phi, gx, gx) == (K, False)
+            assert _scanned_ts(ts, phix, phix, nan_g, nan_g) == (K, False)
 
     def test_corpus_targets_match_the_full_grid(self):
         witnesses = 0
@@ -658,16 +746,6 @@ class TestMirroredHalfScan:
                 assert math.isnan(res.worst_slack) and res.witness is not None
                 assert_scan_matches_reference(g, grid, (0.0, 0.5, 7.0))
 
-    def test_penalty_weight_must_be_its_own_reverse(self):
-        # c*t*(1-t) is not symmetric in t for this c, so the full grid is
-        # scanned; skipping the test reports -0.5185923159283767 at
-        # (0.0, 1.0, 0.53125) instead
-        c = 2.9155547781237297
-        res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, GridConfig(), tol=0.0)
-        assert res.worst_slack == -0.518592315928377
-        assert res.witness[:3] == (1.0, 0.0, 0.46875)
-        assert_scan_matches_reference(np.exp, GridConfig(), (c,), tol=0.0)
-
     def test_zero_minimum_sign_does_not_depend_on_the_blocks(self, monkeypatch):
         # the slack is 0.0 at most points and -0.0 where x and y lie outside
         # (0.4, 0.6) and their mixture inside
@@ -683,20 +761,22 @@ class TestMirroredHalfScan:
             for grid in failing:
                 res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 2.9, grid)
                 assert not res.passed
-                assert _key(res) == _key(reference_certify(np.exp, IDENTITY, IV01, 2.9, grid))
+                assert _key(res) == _key(symmetric_certify(np.exp, IDENTITY, IV01, 2.9, grid))
 
 
 # ---------------------------------------------------------------------------
-# the per-column mirror: matched column pairs on grids that are not 2^k + 1
+# the symmetric grid at any n_t: 2^k + 1, even (1/2 inserted), and odd
+# n_t whose linspace misses 1/2 (99) or whose t and 1 - t columns do not
+# mirror bit for bit (33 at c = 0.6, 53, 59, 91)
 
 
 class TestPerColumnMirror:
-    N_TS = (20, 33, 53, 59, 91)
+    N_TS = (9, 20, 33, 53, 59, 91, 99)
 
     @pytest.mark.parametrize("n_t", N_TS)
     def test_matches_the_full_grid(self, n_t):
-        # square grids match some columns, non-square ones none; c = 0.6
-        # and the drawn moduli leave some matched pairs with unequal weights
+        # square grids mirror every column pair, non-square ones none; at
+        # c = 0.6 and the drawn moduli some mirrored weights differ in bits
         rng = random.Random(n_t)
         targets = (
             np.exp,
@@ -727,19 +807,8 @@ class TestPerColumnMirror:
         ts = _t_grid(n_t).tolist()
         res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, grid, tol=0.0)
         assert res.witness[:2] == (0.0, 1.0)
-        assert ts.index(res.witness[2]) in skipped_columns(ts, c)
+        assert ts.index(res.witness[2]) in skipped_columns(ts)
         assert_scan_matches_reference(np.exp, grid, (c,), tol=0.0)
-
-    def test_one_sided_column_pair_is_not_matched(self):
-        # at n_t = 20, 1 - ts[7] is ts[13] but 1 - ts[13] is not ts[7], so
-        # (1, 0, ts[7]) is not repeated at (0, 1, ts[13]) and is the witness
-        grid = GridConfig(21, 21, 20)
-        ts = _t_grid(20).tolist()
-        assert _bits(1.0 - ts[7]) == _bits(ts[13]) and _bits(1.0 - ts[13]) != _bits(ts[7])
-        g = function_of(parse("x^4 + x^2"))
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 4.31, grid, tol=0.0)
-        assert res.witness[:3] == (1.0, 0.0, ts[7])
-        assert_scan_matches_reference(g, grid, (4.31, 1.31), tol=0.0)
 
     def test_ties_across_a_matched_pair(self):
         # g is 1 at one mixture value and 0 elsewhere, so the slack is -1 at
@@ -752,7 +821,7 @@ class TestPerColumnMirror:
 
         grid = GridConfig(41, 41, 53)
         ts = _t_grid(53).tolist()
-        assert 36 in skipped_columns(ts, 0.0) and 52 - 36 == 16
+        assert 36 in skipped_columns(ts) and 52 - 36 == 16
         res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid, tol=0.0)
         assert res.witness == (0.0, np.linspace(0.0, 1.0, 41)[3], ts[36], 1.0, 0.0)
         assert_scan_matches_reference(g, grid, (0.0, 0.5), tol=0.0)
@@ -763,7 +832,7 @@ class TestPerColumnMirror:
         # which stands for itself; 20 points get 1/2 inserted
         ts = _t_grid(n_t).tolist()
         middle = (len(ts) - 1) // 2
-        assert len(ts) % 2 == 1 and ts[middle] == 0.5 and middle in matched_pairs(ts, 1.5)
+        assert len(ts) % 2 == 1 and ts[middle] == 0.5
         grid = GridConfig(25, 25, n_t)
         res = certify_strong_phi_convexity(square, IDENTITY, IV01, 1.5, grid)
         assert res.witness[:3] == (0.0, 1.0, 0.5)
@@ -772,7 +841,7 @@ class TestPerColumnMirror:
     @pytest.mark.parametrize("grid", [GridConfig(41, 41, 53), GridConfig(45, 45, 91)])
     def test_nan_bands(self, grid):
         # the first band lies between grid samples, so the scan meets NaN at
-        # mixtures only; the second covers the sample 1/2, so nothing matches
+        # mixtures only; the second covers the sample 1/2, so nothing mirrors
         for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
             def g(u):
                 return np.where(np.abs(u - center) < half, np.nan, u * u)
@@ -793,9 +862,8 @@ class TestBlockSize:
     SMALL_BLOCK = 8188
 
     def test_default_grid_blocks_stay_below_64_kib(self):
-        # c = 0.5 takes the mirrored half scan, c = 0.6 skips 14 of the 33
-        # columns
-        for c, n_t in ((0.5, 17), (0.6, 19)):
+        # the mirrored half scan, 17 of the 33 columns, at any c
+        for c, n_t in ((0.5, 17), (0.6, 17)):
             g = counting(np.exp)
             certify_strong_phi_convexity(g, IDENTITY, IV01, c)
             blocks = [shape for shape in g.shapes if len(shape) == 3]
@@ -808,10 +876,10 @@ class TestBlockSize:
     @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
     def test_large_scans_keep_the_full_size_rule(self, grid):
         ts = _t_grid(grid.n_t).tolist()
-        # 141x141x91 scans 78 of 91 columns; 81x65x53 has n_y != n_x and
+        # 141x141x91 scans 46 of 91 columns; 81x65x53 has n_y != n_x and
         # scans all
-        k = scanned_count(ts, 0.5) if grid.n_y == grid.n_x else len(ts)
-        assert k == (78 if grid.n_y == grid.n_x else 53)
+        k = (len(ts) + 1) // 2 if grid.n_y == grid.n_x else len(ts)
+        assert k == (46 if grid.n_y == grid.n_x else 53)
         assert grid.n_x * grid.n_y * k > 8 * CHUNK_POINTS
         rows = max(1, CHUNK_POINTS // (grid.n_y * k))
         want = [(min(rows, grid.n_x - i0), grid.n_y, k) for i0 in range(0, grid.n_x, rows)]
