@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -110,6 +111,10 @@ def _cmd_modulus(args) -> int:
     else:
         g, target = derivative_power(spec.f, spec.q), "|f'|^q"
     c_star = estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
+    if math.isnan(c_star):
+        # main reports it as a numerical failure
+        raise ValueError(f"modulus estimate of {target} is NaN: {target} is not "
+                         "finite on its sample of phi([a, b])")
     print("%#.6g" % c_star)
     if c_star < 0:
         print(f"note: {target} is not convex on phi([a, b]), "

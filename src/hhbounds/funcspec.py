@@ -16,6 +16,7 @@ estimation at desk scale.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -168,11 +169,12 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     for n in (spec.grid.n_x, spec.grid.n_y, spec.grid.n_t):
         if n < 3:
             raise SpecValidationError("grid-size", f"grid counts must be >= 3, got {n}")
-    # the t grid has at most n_t + 1 points (1/2 may be inserted)
-    points = spec.grid.n_x * spec.grid.n_y * (spec.grid.n_t + 1)
+    # _t_grid inserts 1/2 into an even n_t
+    n_t = spec.grid.n_t + (spec.grid.n_t % 2 == 0)
+    points = spec.grid.n_x * spec.grid.n_y * n_t
     if points > MAX_GRID_POINTS:
         raise SpecValidationError(
-            "grid-size", f"grid has up to {points} points, above {MAX_GRID_POINTS}"
+            "grid-size", f"grid has {points} points, above {MAX_GRID_POINTS}"
         )
 
     try:
@@ -241,8 +243,20 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return xs, _sample(phi, xs)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=64)
+def _axis(a: float, b: float, n: int) -> np.ndarray:
+    """n equispaced points of [a, b], built once per (a, b, n) and read-only."""
+    return _read_only(np.linspace(a, b, n))
+
+
+@functools.lru_cache(maxsize=64)
 def _t_grid(n_t: int) -> np.ndarray:
-    """Uniform t grid over [0, 1] whose middle point is exactly 1/2.
+    """Uniform t grid over [0, 1] whose middle point is exactly 1/2, read-only.
 
     1/2 replaces linspace's middle value for odd n_t (which misses it by an
     ulp at n_t = 99) and is inserted for even n_t, so the size K is odd.
@@ -250,8 +264,8 @@ def _t_grid(n_t: int) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, n_t)
     if n_t % 2:
         ts[n_t // 2] = 0.5
-        return ts
-    return np.insert(ts, n_t // 2, 0.5)
+        return _read_only(ts)
+    return _read_only(np.insert(ts, n_t // 2, 0.5))
 
 
 def _scanned_ts(ts, phix, phiy, gx, gy):
@@ -290,19 +304,25 @@ def certify_strong_phi_convexity(
     or one with a NaN phi or g sample at the axes, is evaluated everywhere.
 
     The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*cols))
-    whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever
-    n_x. A scan of at most 8*CHUNK_POINTS points halves the block, so its
+    whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever n_x:
+    two block arrays, and five contiguous (1, n_y, cols) planes built once
+    per scan (t, phi(y), c*t*(1-t), (1-t)*phi(y) and (1-t)*g(phi(y))). A
+    scan of at most 8*CHUNK_POINTS points halves the block, so its block
     arrays stay below 64 KiB, whose free does not make glibc trim the heap
-    and the next scan fault the pages in again. The mixture and chord arrays
-    are allocated once and rewritten with ``out=``; once g has read the
-    mixture (a result sharing its memory is copied), the penalty and the
-    corrected chord overwrite it, and the slack the chord. Each element gets
-    the same floating-point operations in the same order whatever the
-    blocks, so results do not depend on the block size.
+    and the next scan fault the pages in again. Each block is computed by
+    ufuncs writing into the two arrays, whose only broadcast is an x-row's
+    scalar along the leading axis, one inner loop of n_y*cols per row: the
+    mixture t*phi(x) + (1-t)*phi(y); once g has read it (a result sharing
+    its memory is copied), the penalty (phi(x) - phi(y))**2*c*t*(1-t) and
+    then the corrected chord overwrite it, and the slack overwrites the
+    chord t*g(phi(x)) + (1-t)*g(phi(y)). Each element gets the same
+    floating-point operations in the same order whatever the blocks, so
+    results do not depend on the block size. The x and y samples and the t
+    grid are built once per (a, b, n) and n_t and are read-only.
     """
-    xs = np.linspace(iv.a, iv.b, grid.n_x)
+    xs = _axis(iv.a, iv.b, grid.n_x)
     # with n_y == n_x the y arrays are the x arrays, which _scanned_ts tests by identity
-    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
+    ys = xs if grid.n_y == grid.n_x else _axis(iv.a, iv.b, grid.n_y)
     phix = _sample(phi, xs)
     phiy = phix if ys is xs else _sample(phi, ys)
     gx = _sample(g, phix)
@@ -312,11 +332,14 @@ def certify_strong_phi_convexity(
         g_max = np.abs(gx).max()
         tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
     cols, mirrored = _scanned_ts(ts, phix, phiy, gx, gy)
-    T = ts[None, None, :cols]
+    # the per-scan constants as contiguous (1, n_y, cols) planes, so that a
+    # block's only broadcast is its per-row scalar along the leading axis
+    plane = (1, ys.size, cols)
+    T = np.broadcast_to(ts[:cols], plane).copy()
     weight = c * T * (1.0 - T)
-    Y = phiy[None, :, None]
+    Y = np.broadcast_to(phiy[:, None], plane).copy()
     mix_y = (1.0 - T) * Y
-    chord_y = (1.0 - T) * gy[None, :, None]
+    chord_y = (1.0 - T) * gy[:, None]
     row = ys.size * cols
     chunk = CHUNK_POINTS // 2 if xs.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
     rows = max(1, chunk // row)
@@ -327,12 +350,16 @@ def certify_strong_phi_convexity(
     for i0 in range(0, xs.size, rows):
         X = phix[i0:i0 + rows, None, None]
         n = X.shape[0]
-        mix = np.add(T * X, mix_y, out=mix_buf[:n])
+        mix = np.multiply(T, X, out=mix_buf[:n])
+        mix += mix_y
         gmix = _sample(g, mix)
         if np.may_share_memory(gmix, mix):
             gmix = gmix.copy()
-        chord = np.add(T * gx[i0:i0 + n, None, None], chord_y, out=chord_buf[:n])
-        penalty = np.multiply(weight, (X - Y) ** 2, out=mix)
+        chord = np.multiply(T, gx[i0:i0 + n, None, None], out=chord_buf[:n])
+        chord += chord_y
+        penalty = np.subtract(X, Y, out=mix)
+        penalty *= penalty
+        penalty *= weight
         corrected = np.subtract(chord, penalty, out=mix)
         slack = np.subtract(corrected, gmix, out=chord)
         m = slack.min()

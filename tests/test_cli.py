@@ -209,6 +209,16 @@ class TestModulus:
             "note: |f'|^q is not convex on phi([a, b]), so no modulus >= 0 is admissible\n"
         )
 
+    def test_nan_estimate_exits_one_without_traceback(self, tmp_path, capsys):
+        # exp(1000*x) overflows, and inf - inf is NaN in f and in f'
+        path = write_config(tmp_path, {"f": "exp(1000*x) - exp(1000*x)", "a": 0, "b": 1})
+        for target, name in (("f", "f"), ("fprime_q", "|f'|^q")):
+            assert main(["modulus", path, "--target", target]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: modulus estimate of {name} is NaN")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestLemma:
     def test_square(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from hhbounds.funcspec import (
     derivative_power,
     estimate_max_modulus,
     function_of,
+    _axis,
     _scanned_ts,
     _t_grid,
     validate,
@@ -101,6 +102,21 @@ class TestValidate:
             tracemalloc.stop()
         assert exc.value.code == "grid-size"
         assert peak < 2**20
+
+    def test_grid_size_counts_the_t_grid_exactly(self):
+        # an odd n_t gives n_t t points: 1025*1024*127 = 133,299,200 <= 2^27
+        spec = make_spec(grid=GridConfig(1025, 1024, 127))
+        tracemalloc.start()
+        try:
+            assert validate(spec).valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # an even n_t gets 1/2 inserted: 1025*1024*129 = 135,398,400 > 2^27
+        with pytest.raises(SpecValidationError, match="grid has 135398400 points") as exc:
+            validate(make_spec(grid=GridConfig(1025, 1024, 128)))
+        assert exc.value.code == "grid-size"
 
     def test_holder_conjugate(self):
         assert validate(make_spec(q=2.0)).p == 2.0
@@ -887,3 +903,91 @@ class TestBlockSize:
         certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
         assert [shape for shape in g.shapes if len(shape) == 3] == want
 
+
+
+# ---------------------------------------------------------------------------
+# the shapes the fine-grid benchmark scans: n x n x (2*round(0.32*n) + 1)
+# square grids and n x (n - 2k) ones, for n in {81, 111, 141}
+
+
+def _pass_and_fail_moduli(g, phi, grid):
+    """The estimated modulus, which passes with a worst slack set by
+    roundoff inside the grid, and well above it, which fails."""
+    estimate = estimate_max_modulus(g, phi, IV01, grid)
+    return estimate, 2.0 * estimate + 1.0
+
+
+class TestFineGridShapes:
+    # one (phi, f, target) per grid; together they cover the benchmark's
+    # three phi maps, f, and |f'|^q at q = 1, 2, 3, all convex on phi([0, 1])
+    CASES = [
+        (GridConfig(81, 81, 53), "identity", "exp(x)", None),
+        (GridConfig(81, 75, 53), "x^2", "x^4 + x^2", 1.0),
+        (GridConfig(111, 111, 73), "0.25 + 0.5*x", "x^4", 2.0),
+        (GridConfig(111, 101, 73), "x^2", "x^2 + 1 - cos(x)", None),
+        (GridConfig(141, 141, 91), "identity", "exp(x)", 3.0),
+        (GridConfig(141, 125, 91), "0.25 + 0.5*x", "x^4 + x^2", 2.0),
+    ]
+
+    @pytest.mark.parametrize("grid, phi, f, q", CASES)
+    def test_matches_the_references(self, grid, phi, f, q):
+        n = grid.n_x
+        assert grid.n_t == 2 * round(0.32 * n) + 1 and (n - grid.n_y) % 2 == 0
+        g = function_of(parse(f)) if q is None else derivative_power(parse(f), q)
+        phi = PhiMap.from_source(phi)
+        c_pass, c_fail = _pass_and_fail_moduli(g, phi, grid)
+        assert certify_strong_phi_convexity(g, phi, IV01, c_pass, grid).passed
+        assert not certify_strong_phi_convexity(g, phi, IV01, c_fail, grid).passed
+        assert_scan_matches_reference(g, grid, (c_pass, c_fail), phi=phi)
+
+    @pytest.mark.parametrize("grid", [GridConfig(81, 81, 53), GridConfig(81, 75, 53)])
+    def test_partial_last_block(self, monkeypatch, grid):
+        # blocks of 2, 5 and 7 x-rows leave 1, 1 and 4 of the 81 rows to the
+        # last; the square grid scans 27 of its 53 columns
+        cols = 27 if grid.n_y == grid.n_x else 53
+        row = grid.n_y * cols
+        g = derivative_power(parse("exp(x)"), 2.0)
+        phi = PhiMap.from_source("x^2")
+        moduli = _pass_and_fail_moduli(g, phi, grid)
+        for rows in (2, 5, 7):
+            monkeypatch.setattr("hhbounds.funcspec.CHUNK_POINTS", rows * row)
+            assert grid.n_x * row > 8 * rows * row  # the full-size rule
+            for c in moduli:
+                counted = counting(g)
+                res = certify_strong_phi_convexity(counted, phi, IV01, c, grid)
+                blocks = [shape for shape in counted.shapes if len(shape) == 3]
+                assert blocks[-1] == (grid.n_x % rows, grid.n_y, cols)
+                assert _key(res) == _key(symmetric_certify(g, phi, IV01, c, grid))
+
+
+# ---------------------------------------------------------------------------
+# the cached axis samples and t grids are shared and read-only
+
+
+class TestCachedGrids:
+    def test_shared_and_read_only(self):
+        assert _axis(0.0, 1.0, 41) is _axis(0.0, 1.0, 41)
+        assert _t_grid(33) is _t_grid(33)
+        for values in (_axis(0.0, 1.0, 41), _t_grid(33), _t_grid(20)):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.25
+
+    def test_certification_leaves_them_unchanged(self):
+        # with the identity phi the x samples are the cached axis, and a g
+        # that returns its input returns that axis as its samples too
+        grids = (GridConfig(), GridConfig(30, 27, 20))
+        fresh = {}
+        for grid in grids:
+            for n in (grid.n_x, grid.n_y):
+                fresh[n] = np.linspace(0.0, 1.0, n).tobytes()
+            fresh["t", grid.n_t] = _reference_samples(
+                np.exp, IDENTITY, IV01, grid)[2].tobytes()
+        for g in (np.exp, function_of(parse("x")), lambda u: u, lambda u: u[...]):
+            for phi in (IDENTITY, PhiMap.from_source("x^2")):
+                for grid in grids:
+                    for c in (0.0, 5.0):
+                        certify_strong_phi_convexity(g, phi, IV01, c, grid)
+                    for n in (grid.n_x, grid.n_y):
+                        assert _axis(0.0, 1.0, n).tobytes() == fresh[n]
+                    assert _t_grid(grid.n_t).tobytes() == fresh["t", grid.n_t]
