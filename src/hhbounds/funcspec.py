@@ -16,7 +16,6 @@ estimation at desk scale.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -243,20 +242,8 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return xs, _sample(phi, xs)
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
-@functools.lru_cache(maxsize=64)
-def _axis(a: float, b: float, n: int) -> np.ndarray:
-    """n equispaced points of [a, b], built once per (a, b, n) and read-only."""
-    return _read_only(np.linspace(a, b, n))
-
-
-@functools.lru_cache(maxsize=64)
 def _t_grid(n_t: int) -> np.ndarray:
-    """Uniform t grid over [0, 1] whose middle point is exactly 1/2, read-only.
+    """Uniform t grid over [0, 1] whose middle point is exactly 1/2.
 
     1/2 replaces linspace's middle value for odd n_t (which misses it by an
     ulp at n_t = 99) and is inserted for even n_t, so the size K is odd.
@@ -264,8 +251,8 @@ def _t_grid(n_t: int) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, n_t)
     if n_t % 2:
         ts[n_t // 2] = 0.5
-        return _read_only(ts)
-    return _read_only(np.insert(ts, n_t // 2, 0.5))
+        return ts
+    return np.insert(ts, n_t // 2, 0.5)
 
 
 def _scanned_ts(ts, phix, phiy, gx, gy):
@@ -305,24 +292,25 @@ def certify_strong_phi_convexity(
 
     The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*cols))
     whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever n_x:
-    two block arrays, and five contiguous (1, n_y, cols) planes built once
-    per scan (t, phi(y), c*t*(1-t), (1-t)*phi(y) and (1-t)*g(phi(y))). A
-    scan of at most 8*CHUNK_POINTS points halves the block, so its block
-    arrays stay below 64 KiB, whose free does not make glibc trim the heap
-    and the next scan fault the pages in again. Each block is computed by
-    ufuncs writing into the two arrays, whose only broadcast is an x-row's
-    scalar along the leading axis, one inner loop of n_y*cols per row: the
-    mixture t*phi(x) + (1-t)*phi(y); once g has read it (a result sharing
+    five contiguous (1, n_y, cols) planes built once per scan (t, phi(y),
+    c*t*(1-t), (1-t)*phi(y) and (1-t)*g(phi(y))), two block arrays, and g's
+    values at the block with whatever g allocates to compute them. When a
+    block is one x-row, that is 8 arrays of n_y*cols floats at the peak,
+    plus g's temporaries. A scan of at most 8*CHUNK_POINTS points halves the
+    block, so its block arrays stay below 64 KiB, whose free does not make
+    glibc trim the heap and the next scan fault the pages in again. Each
+    block is computed by ufuncs writing into the two arrays, whose only
+    broadcast is an x-row's scalar along the leading axis, one inner loop of
+    n_y*cols per row: the mixture t*phi(x) + (1-t)*phi(y); once g has read it (a result sharing
     its memory is copied), the penalty (phi(x) - phi(y))**2*c*t*(1-t) and
     then the corrected chord overwrite it, and the slack overwrites the
     chord t*g(phi(x)) + (1-t)*g(phi(y)). Each element gets the same
     floating-point operations in the same order whatever the blocks, so
-    results do not depend on the block size. The x and y samples and the t
-    grid are built once per (a, b, n) and n_t and are read-only.
+    results do not depend on the block size.
     """
-    xs = _axis(iv.a, iv.b, grid.n_x)
+    xs = np.linspace(iv.a, iv.b, grid.n_x)
     # with n_y == n_x the y arrays are the x arrays, which _scanned_ts tests by identity
-    ys = xs if grid.n_y == grid.n_x else _axis(iv.a, iv.b, grid.n_y)
+    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
     phix = _sample(phi, xs)
     phiy = phix if ys is xs else _sample(phi, ys)
     gx = _sample(g, phix)
@@ -333,13 +321,16 @@ def certify_strong_phi_convexity(
         tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
     cols, mirrored = _scanned_ts(ts, phix, phiy, gx, gy)
     # the per-scan constants as contiguous (1, n_y, cols) planes, so that a
-    # block's only broadcast is its per-row scalar along the leading axis
+    # block's only broadcast is its per-row scalar along the leading axis;
+    # each is written in one pass from the t and y vectors
+    t = ts[:cols]
+    s = 1.0 - t
     plane = (1, ys.size, cols)
-    T = np.broadcast_to(ts[:cols], plane).copy()
-    weight = c * T * (1.0 - T)
+    T = np.broadcast_to(t, plane).copy()
+    weight = np.broadcast_to(c * t * s, plane).copy()
     Y = np.broadcast_to(phiy[:, None], plane).copy()
-    mix_y = (1.0 - T) * Y
-    chord_y = (1.0 - T) * gy[:, None]
+    mix_y = np.multiply(s, phiy[:, None])[None]
+    chord_y = np.multiply(s, gy[:, None])[None]
     row = ys.size * cols
     chunk = CHUNK_POINTS // 2 if xs.size * row <= 8 * CHUNK_POINTS else CHUNK_POINTS
     rows = max(1, chunk // row)
@@ -352,6 +343,7 @@ def certify_strong_phi_convexity(
         n = X.shape[0]
         mix = np.multiply(T, X, out=mix_buf[:n])
         mix += mix_y
+        gmix = None  # the last block's g values go before g allocates the next
         gmix = _sample(g, mix)
         if np.may_share_memory(gmix, mix):
             gmix = gmix.copy()

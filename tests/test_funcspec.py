@@ -23,7 +23,6 @@ from hhbounds.funcspec import (
     derivative_power,
     estimate_max_modulus,
     function_of,
-    _axis,
     _scanned_ts,
     _t_grid,
     validate,
@@ -961,33 +960,21 @@ class TestFineGridShapes:
 
 
 # ---------------------------------------------------------------------------
-# the cached axis samples and t grids are shared and read-only
+# a scan keeps nothing once it returns
 
 
-class TestCachedGrids:
-    def test_shared_and_read_only(self):
-        assert _axis(0.0, 1.0, 41) is _axis(0.0, 1.0, 41)
-        assert _t_grid(33) is _t_grid(33)
-        for values in (_axis(0.0, 1.0, 41), _t_grid(33), _t_grid(20)):
-            assert not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0] = 0.25
-
-    def test_certification_leaves_them_unchanged(self):
-        # with the identity phi the x samples are the cached axis, and a g
-        # that returns its input returns that axis as its samples too
-        grids = (GridConfig(), GridConfig(30, 27, 20))
-        fresh = {}
-        for grid in grids:
-            for n in (grid.n_x, grid.n_y):
-                fresh[n] = np.linspace(0.0, 1.0, n).tobytes()
-            fresh["t", grid.n_t] = _reference_samples(
-                np.exp, IDENTITY, IV01, grid)[2].tobytes()
-        for g in (np.exp, function_of(parse("x")), lambda u: u, lambda u: u[...]):
-            for phi in (IDENTITY, PhiMap.from_source("x^2")):
-                for grid in grids:
-                    for c in (0.0, 5.0):
-                        certify_strong_phi_convexity(g, phi, IV01, c, grid)
-                    for n in (grid.n_x, grid.n_y):
-                        assert _axis(0.0, 1.0, n).tobytes() == fresh[n]
-                    assert _t_grid(grid.n_t).tobytes() == fresh["t", grid.n_t]
+class TestScanKeepsNothing:
+    def test_distinct_grids_leave_no_memory_behind(self):
+        # each grid's x, y or t samples take at least 160 KB, so a kept
+        # sample array, plane or buffer would show in the traced memory
+        grids = (GridConfig(3, 20001, 3), GridConfig(3, 5, 20001), GridConfig(5, 5, 40001))
+        certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 0.25, GridConfig(3, 3, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for grid in grids:
+                certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 0.25, grid)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**14
