@@ -37,6 +37,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import corpus_specs, spec_from_config
 from .funcspec import (
     derivative_power,
@@ -178,7 +180,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.run(args)
+        # overflow and NaN show in the results; numpy's warnings would only
+        # add their source lines to stderr
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,7 @@ __all__ = [
 PHI_RANGE_GRID = 1001
 CHUNK_POINTS = 2**14  # grid points per row block of a certification scan
 MAX_GRID_POINTS = 2**27  # validate rejects larger (x, y, t) grids
+MAX_ROW_POINTS = 2**22  # and larger one-x-row (y, t) planes
 
 
 class SpecValidationError(ValueError):
@@ -147,7 +148,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
     [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). The
-    certification grid may have at most MAX_GRID_POINTS points.
+    certification grid may have at most MAX_GRID_POINTS points, and one of
+    its x-rows, n_y*K with K the size of the t grid, at most MAX_ROW_POINTS.
+    So a certification scan peaks near 8 arrays of max(CHUNK_POINTS, n_y*K)
+    floats, at most 256 MiB, plus g's temporaries.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
@@ -170,11 +174,12 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             raise SpecValidationError("grid-size", f"grid counts must be >= 3, got {n}")
     # _t_grid inserts 1/2 into an even n_t
     n_t = spec.grid.n_t + (spec.grid.n_t % 2 == 0)
-    points = spec.grid.n_x * spec.grid.n_y * n_t
-    if points > MAX_GRID_POINTS:
-        raise SpecValidationError(
-            "grid-size", f"grid has {points} points, above {MAX_GRID_POINTS}"
-        )
+    for what, points, limit in (
+        ("grid", spec.grid.n_x * spec.grid.n_y * n_t, MAX_GRID_POINTS),
+        ("one x-row", spec.grid.n_y * n_t, MAX_ROW_POINTS),
+    ):
+        if points > limit:
+            raise SpecValidationError("grid-size", f"{what} has {points} points, above {limit}")
 
     try:
         xs, phis = _phi_sample(spec.phi, iv)
@@ -255,19 +260,6 @@ def _t_grid(n_t: int) -> np.ndarray:
     return np.insert(ts, n_t // 2, 0.5)
 
 
-def _scanned_ts(ts, phix, phiy, gx, gy):
-    """How many t columns a scan visits, and whether they stand for their mirrors.
-
-    The inequality is unchanged under (x, y, t) -> (y, x, 1 - t). When the
-    y samples are the x samples and no phi or g sample at them is NaN, the
-    scan visits the columns k <= (K-1)/2 only, and the grid element (x_j,
-    x_i, t_{K-1-k}) is evaluated as (x_i, x_j, t_k). Otherwise it visits all.
-    """
-    mirrored = (phiy is phix and gy is gx
-                and not (np.isnan(phix).any() or np.isnan(gx).any()))
-    return ((ts.size + 1) // 2 if mirrored else ts.size), mirrored
-
-
 def certify_strong_phi_convexity(
     g: Callable,
     phi: PhiMap,
@@ -278,17 +270,17 @@ def certify_strong_phi_convexity(
 ) -> CertificateResult:
     """Sample the strong phi-convexity inequality for g on the grid.
 
-    ``g`` must accept numpy arrays. The minimum slack over the grid decides
-    the certificate; ties on the minimum resolve to the lexicographically
-    smallest (x, y, t), and a NaN slack is the minimum wherever it occurs,
-    as in ``ndarray.min``. Default tolerance is 1e-9*(1 + max|g| over the x
-    and y samples). A zero minimum is -0.0 only when every zero slack is.
+    ``g`` must accept numpy arrays. The minimum slack over the elements the
+    scan evaluates decides the certificate; a NaN slack is the minimum
+    wherever it occurs, as in ``ndarray.min``, and a zero minimum is +0.0.
+    Default tolerance is 1e-9*(1 + max|g| over the x and y samples). A
+    failed certificate's witness is the first minimum in scan order, (x, y,
+    t) order over the scanned columns, with its own lhs and rhs.
 
-    A square grid (n_y == n_x) is symmetric: its t columns past 1/2 take
-    the values of their mirrors (see ``_scanned_ts``), so a witness with
-    t > 1/2 is the mirror (y, x, t) of a scanned element (x, y, t'), t' =
-    1 - t up to an ulp, with that element's lhs and rhs. A non-square grid,
-    or one with a NaN phi or g sample at the axes, is evaluated everywhere.
+    The inequality is unchanged under (x, y, t) -> (y, x, 1 - t). So on a
+    square grid (n_y == n_x) with no NaN phi or g sample at the axes, the t
+    columns past 1/2 repeat the others, the scan visits k <= (K-1)/2 only,
+    and a witness has t <= 1/2. Any other grid is evaluated everywhere.
 
     The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*cols))
     whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever n_x:
@@ -296,7 +288,8 @@ def certify_strong_phi_convexity(
     c*t*(1-t), (1-t)*phi(y) and (1-t)*g(phi(y))), two block arrays, and g's
     values at the block with whatever g allocates to compute them. When a
     block is one x-row, that is 8 arrays of n_y*cols floats at the peak,
-    plus g's temporaries. A scan of at most 8*CHUNK_POINTS points halves the
+    plus g's temporaries; ``validate`` keeps n_y*K at most MAX_ROW_POINTS.
+    A scan of at most 8*CHUNK_POINTS points halves the
     block, so its block arrays stay below 64 KiB, whose free does not make
     glibc trim the heap and the next scan fault the pages in again. Each
     block is computed by ufuncs writing into the two arrays, whose only
@@ -309,7 +302,6 @@ def certify_strong_phi_convexity(
     results do not depend on the block size.
     """
     xs = np.linspace(iv.a, iv.b, grid.n_x)
-    # with n_y == n_x the y arrays are the x arrays, which _scanned_ts tests by identity
     ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
     phix = _sample(phi, xs)
     phiy = phix if ys is xs else _sample(phi, ys)
@@ -319,7 +311,8 @@ def certify_strong_phi_convexity(
     if tol is None:
         g_max = np.abs(gx).max()
         tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
-    cols, mirrored = _scanned_ts(ts, phix, phiy, gx, gy)
+    symmetric = ys is xs and not (np.isnan(phix).any() or np.isnan(gx).any())
+    cols = (ts.size + 1) // 2 if symmetric else ts.size
     # the per-scan constants as contiguous (1, n_y, cols) planes, so that a
     # block's only broadcast is its per-row scalar along the leading axis;
     # each is written in one pass from the t and y vectors
@@ -336,8 +329,7 @@ def certify_strong_phi_convexity(
     rows = max(1, chunk // row)
     shape = (min(rows, xs.size), ys.size, cols)
     mix_buf, chord_buf = np.empty(shape), np.empty(shape)
-    worst = hit = None
-    plus_zero = False
+    worst = witness = None
     for i0 in range(0, xs.size, rows):
         X = phix[i0:i0 + rows, None, None]
         n = X.shape[0]
@@ -355,48 +347,20 @@ def certify_strong_phi_convexity(
         corrected = np.subtract(chord, penalty, out=mix)
         slack = np.subtract(corrected, gmix, out=chord)
         m = slack.min()
-        # which signed zero ndarray.min returns depends on the layout
-        if m == 0 and not plus_zero:
-            plus_zero = not np.signbit(m) or np.any((slack == 0) & ~np.signbit(slack))
-        # a NaN, once found, stays the minimum
-        if worst is None or m < worst or (np.isnan(m) and not np.isnan(worst)):
-            worst, hit = m, None
-        elif not (m == worst or np.isnan(m)):
-            continue  # a tie may hold a smaller witness through a mirror
-        if m >= -tol:
-            continue  # a passing certificate has no witness
-        index, at = _first_minimum(slack, m, i0, ts.size, mirrored)
-        if hit is None or index < hit[0]:
-            hit = (index, gmix.flat[at], corrected.flat[at])
+        # an earlier block keeps a tie, and a NaN, once found, stays the minimum
+        if worst is not None and not (m < worst or (np.isnan(m) and not np.isnan(worst))):
+            continue
+        worst = m
+        if not m >= -tol:
+            i, j, k = np.unravel_index(slack.argmin(), slack.shape)
+            witness = (float(xs[i0 + i]), float(ys[j]), float(ts[k]),
+                       float(gmix[i, j, k]), float(corrected[i, j, k]))
     worst = float(worst)
     if worst == 0:
-        worst = 0.0 if plus_zero else -0.0
+        worst = 0.0  # the sign of a zero minimum depends on the layout
     if worst >= -tol:
         return CertificateResult(True, worst, None)
-    index, lhs, rhs = hit
-    i, j, k = np.unravel_index(index, (xs.size, ys.size, ts.size))
-    witness = (float(xs[i]), float(ys[j]), float(ts[k]), float(lhs), float(rhs))
     return CertificateResult(False, worst, witness)
-
-
-def _first_minimum(slack, m, i0, n_t, mirrored):
-    """Where a block of the certification scan first reaches its minimum ``m``.
-
-    Returns the grid index of (i, j, k) as (i*n_y + j)*n_t + k, which orders
-    like (x, y, t), and the element's flat position in the block, over every
-    element equal to m (every NaN when m is NaN). In a ``mirrored`` scan
-    each element counts as the smaller of itself and its mirror (j, i,
-    n_t-1-k), which takes its values.
-    """
-    at = np.flatnonzero(np.isnan(slack) if np.isnan(m) else slack == m)
-    i, j, k = np.unravel_index(at, slack.shape)
-    i = i + i0
-    n_y = slack.shape[1]
-    index = (i * n_y + j) * n_t + k
-    if mirrored:
-        index = np.minimum(index, (j * n_y + i) * n_t + (n_t - 1 - k))
-    a = np.argmin(index)
-    return int(index[a]), int(at[a])
 
 
 def estimate_max_modulus(

@@ -55,7 +55,8 @@ WEIGHTS = np.array((_WK, _WG)).T[_PAIRS]
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit the depth or evaluation limit without converging."""
+    """The integrand is not finite at a node, or adaptive refinement hit the
+    depth or evaluation limit without converging."""
 
 
 class IdentityViolationError(RuntimeError):
@@ -96,9 +97,10 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
     Gauss value; tol halves per level, and other panels are bisected. The
     value, error estimate and evaluation count are those of the depth-first
     recursion, and the value that of separate calls per piece summed in
-    order. Raises QuadratureError past depth MAX_DEPTH, and before a level
-    that would take the evaluations past MAX_EVALUATIONS, which is what stops
-    an integrand that does not converge anywhere.
+    order. Raises QuadratureError at the first level that samples a value
+    that is not finite, past depth MAX_DEPTH, and before a level that would
+    take the evaluations past MAX_EVALUATIONS, which is what stops an
+    integrand that does not converge anywhere.
     """
     los, his = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if los.ndim != 1 or los.shape != his.shape or not los.size:
@@ -131,6 +133,16 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         accepted_panels.append((piece[accepted], a[accepted], err[accepted], kronrod[accepted]))
         if accepted.all():
             break
+        # a panel with a sample that is not finite has a NaN or inf error, so
+        # it is never accepted and only a refining level needs to look
+        bad = ~np.isfinite(f)
+        if bad.any():
+            p, k = np.unravel_index(np.argmax(bad), f.shape)
+            i = piece[p]
+            raise QuadratureError(
+                f"integrand is {f[p, k]} at {mid[p] + half[p] * KRONROD_NODES[k]} on "
+                f"[{los[i]}, {his[i]}] (depth {depth}, {evals} evaluations)"
+            )
         if depth >= MAX_DEPTH:
             i = np.argmin(np.where(accepted, np.inf, a))
             raise QuadratureError(

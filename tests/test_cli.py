@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -153,6 +154,18 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config ") and key in err
 
+@pytest.mark.parametrize("command", ["check", "bounds", "modulus", "lemma"])
+def test_overflow_prints_only_the_error_line(tmp_path, capsys, command):
+    # exp(1000*x) overflows and inf - inf is NaN: numpy would warn, and a
+    # warning must neither reach stderr nor stop the command
+    path = write_config(tmp_path, {"f": "exp(1000*x) - exp(1000*x)", "a": 0, "b": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,6 +254,18 @@ class TestLemma:
         assert err.startswith("error: negative power overflows in ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+
+    def test_nan_integrand_exits_one_at_the_first_level(self, tmp_path, capsys):
+        # exp(1000*x) overflows, and inf - inf is NaN; the first 15 Gauss-Kronrod
+        # nodes of the gap's integral already sample it
+        path = write_config(tmp_path, {"f": "exp(1000*x) - exp(1000*x)", "a": 0, "b": 1})
+        assert main(["lemma", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: integrand is nan at 0.9957276855604063 on [0.0, 1.0] "
+            "(depth 0, 15 evaluations)\n"
+        )
 
     def test_tiny_divisor_runs_without_traceback(self, tmp_path, capsys):
         # the derivative of x/1e-170 is 1e170; (1e-170)^2 underflows to 0.

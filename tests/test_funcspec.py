@@ -23,7 +23,6 @@ from hhbounds.funcspec import (
     derivative_power,
     estimate_max_modulus,
     function_of,
-    _scanned_ts,
     _t_grid,
     validate,
 )
@@ -116,6 +115,26 @@ class TestValidate:
         with pytest.raises(SpecValidationError, match="grid has 135398400 points") as exc:
             validate(make_spec(grid=GridConfig(1025, 1024, 128)))
         assert exc.value.code == "grid-size"
+
+    def test_oversize_row_rejected_without_allocating(self):
+        # 3*6700*6677 points are below 2^27, but one x-row of 6700*6677
+        # points would make a scan peak near 2.9 GB
+        for grid, message in (
+            (GridConfig(3, 6700, 6677), "one x-row has 44735900 points, above 4194304"),
+            # an even n_t gets 1/2 inserted: 4096*1025 = 4,198,400 > 2^22
+            (GridConfig(3, 4096, 1024), "one x-row has 4198400 points"),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SpecValidationError, match=message) as exc:
+                    validate(make_spec(grid=grid))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.code == "grid-size"
+            assert peak < 2**20
+        # 4096*1023 = 4,190,208 <= 2^22
+        assert validate(make_spec(grid=GridConfig(3, 4096, 1023))).valid
 
     def test_holder_conjugate(self):
         assert validate(make_spec(q=2.0)).p == 2.0
@@ -386,23 +405,19 @@ def reference_certify(g, phi, iv, c, grid, tol=None):
 
 
 def symmetric_certify(g, phi, iv, c, grid, tol=None):
-    """Test-local scan of the symmetric grid, element by element.
+    """Test-local certification over the elements the scan evaluates.
 
-    On a square grid whose phi and g samples at the axes hold no NaN, the
-    element (i, j, K-1-k) past the middle t column is evaluated as (j, i, k);
-    every other element as itself, as in ``reference_certify``. The first
-    minimum in (x, y, t) order is the witness, a NaN is the minimum wherever
-    it is, and a zero minimum is -0.0 only when every zero slack is.
+    A square grid whose phi and g samples at the axes hold no NaN keeps the
+    t columns up to 1/2; any other grid keeps every element. Each element is
+    evaluated as in ``reference_certify``. The first minimum in (x, y, t)
+    order is the witness, a NaN is the minimum wherever it is, and a zero
+    minimum is +0.0.
     """
     xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
-    gmix = np.array(gmix)
     corrected = chord - c * T * (1.0 - T) * (X - Y) ** 2
     slack = corrected - gmix
-    K = ts.size
     if grid.n_y == grid.n_x and not (np.isnan(X).any() or np.isnan(gx).any()):
-        for k in range(K // 2 + 1, K):
-            for values in (gmix, corrected, slack):
-                values[:, :, k] = values[:, :, K - 1 - k].T
+        slack = slack[:, :, : (ts.size + 1) // 2]
     if tol is None:
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
     flat = slack.ravel()
@@ -413,7 +428,7 @@ def symmetric_certify(g, phi, iv, c, grid, tol=None):
         worst = float(flat.min())
         at = int(np.argmax(flat == worst))
         if worst == 0:
-            worst = -0.0 if np.signbit(flat[flat == 0]).all() else 0.0
+            worst = 0.0
     if worst >= -tol:
         return CertificateResult(True, worst, None)
     i, j, k = np.unravel_index(at, slack.shape)
@@ -422,6 +437,19 @@ def symmetric_certify(g, phi, iv, c, grid, tol=None):
         float(gmix[i, j, k]), float(corrected[i, j, k]),
     )
     return CertificateResult(False, worst, witness)
+
+
+def assert_scanned_witness(g, grid, c, res, phi=IDENTITY, iv=IV01):
+    """A failed certificate's witness has t <= 1/2 on a square grid whose
+    samples hold no NaN, and its lhs and rhs are the plain grid's values at
+    its own (x, y, t)."""
+    xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
+    corrected = chord - c * T * (1.0 - T) * (X - Y) ** 2
+    x, y, t, lhs, rhs = res.witness
+    assert not res.passed and (t <= 0.5 or grid.n_y != grid.n_x)
+    i, j, k = xs.tolist().index(x), ys.tolist().index(y), ts.tolist().index(t)
+    assert (lhs, rhs) == (gmix[i, j, k], corrected[i, j, k])
+    assert res.worst_slack == rhs - lhs
 
 
 # allowance for one evaluation of g, in units of u*max|g|
@@ -447,9 +475,10 @@ def mirror_roundoff_bound(g, phi, iv, c, grid):
 
     Sum: u*((14 + 2*G_ULPS)*G + 18*P + 8*L*U) + |d|*(L*R + 2*G + c*R**2),
     with |d| the largest over the grid's column pairs, computed exactly. L is
-    twice the largest difference quotient of g on 4097 points of [m, M]. The
-    symmetric grid's values are a subset of the plain grid's, so its worst
-    slack is at least the plain one and exceeds it by at most this bound.
+    twice the largest difference quotient of g on 4097 points of [m, M]. A
+    square scan evaluates a subset of the plain grid, and every element it
+    skips is the mirror of one it evaluates, so its worst slack is at least
+    the plain one and exceeds it by at most this bound.
     """
     _, _, ts, X, _, _, gx, gy, gmix, _ = _reference_samples(g, phi, iv, grid)
     K = ts.size
@@ -701,19 +730,25 @@ class TestMirroredHalfScan:
             n_t = _t_grid(grid.n_t).size
             assert sum(g_counted.points) == grid.n_x + grid.n_x * grid.n_y * n_t
 
-    def test_symmetry_test(self):
-        phix = np.linspace(0.0, 1.0, 41)
-        gx = np.exp(phix)
-        nan_phi = np.where(phix == 0.5, np.nan, phix)
-        nan_g = np.where(phix == 0.5, np.nan, gx)
+    def test_square_scan_needs_finite_samples_at_the_axes(self):
+        # a square grid scans (K + 1) // 2 columns and reports a scanned
+        # witness; a NaN phi or g sample at x = 1/2 makes it scan all K
+        def nan_phi(u):
+            return np.where(u == 0.5, np.nan, u)
+
+        def nan_g(u):
+            return np.where(u == 0.5, np.nan, np.exp(u))
+
         for n_t in (9, 20, 33, 53, 59, 91, 99, 129):
-            ts = _t_grid(n_t)
-            K = ts.size
-            assert _scanned_ts(ts, phix, phix, gx, gx) == ((K + 1) // 2, True)
-            # equal samples that are not shared are not the same samples
-            assert _scanned_ts(ts, phix, phix.copy(), gx, gx.copy()) == (K, False)
-            assert _scanned_ts(ts, nan_phi, nan_phi, gx, gx) == (K, False)
-            assert _scanned_ts(ts, phix, phix, nan_g, nan_g) == (K, False)
+            grid = GridConfig(41, 41, n_t)
+            K = _t_grid(n_t).size
+            g = counting(np.exp)
+            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 3.0, grid)
+            assert sum(g.points) == 41 + 41 * 41 * (K + 1) // 2
+            assert_scanned_witness(np.exp, grid, 3.0, res)
+            for phi, g in ((nan_phi, counting(np.exp)), (IDENTITY, counting(nan_g))):
+                certify_strong_phi_convexity(g, phi, IV01, 3.0, grid)
+                assert sum(g.points) == 41 + 41 * 41 * K
 
     def test_corpus_targets_match_the_full_grid(self):
         witnesses = 0
@@ -729,23 +764,31 @@ class TestMirroredHalfScan:
                 witnesses += failing.witness is not None
         assert witnesses == 34
 
-    def test_witness_past_one_half_is_the_mirror_of_the_scanned_element(self):
+    def test_witness_is_the_scanned_element(self):
         # the minimum sits at (0, 1, 17/32) and (1, 0, 15/32); only the
-        # second is scanned, and the first is reported
+        # second is scanned, and it is reported with its own values
         for grid in (GridConfig(), GridConfig(64, 64, 65)):
             res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 3.0, grid, tol=0.0)
-            assert res.witness[:2] == (0.0, 1.0) and res.witness[2] > 0.5
+            assert res.witness[:2] == (1.0, 0.0) and res.witness[2] < 0.5
+            assert reference_certify(np.exp, IDENTITY, IV01, 3.0, grid, 0.0).witness[2] > 0.5
+            assert_scanned_witness(np.exp, grid, 3.0, res)
             assert_scan_matches_reference(np.exp, grid, (2.0, 3.0), tol=0.0)
 
-    def test_ties_across_blocks_keep_the_smallest_mirror(self):
+    def test_ties_across_blocks_keep_the_first_block(self):
         # g is 1 at the mixture 37/1280 and 0 elsewhere, so the slack is -1
-        # wherever t*x + (1-t)*y hits it; the first block reaches -1 at
-        # (0.025, 0.05, 0.84375), the last at the mirror of the grid's first
+        # wherever t*x + (1-t)*y hits it; among the scanned columns the first
+        # block reaches -1 at (0.05, 0.025, 0.15625), the last at (0.925, 0,
+        # 0.03125)
         def g(u):
             return np.where(np.abs(u - 37 / 1280) < 1e-9, 1.0, 0.0)
 
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, tol=0.0)
-        assert res.witness == (0.0, 0.925, 0.96875, 1.0, 0.0)
+        counted = counting(g)
+        res = certify_strong_phi_convexity(counted, IDENTITY, IV01, 0.0, tol=0.0)
+        # x = 0.05 is row 2, in the first block; x = 0.925 is row 37, in a later one
+        first_rows = [shape for shape in counted.shapes if len(shape) == 3][0][0]
+        assert 2 < first_rows <= 37
+        assert res.witness == (0.05, 0.025, 0.15625, 1.0, 0.0)
+        assert_scanned_witness(g, GridConfig(), 0.0, res)
         assert_scan_matches_reference(g, GridConfig(), (0.0, 1.0), tol=0.0)
 
     def test_nan_bands(self):
@@ -761,7 +804,7 @@ class TestMirroredHalfScan:
                 assert math.isnan(res.worst_slack) and res.witness is not None
                 assert_scan_matches_reference(g, grid, (0.0, 0.5, 7.0))
 
-    def test_zero_minimum_sign_does_not_depend_on_the_blocks(self, monkeypatch):
+    def test_zero_minimum_is_plus_zero_for_every_block_size(self, monkeypatch):
         # the slack is 0.0 at most points and -0.0 where x and y lie outside
         # (0.4, 0.6) and their mixture inside
         g = function_of(parse("(0.1 - abs(x - 0.5))*0"))
@@ -771,11 +814,11 @@ class TestMirroredHalfScan:
             for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20)):
                 res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
                 assert _key(res.worst_slack) == _key(0.0)
-            # so do a failed certificate's slack and witness, which the scan
-            # reads from block buffers it rewrites
+            # a failed certificate's slack and witness, which the scan reads
+            # from block buffers it rewrites, do not depend on the blocks
             for grid in failing:
                 res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 2.9, grid)
-                assert not res.passed
+                assert_scanned_witness(np.exp, grid, 2.9, res)
                 assert _key(res) == _key(symmetric_certify(np.exp, IDENTITY, IV01, 2.9, grid))
 
 
@@ -815,20 +858,24 @@ class TestPerColumnMirror:
             assert_scan_matches_reference(g, grid, moduli, phi=rng.choice(phis), tol=0.0)
 
     @pytest.mark.parametrize("n_t, c", [(53, 1.0), (59, 4.0)])
-    def test_witness_in_a_skipped_column(self, n_t, c):
-        # the first minimum is at x = 0, y = 1 in an upper column the scan
-        # skips; it is found through its mirror in row y = 1
+    def test_witness_mirrors_a_skipped_column(self, n_t, c):
+        # the plain grid's first minimum is at x = 0, y = 1 in an upper
+        # column the scan skips; the scan reports its mirror in row x = 1
         grid = GridConfig(21, 21, n_t)
         ts = _t_grid(n_t).tolist()
+        plain = reference_certify(np.exp, IDENTITY, IV01, c, grid, 0.0)
+        assert plain.witness[:2] == (0.0, 1.0)
+        assert ts.index(plain.witness[2]) in skipped_columns(ts)
         res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, grid, tol=0.0)
-        assert res.witness[:2] == (0.0, 1.0)
-        assert ts.index(res.witness[2]) in skipped_columns(ts)
+        assert res.witness[:2] == (1.0, 0.0)
+        assert ts.index(res.witness[2]) == len(ts) - 1 - ts.index(plain.witness[2])
+        assert_scanned_witness(np.exp, grid, c, res)
         assert_scan_matches_reference(np.exp, grid, (c,), tol=0.0)
 
-    def test_ties_across_a_matched_pair(self):
+    def test_matched_pair_tie_keeps_the_scanned_element(self):
         # g is 1 at one mixture value and 0 elsewhere, so the slack is -1 at
-        # five grid points; the first, (0, y_3, ts[36]), lies in a skipped
-        # column and is reached only as the mirror of (y_3, 0, ts[16])
+        # five grid points; the first, (0, x_3, ts[36]), lies in a skipped
+        # column, and the first the scan evaluates is its mirror (x_3, 0, ts[16])
         v = 0.02307692307692308
 
         def g(u):
@@ -837,8 +884,10 @@ class TestPerColumnMirror:
         grid = GridConfig(41, 41, 53)
         ts = _t_grid(53).tolist()
         assert 36 in skipped_columns(ts) and 52 - 36 == 16
+        assert reference_certify(g, IDENTITY, IV01, 0.0, grid, 0.0).witness[2] == ts[36]
         res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid, tol=0.0)
-        assert res.witness == (0.0, np.linspace(0.0, 1.0, 41)[3], ts[36], 1.0, 0.0)
+        assert res.witness == (np.linspace(0.0, 1.0, 41)[3], 0.0, ts[16], 1.0, 0.0)
+        assert_scanned_witness(g, grid, 0.0, res)
         assert_scan_matches_reference(g, grid, (0.0, 0.5), tol=0.0)
 
     @pytest.mark.parametrize("n_t", [20, 53, 91])

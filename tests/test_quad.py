@@ -293,6 +293,45 @@ class TestPieces:
             integrate(wave, [0.0, 0.0], [1.0, 1.0], 1e-10)
 
 
+class TestNonFiniteIntegrand:
+    @staticmethod
+    def counted(g):
+        def wrapped(t):
+            wrapped.evaluations += np.size(t)
+            return g(t)
+
+        wrapped.evaluations = 0
+        return wrapped
+
+    def test_nan_stops_the_first_level(self):
+        # exp(1000*t) overflows past t = 0.71, and inf - inf is NaN; refining
+        # would take 1,048,576 evaluations to report no convergence
+        g = self.counted(lambda t: np.exp(1000.0 * t) - np.exp(1000.0 * t))
+        with np.errstate(all="ignore"), pytest.raises(
+            QuadratureError,
+            match=r"^integrand is nan at 0\.9957\d+ on \[0\.0, 1\.0\] \(depth 0, 15 evaluations\)$",
+        ):
+            integrate(g, 0.0, 1.0, 1e-10)
+        assert g.evaluations == 15
+
+    def test_names_the_piece_and_the_level(self):
+        # level 0 samples no NaN, but the jump at 0.3 splits [0, 1], and
+        # level 1 samples 0.25, the middle node of [0, 0.5]
+        g = self.counted(lambda t: np.where(t == 0.25, np.nan, np.where(t < 0.3, 0.0, 1.0)))
+        with pytest.raises(
+            QuadratureError, match=r"^integrand is nan at 0\.25 on \[0\.0, 1\.0\] \(depth 1, 45 evaluations\)$"
+        ):
+            integrate(g, 0.0, 1.0, 1e-10)
+        assert g.evaluations == 45
+        # the first node that is not finite, in node order, on the second piece
+        g = self.counted(lambda t: np.where(t > 0.7, np.inf, t))
+        with np.errstate(all="ignore"), pytest.raises(
+            QuadratureError, match=r"^integrand is inf at 0\.9978\d+ on \[0\.5, 1\.0\] \(depth 0, 30"
+        ):
+            integrate(g, [0.0, 0.5], [0.5, 1.0], 1e-10)
+        assert g.evaluations == 30
+
+
 class TestEvaluationCap:
     def test_noise_stops_at_the_cap_in_bounded_memory(self):
         tracemalloc.start()
