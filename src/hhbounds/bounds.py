@@ -83,8 +83,6 @@ class ModulusInfeasibleError(ValueError):
 class BoundInputs:
     """Endpoint data feeding the closed-form bounds."""
 
-    phi_a: float
-    phi_b: float
     delta: float
     d_a: float
     d_b: float
@@ -122,8 +120,6 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
         if has_abs_kink_at(spec.f, point):
             flags.append(f"kink-at-endpoint: {label}")
     return BoundInputs(
-        phi_a=ends.phi_a,
-        phi_b=ends.phi_b,
         delta=ends.delta,
         d_a=abs(evaluate_derivative(spec.f, ends.phi_a)),
         d_b=abs(evaluate_derivative(spec.f, ends.phi_b)),

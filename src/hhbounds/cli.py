@@ -6,7 +6,7 @@ Commands and their flags:
     bounds   like check but skipping the convexity certificates;
              --tol, --format, --out
     modulus  print the estimated maximum modulus (negative when not convex)
-             for f or |f'|^q; --tol, --target
+             for f or |f'|^q; --target
     lemma    print both sides of the gap identity and their residual; --tol
     corpus   run the built-in corpus and write one aggregated report;
              --format, --out
@@ -73,7 +73,7 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _spec_from_path(path: str, tol: float | None):
+def _spec_from_path(path: str, tol: float | None = None):
     cfg = _load_config(path)
     if tol is not None:
         cfg["quad_tol"] = tol
@@ -107,7 +107,7 @@ def _cmd_check(args, with_certificates: bool = True) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    spec = _spec_from_path(args.config, args.tol)
+    spec = _spec_from_path(args.config)
     if args.target == "f":
         g, target = function_of(spec.f), "f"
     else:
@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     output(config(command("check", _cmd_check, "run the full verification pipeline")))
     bounds = partial(_cmd_check, with_certificates=False)
     output(config(command("bounds", bounds, "like check, without certificates")))
-    p_mod = config(command("modulus", _cmd_modulus, "estimate the maximum modulus"))
+    p_mod = command("modulus", _cmd_modulus, "estimate the maximum modulus")
+    p_mod.add_argument("config", help="path to a JSON problem config")
     p_mod.add_argument("--target", choices=("f", "fprime_q"), default="f")
     config(command("lemma", _cmd_lemma, "verify the gap identity"))
     output(command("corpus", _cmd_corpus, "run the built-in corpus"))

@@ -148,10 +148,11 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
     [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). The
-    certification grid may have at most MAX_GRID_POINTS points, and one of
-    its x-rows, n_y*K with K the size of the t grid, at most MAX_ROW_POINTS.
-    So a certification scan peaks near 8 arrays of max(CHUNK_POINTS, n_y*K)
-    floats, at most 256 MiB, plus g's temporaries.
+    certification grid may have at most MAX_GRID_POINTS points; one of its
+    x-rows, n_y*K with K the size of the t grid, and the modulus estimate's
+    sample, N = (n_x-1)*(n_t-1) + 1 points, at most MAX_ROW_POINTS each. So
+    a scan peaks near 8 arrays of max(CHUNK_POINTS, n_y*K) floats (256 MiB)
+    and an estimate near 3 of N (96 MiB), plus g's temporaries.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
@@ -177,6 +178,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     for what, points, limit in (
         ("grid", spec.grid.n_x * spec.grid.n_y * n_t, MAX_GRID_POINTS),
         ("one x-row", spec.grid.n_y * n_t, MAX_ROW_POINTS),
+        ("modulus sample", (spec.grid.n_x - 1) * (spec.grid.n_t - 1) + 1, MAX_ROW_POINTS),
     ):
         if points > limit:
             raise SpecValidationError("grid-size", f"{what} has {points} points, above {limit}")
@@ -278,9 +280,9 @@ def certify_strong_phi_convexity(
     t) order over the scanned columns, with its own lhs and rhs.
 
     The inequality is unchanged under (x, y, t) -> (y, x, 1 - t). So on a
-    square grid (n_y == n_x) with no NaN phi or g sample at the axes, the t
-    columns past 1/2 repeat the others, the scan visits k <= (K-1)/2 only,
-    and a witness has t <= 1/2. Any other grid is evaluated everywhere.
+    square grid (n_y == n_x), NaN samples or not, the t columns past 1/2
+    repeat the others, the scan visits k <= (K-1)/2 only, and a witness has
+    t <= 1/2. Any other grid is evaluated everywhere.
 
     The scan walks the grid in blocks of max(1, CHUNK_POINTS // (n_y*cols))
     whole x-rows, so memory is O(max(CHUNK_POINTS, n_y*cols)) whatever n_x:
@@ -301,18 +303,18 @@ def certify_strong_phi_convexity(
     floating-point operations in the same order whatever the blocks, so
     results do not depend on the block size.
     """
+    square = grid.n_y == grid.n_x
     xs = np.linspace(iv.a, iv.b, grid.n_x)
-    ys = xs if grid.n_y == grid.n_x else np.linspace(iv.a, iv.b, grid.n_y)
+    ys = xs if square else np.linspace(iv.a, iv.b, grid.n_y)
     phix = _sample(phi, xs)
-    phiy = phix if ys is xs else _sample(phi, ys)
+    phiy = phix if square else _sample(phi, ys)
     gx = _sample(g, phix)
-    gy = gx if ys is xs else _sample(g, phiy)
+    gy = gx if square else _sample(g, phiy)
     ts = _t_grid(grid.n_t)
     if tol is None:
         g_max = np.abs(gx).max()
-        tol = 1e-9 * (1.0 + (g_max if gy is gx else max(g_max, np.abs(gy).max())))
-    symmetric = ys is xs and not (np.isnan(phix).any() or np.isnan(gx).any())
-    cols = (ts.size + 1) // 2 if symmetric else ts.size
+        tol = 1e-9 * (1.0 + (g_max if square else max(g_max, np.abs(gy).max())))
+    cols = (ts.size + 1) // 2 if square else ts.size
     # the per-scan constants as contiguous (1, n_y, cols) planes, so that a
     # block's only broadcast is its per-row scalar along the leading axis;
     # each is written in one pass from the t and y vectors

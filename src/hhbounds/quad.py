@@ -193,7 +193,7 @@ def lemma_rhs(spec: ProblemSpec) -> float:
     phi_a, phi_b, delta = ends.phi_a, ends.phi_b, ends.delta
 
     cuts = {0.5}
-    for root in abs_kink_points(spec.f, min(phi_a, phi_b), max(phi_a, phi_b)):
+    for root in abs_kink_points(spec.f, phi_a, phi_b):
         t = (root - phi_a) / delta
         if 0.0 < t < 1.0:
             cuts.add(t)

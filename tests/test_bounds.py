@@ -27,6 +27,7 @@ from hhbounds.funcspec import (
     CertificateResult,
     SpecValidationError,
     derivative_power,
+    endpoints,
     estimate_max_modulus,
     validate,
 )
@@ -228,7 +229,7 @@ class TestReductions:
 class TestDerivativeInputs:
     def test_square_endpoint_data(self):
         i = derivative_inputs(sq_spec(q=2.0, c_deriv=1.5))
-        assert (i.phi_a, i.phi_b, i.delta) == (0.0, 1.0, 1.0)
+        assert i.delta == 1.0
         assert (i.d_a, i.d_b, i.d_m) == (0.0, 2.0, 1.0)
         assert (i.c, i.q, i.p) == (1.5, 2.0, 2.0)
         assert i.kink_flags == ()
@@ -241,8 +242,10 @@ class TestDerivativeInputs:
 
     def test_affine_phi_shrinks_delta(self):
         spec = make({"f": "x^2", "a": 0, "b": 1, "phi": "0.25 + 0.5*x", "q": 2})
+        ends = endpoints(spec)
+        assert (ends.phi_a, ends.phi_b) == (0.25, 0.75)
         i = derivative_inputs(spec)
-        assert (i.phi_a, i.phi_b) == (0.25, 0.75)
+        assert i.delta == 0.5
         assert (i.d_a, i.d_b, i.d_m) == (0.5, 1.5, 1.0)
 
     def test_trapezoid_is_evaluated_only_where_read(self, monkeypatch):

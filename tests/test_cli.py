@@ -172,6 +172,7 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, command):
         ["check", "--diagnostics"],
         ["bounds", "--diagnostics"],
         ["modulus", "--format", "json"],
+        pytest.param(["modulus", "--tol", "1e-9"], id="modulus-tol"),
         ["lemma", "--out", "lemma.txt"],
         ["corpus", "--tol", "1e-9"],
     ],

@@ -136,6 +136,22 @@ class TestValidate:
         # 4096*1023 = 4,190,208 <= 2^22
         assert validate(make_spec(grid=GridConfig(3, 4096, 1023))).valid
 
+    def test_oversize_modulus_sample_rejected_without_allocating(self):
+        # 32*3*1398101 points and an x-row of 3*1398101 are within the scan's
+        # limits, but the modulus estimate would sample 31*1398100 + 1 points
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecValidationError,
+                               match="modulus sample has 43341101 points, above 4194304") as exc:
+                validate(make_spec(grid=GridConfig(32, 3, 1398101)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "grid-size"
+        assert peak < 2**20
+        # 31*135300 + 1 = 4,194,301 <= 2^22
+        assert validate(make_spec(grid=GridConfig(32, 3, 135301))).valid
+
     def test_holder_conjugate(self):
         assert validate(make_spec(q=2.0)).p == 2.0
         assert validate(make_spec(q=3.0)).p == 1.5
@@ -407,16 +423,15 @@ def reference_certify(g, phi, iv, c, grid, tol=None):
 def symmetric_certify(g, phi, iv, c, grid, tol=None):
     """Test-local certification over the elements the scan evaluates.
 
-    A square grid whose phi and g samples at the axes hold no NaN keeps the
-    t columns up to 1/2; any other grid keeps every element. Each element is
-    evaluated as in ``reference_certify``. The first minimum in (x, y, t)
-    order is the witness, a NaN is the minimum wherever it is, and a zero
-    minimum is +0.0.
+    A square grid keeps the t columns up to 1/2, whatever its samples hold;
+    any other grid keeps every element. Each element is evaluated as in
+    ``reference_certify``. The first minimum in (x, y, t) order is the
+    witness, a NaN is the minimum wherever it is, and a zero minimum is +0.0.
     """
     xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
     corrected = chord - c * T * (1.0 - T) * (X - Y) ** 2
     slack = corrected - gmix
-    if grid.n_y == grid.n_x and not (np.isnan(X).any() or np.isnan(gx).any()):
+    if grid.n_y == grid.n_x:
         slack = slack[:, :, : (ts.size + 1) // 2]
     if tol is None:
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
@@ -440,9 +455,8 @@ def symmetric_certify(g, phi, iv, c, grid, tol=None):
 
 
 def assert_scanned_witness(g, grid, c, res, phi=IDENTITY, iv=IV01):
-    """A failed certificate's witness has t <= 1/2 on a square grid whose
-    samples hold no NaN, and its lhs and rhs are the plain grid's values at
-    its own (x, y, t)."""
+    """A failed certificate's witness has t <= 1/2 on a square grid, and its
+    lhs and rhs are the plain grid's values at its own (x, y, t)."""
     xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
     corrected = chord - c * T * (1.0 - T) * (X - Y) ** 2
     x, y, t, lhs, rhs = res.witness
@@ -719,20 +733,34 @@ class TestMirroredHalfScan:
             certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
             assert sum(g.points) == grid.n_x + grid.n_x * grid.n_y * n_cols
 
-    def test_nan_samples_scan_every_t(self):
-        # a NaN g sample at the axes: the square grid is scanned in full
+    def test_nan_samples_scan_half_the_columns(self):
+        # a NaN g sample at the axes: the square grid is still scanned over
+        # the t columns up to 1/2, and the NaN is its worst slack
         def g(u):
             return np.where(u == 0.5, np.nan, np.exp(u))
 
         for grid in (GridConfig(), GridConfig(41, 41, 53)):
             g_counted = counting(g)
-            certify_strong_phi_convexity(g_counted, IDENTITY, IV01, 0.6, grid)
-            n_t = _t_grid(grid.n_t).size
-            assert sum(g_counted.points) == grid.n_x + grid.n_x * grid.n_y * n_t
+            res = certify_strong_phi_convexity(g_counted, IDENTITY, IV01, 0.6, grid)
+            n_cols = (_t_grid(grid.n_t).size + 1) // 2
+            assert sum(g_counted.points) == grid.n_x + grid.n_x * grid.n_y * n_cols
+            assert math.isnan(res.worst_slack) and res.witness[2] <= 0.5
 
-    def test_square_scan_needs_finite_samples_at_the_axes(self):
+        # with NaN also at mixtures near 0, the plain grid's first NaN is
+        # (0, 0.025, 0.9375), in a skipped column; the first the scan
+        # evaluates is (0, 0.5, 0), where the chord reads g's NaN sample
+        def g_band(u):
+            return np.where(np.abs(u - 0.0013) < 1e-3, np.nan, g(u))
+
+        plain = reference_certify(g_band, IDENTITY, IV01, 0.6, GridConfig())
+        assert plain.witness[:3] == (0.0, 0.025, 0.9375)
+        res = certify_strong_phi_convexity(g_band, IDENTITY, IV01, 0.6)
+        assert _key(res) == _key(CertificateResult(False, math.nan,
+                                                   (0.0, 0.5, 0.0, math.nan, math.nan)))
+
+    def test_square_scan_ignores_nan_samples_at_the_axes(self):
         # a square grid scans (K + 1) // 2 columns and reports a scanned
-        # witness; a NaN phi or g sample at x = 1/2 makes it scan all K
+        # witness, also with a NaN phi or g sample at x = 1/2
         def nan_phi(u):
             return np.where(u == 0.5, np.nan, u)
 
@@ -742,13 +770,13 @@ class TestMirroredHalfScan:
         for n_t in (9, 20, 33, 53, 59, 91, 99, 129):
             grid = GridConfig(41, 41, n_t)
             K = _t_grid(n_t).size
-            g = counting(np.exp)
-            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 3.0, grid)
-            assert sum(g.points) == 41 + 41 * 41 * (K + 1) // 2
-            assert_scanned_witness(np.exp, grid, 3.0, res)
-            for phi, g in ((nan_phi, counting(np.exp)), (IDENTITY, counting(nan_g))):
-                certify_strong_phi_convexity(g, phi, IV01, 3.0, grid)
-                assert sum(g.points) == 41 + 41 * 41 * K
+            for phi, g, target in ((IDENTITY, counting(np.exp), np.exp),
+                                   (nan_phi, counting(np.exp), np.exp),
+                                   (IDENTITY, counting(nan_g), nan_g)):
+                res = certify_strong_phi_convexity(g, phi, IV01, 3.0, grid)
+                assert sum(g.points) == 41 + 41 * 41 * (K + 1) // 2
+                assert _key(res) == _key(symmetric_certify(target, phi, IV01, 3.0, grid))
+                assert res.witness[2] <= 0.5
 
     def test_corpus_targets_match_the_full_grid(self):
         witnesses = 0
@@ -794,7 +822,7 @@ class TestMirroredHalfScan:
     def test_nan_bands(self):
         # the first band lies between grid samples, so the half scan meets
         # NaN in many blocks; the second covers the sample 1/2, so g at the
-        # samples holds a NaN and the full grid is scanned
+        # samples holds a NaN, and the half scan still applies
         for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
             def g(u):
                 return np.where(np.abs(u - center) < half, np.nan, u * u)
@@ -905,7 +933,8 @@ class TestPerColumnMirror:
     @pytest.mark.parametrize("grid", [GridConfig(41, 41, 53), GridConfig(45, 45, 91)])
     def test_nan_bands(self, grid):
         # the first band lies between grid samples, so the scan meets NaN at
-        # mixtures only; the second covers the sample 1/2, so nothing mirrors
+        # mixtures only; the second covers the sample 1/2, so the chords of
+        # its row and column are NaN too
         for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
             def g(u):
                 return np.where(np.abs(u - center) < half, np.nan, u * u)
