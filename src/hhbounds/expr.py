@@ -241,7 +241,12 @@ def parse(source: str) -> Expr:
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError("empty expression", 1)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        # five frames per nesting level; report the token it stopped before
+        offset = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
+        raise ExprSyntaxError("expression nested too deeply", offset) from None
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing {text!r}", offset)

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -12,7 +16,8 @@ import pytest
 
 from hhbounds.cli import main
 from hhbounds.corpus import spec_from_config
-from hhbounds.funcspec import SpecValidationError
+from hhbounds.expr import evaluate, evaluate_dual
+from hhbounds.funcspec import SpecValidationError, validate
 
 
 def write_config(tmp_path, payload, name="spec.json"):
@@ -24,6 +29,19 @@ def write_config(tmp_path, payload, name="spec.json"):
 SQ_Q1 = {"f": "x^2", "a": 0, "b": 1, "phi": "identity", "c": 0, "q": 1}
 PINNED_CORPUS = Path(__file__).parent / "data" / "corpus.csv"
 PINNED_CORPUS_JSON = Path(__file__).parent / "data" / "corpus.json"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def run_cli(*args, timeout=60):
+    """``python -m hhbounds.cli`` in a new process, for its raw output bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "hhbounds.cli", *args],
+        capture_output=True, timeout=timeout, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def is_json_dumps_indent_2(out):
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestCheck:
@@ -66,7 +84,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "bounds"])
     @pytest.mark.parametrize("key, value", [
-        ("c", math.nan), ("c_f", math.inf), ("q", math.nan), ("quad_tol", math.inf),
+        ("c", math.nan), ("c_f", math.inf), ("c_deriv", math.inf), ("q", math.nan),
+        ("quad_tol", math.inf),
     ])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, command, key, value):
         # json writes and reads NaN and Infinity, which JSON itself does not have
@@ -78,6 +97,31 @@ class TestCheck:
     def test_bad_expression_exits_two(self, tmp_path):
         path = write_config(tmp_path, dict(SQ_Q1, f="exp(x"))
         assert main(["check", path]) == 2
+
+    @pytest.mark.parametrize("level, depth", [("(", 199), ("exp(", 198)], ids=["parentheses", "exp"])
+    def test_over_nested_expression_exits_two(self, tmp_path, capsys, level, depth):
+        # the recursive-descent parser's RecursionError is a syntax error at
+        # the token it stopped before, past level 150 (which parses) but
+        # otherwise dependent on the caller's stack
+        f = level * depth + "x" + ")" * depth
+        assert main(["check", write_config(tmp_path, dict(SQ_Q1, f=f))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        match = re.fullmatch(
+            r"error: invalid config .*: expression nested too deeply \(offset (\d+)\)\n",
+            captured.err,
+        )
+        offset = int(match[1])
+        assert offset > 150 * len(level) and f[offset - 1] in "(e"
+
+    def test_failed_certificates_write_json_dumps_bytes(self, tmp_path, capsys):
+        # exp(x) fails both certificates at c = 3, so the report holds witness
+        # lists and cert-failed ERROR rows, which the corpus never writes
+        path = write_config(tmp_path, {"id": "exp-c3", "f": "exp(x)", "a": 0, "b": 1, "c": 3})
+        assert main(["check", "--format", "json", path]) == 1
+        out = capsys.readouterr().out
+        assert [cert["passed"] for cert in json.loads(out)["certificates"]] == [False, False]
+        assert is_json_dumps_indent_2(out)
 
     def test_domain_error_in_certification_exits_one(self, tmp_path, capsys):
         # the config is valid; certifying |f'| hits sqrt's derivative at 0
@@ -164,6 +208,19 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, command):
         assert main([command, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversize_modulus_sample_exits_two_at_once(tmp_path):
+    # 32*3*1398101 points and an x-row of 3*1398101 pass the scan's limits,
+    # but the modulus estimate would sample 43,341,101 points; a process, so
+    # that its whole stderr and its time are what is checked
+    path = write_config(tmp_path, {"id": "thin", "f": "x^2", "a": 0, "b": 1,
+                                   "grid": {"n_x": 32, "n_y": 3, "n_t": 1398101}})
+    result = run_cli("modulus", path, timeout=20)
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert re.match(r"error: .*modulus sample has 43341101 points", err)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -255,6 +312,13 @@ class TestLemma:
         assert err.startswith("error: negative power overflows in ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+
+    def test_scaled_quadratic_exits_zero(self, tmp_path, capsys):
+        # 1e-10 absolute is below the roundoff of this 1.05e7 integral
+        path = write_config(tmp_path, {"id": "scaled-quadratic", "f": "1e8*(x^2)",
+                                       "a": 0.3, "b": 0.7})
+        assert main(["lemma", path]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_nan_integrand_exits_one_at_the_first_level(self, tmp_path, capsys):
         # exp(1000*x) overflows, and inf - inf is NaN; the first 15 Gauss-Kronrod
@@ -382,6 +446,18 @@ class TestCorpus:
 
         compare(got, want, ())
 
+    @pytest.mark.parametrize("args, pinned", [
+        ((), PINNED_CORPUS), (("--format", "json"), PINNED_CORPUS_JSON),
+    ], ids=["csv", "json"])
+    def test_stdout_is_the_pinned_bytes(self, args, pinned):
+        # the tests above allow numbers to move by 1e-12; `hhbounds corpus`
+        # on this checkout must write the pinned files byte for byte
+        result = run_cli("corpus", *args)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == pinned.read_bytes()
+        if pinned is PINNED_CORPUS_JSON:
+            assert is_json_dumps_indent_2(result.stdout.decode())
+
     def test_unwritable_out_exits_two(self, capsys):
         assert main(["corpus", "--out", "/nonexistent-dir/x.csv"]) == 2
 
@@ -390,6 +466,52 @@ class TestCorpus:
         assert main(["corpus", "--format", "json", "--out", str(a)]) == 0
         assert main(["corpus", "--format", "json", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFineSymmetricGrid:
+    """exp(x) on [0, 1] at q = 2 on a square 101x101x53 grid.
+
+    A square grid scans the t columns up to 1/2 only, since the others
+    repeat them, whatever n_t; n_t = 53 is not 2^k + 1.
+    """
+
+    CONFIG = {"f": "exp(x)", "a": 0, "b": 1, "q": 2,
+              "grid": {"n_x": 101, "n_y": 101, "n_t": 53}}
+
+    def test_passes_below_both_estimates(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(self.CONFIG, id="fine-101", c_f=0.4, c_deriv=1.5))
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        estimates = []
+        for target in ("f", "fprime_q"):
+            assert main(["modulus", path, "--target", target]) == 0
+            estimates.append(float(capsys.readouterr().out))
+        # min g''/2 is 1/2 for f and 2 for |f'|^2
+        c_f, c_d = estimates
+        assert 0.5 <= c_f < 0.51 and 2.0 <= c_d < 2.05, estimates
+
+    def test_failed_witnesses_are_scanned_and_re_evaluate(self, tmp_path, capsys):
+        # past both estimates both certificates fail; each witness is a scanned
+        # element, so its t is at most 1/2, and it re-evaluates to its own lhs
+        cfg = dict(self.CONFIG, id="fine-101-fail", c_f=0.8, c_deriv=3.0)
+        assert main(["check", "--format", "json", write_config(tmp_path, cfg)]) == 1
+        certificates = json.loads(capsys.readouterr().out)["certificates"]
+        assert [cert["passed"] for cert in certificates] == [False, False]
+        spec = validate(spec_from_config(cfg))
+
+        def close(value, expected, rel):
+            return abs(value - expected) <= rel * max(abs(value), abs(expected), 1e-300)
+
+        for cert in certificates:
+            x, y, t, lhs, rhs = cert["witness"]
+            assert t <= 0.5, cert
+            mix = t * float(spec.phi(x)) + (1.0 - t) * float(spec.phi(y))
+            if cert["target"] == "f":
+                value = evaluate(spec.f, mix)
+            else:
+                value = abs(evaluate_dual(spec.f, mix).deriv) ** spec.q
+            assert close(value, lhs, 1e-12), (cert, value)
+            assert close(rhs - lhs, cert["worst_slack"], 1e-9), cert
 
 
 class TestUsage:

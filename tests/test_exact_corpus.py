@@ -6,6 +6,11 @@ integral mean, the gap and both sandwich bounds are computed in rational
 arithmetic from the config's doubles, which are exact rationals. The tool's
 report is then checked against them: each sandwich status equals the exact
 one, where an exact-zero margin is a tie that must read HOLDS.
+
+The same specs give each certificate target, f and |f'|^q (q an integer
+there), as polynomial pieces, so the largest modulus, min g''/2 on
+phi([a, b]), is exact too: each certificate's pass flag and the 1-D modulus
+estimate are checked against it.
 """
 
 from fractions import Fraction
@@ -14,6 +19,7 @@ import numpy as np
 import pytest
 
 from hhbounds.corpus import CORPUS_CONFIGS, corpus_specs
+from hhbounds.funcspec import derivative_power, estimate_max_modulus, function_of
 from hhbounds.report import MARGIN_TOL, run_check
 
 EPS = float(np.finfo(float).eps)
@@ -62,11 +68,14 @@ def integral_exact(f, lo, hi):
     return total
 
 
+def phi_endpoints(cfg):
+    slope, intercept = EXACT_PHI[cfg["phi"]]
+    return slope * Fraction(cfg["a"]) + intercept, slope * Fraction(cfg["b"]) + intercept
+
+
 def exact_values(cfg):
     """(trapezoid, mean, gap, sandwich lower margin, sandwich upper margin)."""
-    slope, intercept = EXACT_PHI[cfg["phi"]]
-    phi_a = slope * Fraction(cfg["a"]) + intercept
-    phi_b = slope * Fraction(cfg["b"]) + intercept
+    phi_a, phi_b = phi_endpoints(cfg)
     delta = phi_b - phi_a
     f, c = cfg["f"], Fraction(cfg["c_f"])
     trapezoid = (f_exact(f, phi_a) + f_exact(f, phi_b)) / 2
@@ -77,8 +86,13 @@ def exact_values(cfg):
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {spec.spec_id: run_check(spec) for spec in corpus_specs()}
+def specs():
+    return {spec.spec_id: spec for spec in corpus_specs()}
+
+
+@pytest.fixture(scope="module")
+def reports(specs):
+    return {spec_id: run_check(spec) for spec_id, spec in specs.items()}
 
 
 def test_the_exact_specs():
@@ -102,3 +116,86 @@ def test_report_matches_exact_values(reports, cfg):
         row = rows[theorem_id]
         assert row.status == ("HOLDS" if exact >= 0 else "VIOLATED"), theorem_id
         assert abs(Fraction(row.margin) - exact) <= MARGIN_TOL, theorem_id
+
+
+def _derivative(poly):
+    return tuple(i * a for i, a in enumerate(poly))[1:] or (0,)
+
+
+def _times(p, r):
+    out = [Fraction(0)] * (len(p) + len(r) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _at(poly, u):
+    return sum(Fraction(a) * u**i for i, a in enumerate(poly))
+
+
+def target_pieces(cfg, target):
+    """g's polynomial on each piece of f: f itself, or |f'|^q."""
+    pieces = EXACT_F[cfg["f"]][1]
+    if target == "f":
+        return pieces
+    q = int(cfg["q"])
+    assert q == cfg["q"]
+    powers = []
+    for poly in pieces:
+        d = _derivative(poly)
+        # on u >= 0, f' has one sign on the piece when its coefficients do
+        assert all(a >= 0 for a in d) or all(a <= 0 for a in d), cfg["f"]
+        g = (1,)
+        for _ in range(q):
+            g = _times(g, tuple(abs(a) for a in d))
+        powers.append(g)
+    return tuple(powers)
+
+
+def exact_modulus(cfg, target, h):
+    """min g''/2 on phi([a, b]), g''/2 at phi(a) + 2h, and a bound on max|g|."""
+    phi_a, phi_b = phi_endpoints(cfg)
+    assert phi_a >= 0
+    kinks = EXACT_F[cfg["f"]][0]
+    pieces = target_pieces(cfg, target)
+    curvature = [tuple(Fraction(a, 2) for a in _derivative(_derivative(g))) for g in pieces]
+    # 0 or nonnegative coefficients: g''/2 is nondecreasing on u >= 0, so
+    # each piece's minimum is at its left edge
+    for half in curvature:
+        assert all(a >= 0 for a in half), (cfg["id"], target)
+    # at a kink g is continuous and its slope does not fall, so the kink
+    # adds no negative curvature
+    for k, kink in enumerate(kinks):
+        left, right = pieces[k], pieces[k + 1]
+        assert _at(left, kink) == _at(right, kink)
+        assert _at(_derivative(left), kink) <= _at(_derivative(right), kink)
+    edges = [phi_a] + [k for k in kinks if phi_a < k < phi_b]
+    piece = [sum(u >= k for k in kinks) for u in edges]
+    minimum = min(_at(curvature[i], u) for i, u in zip(piece, edges))
+    assert not any(phi_a < k <= phi_a + 2 * h for k in kinks)
+    radius = max(abs(phi_a), abs(phi_b))
+    g_max = max(sum(abs(Fraction(a)) * radius**i for i, a in enumerate(g)) for g in pieces)
+    return minimum, _at(curvature[piece[0]], phi_a + 2 * h), g_max
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=lambda cfg: cfg["id"])
+def test_certificates_and_estimates_match_exact_moduli(specs, reports, cfg):
+    spec = specs[cfg["id"]]
+    passed = {cert.target: cert.passed for cert in reports[cfg["id"]].certificates}
+    phi_a, phi_b = phi_endpoints(cfg)
+    # the estimate's step on phi([a, b])
+    h = (phi_b - phi_a) / ((spec.grid.n_x - 1) * (spec.grid.n_t - 1))
+    for target, g in (("f", function_of(spec.f)), ("fprime_q", derivative_power(spec.f, spec.q))):
+        minimum, first_stencil, g_max = exact_modulus(cfg, target, h)
+        c = spec.modulus_f if target == "f" else spec.modulus_deriv
+        # a tie is a pass
+        assert passed[target] == (Fraction(c) <= minimum), (cfg["id"], target)
+        # each second divided difference / 2 is g''/2 somewhere in its 2h
+        # stencil, or more across a kink, so the least one is between the
+        # minimum and g''/2 at phi(a) + 2h; roundoff adds 4*eps*max|g|/h^2
+        estimate = Fraction(estimate_max_modulus(g, spec.phi, spec.interval, spec.grid))
+        roundoff = 4 * Fraction(EPS) * g_max / h**2
+        assert minimum - roundoff <= estimate <= first_stencil + roundoff, (
+            cfg["id"], target, float(estimate), float(minimum)
+        )

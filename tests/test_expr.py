@@ -78,6 +78,14 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("x + 1)")
 
+    def test_150_nesting_levels_parse(self):
+        assert parse("(" * 150 + "x" + ")" * 150) == Variable()
+        node = parse("exp(" * 150 + "x" + ")" * 150)
+        for _ in range(150):
+            assert node.op == "exp"
+            node = node.child
+        assert node == Variable()
+
 
 class TestEvaluate:
     def test_square(self):
