@@ -13,6 +13,12 @@ Grammar (whitespace is ignored, there is no implicit multiplication):
 ``x^-2`` means ``x^(-2)``. Numbers are IEEE doubles in decimal notation with
 an optional scientific exponent.
 
+``parse`` accepts ``MAX_NESTING`` nesting levels: each open parenthesis, open
+function call, pending prefix minus and pending ``^`` is one. Flat chains
+of ``+ - * /`` are not capped; the recursive evaluator spends a frame per
+term on them, so under the default recursion limit of 1000 a sum of about
+990 terms is the most it evaluates (799 from 200 frames down).
+
 Evaluation is IEEE double precision throughout and accepts either a float or
 a numpy array for the variable. ``evaluate_dual`` propagates dual numbers
 (value, derivative) through the tree, which yields exact forward-mode
@@ -154,111 +160,91 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+# nesting levels that parse accepts; tests/test_expr.py checks that the
+# tree walkers handle this many from 200 frames down
+MAX_NESTING = 180
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, offset = self.peek()
-        if kind == "op" and text == op:
-            return self.advance()
-        raise ExprSyntaxError(
-            f"expected {op!r}", offset, expected=op
-        )
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Binary(text, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Binary(text, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            # exponent admits unary minus and chains right-associatively
-            return Binary("^", node, self.parse_unary())
-        return node
-
-    def parse_atom(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind == "number":
-            return Constant(float(text))
-        if kind == "ident":
-            if text == "x":
-                return Variable()
-            if text in UNARY_FUNCTIONS:
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return Unary(text, inner)
-            raise UnknownIdentifierError(text, offset)
-        if kind == "op" and text == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        what = "end of input" if kind == "end" else repr(text)
-        raise ExprSyntaxError(
-            f"expected a number, 'x', a function call or '(', got {what}",
-            offset,
-            expected="operand",
-        )
+# binary operators and prefix minus ('neg'), read by parse and unparse: '^'
+# is right associative and binds tighter than prefix minus
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_RIGHT_ASSOCIATIVE = ("^",)
 
 
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an AST, or raise ExprSyntaxError with offset."""
+    """Parse ``source`` into an AST, or raise ExprSyntaxError with offset.
+
+    One loop reads the tokens, keeps pending operators and open groups on a
+    list and reduces them by ``_PRECEDENCE``. Each open parenthesis, open
+    function call, pending prefix minus and pending ``^`` is one nesting
+    level. The first level past ``MAX_NESTING`` raises "expression nested
+    too deeply" at the token that opens it, from any caller's stack.
+    Pending ``+ - * /`` open no level, so flat chains of them are not capped.
+    """
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError("empty expression", 1)
-    parser = _Parser(_tokenize(source))
-    try:
-        node = parser.parse_expr()
-    except RecursionError:
-        # five frames per nesting level; report the token it stopped before
-        offset = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
-        raise ExprSyntaxError("expression nested too deeply", offset) from None
-    kind, text, offset = parser.peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing {text!r}", offset)
-    return node
+    tokens = iter(_tokenize(source))
+    operands: list[Expr] = []
+    # operators and open groups ('(' or a function name), innermost last
+    pending: list[str] = []
+    depth = 0  # the entries of pending that are nesting levels
+    expect_operand = True
+    while True:
+        kind, text, offset = next(tokens)
+        if expect_operand:
+            if kind == "number" or (kind, text) == ("ident", "x"):
+                operands.append(Constant(float(text)) if kind == "number" else Variable())
+                expect_operand = False
+                continue
+            if kind == "ident" and text not in UNARY_FUNCTIONS:
+                raise UnknownIdentifierError(text, offset)
+            if kind == "ident":
+                _, paren, paren_offset = next(tokens)
+                if paren != "(":
+                    raise ExprSyntaxError("expected '('", paren_offset, expected="(")
+            elif kind != "op" or text not in ("-", "("):
+                what = "end of input" if kind == "end" else repr(text)
+                raise ExprSyntaxError(
+                    f"expected a number, 'x', a function call or '(', got {what}",
+                    offset,
+                    expected="operand",
+                )
+            op = "neg" if text == "-" else text
+        else:
+            binary = kind == "op" and text in "+-*/^"
+            # reduce the pending operators that bind at least this tightly;
+            # anything else ends the innermost group or the input
+            context = _PRECEDENCE[text] + (text in _RIGHT_ASSOCIATIVE) if binary else 1
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= context:
+                op = pending.pop()
+                depth -= op not in "+-*/"
+                if op == "neg":
+                    operands.append(Unary("neg", operands.pop()))
+                else:
+                    right = operands.pop()
+                    operands.append(Binary(op, operands.pop(), right))
+            if not binary:
+                if not pending:
+                    if kind == "end":
+                        return operands.pop()
+                    raise ExprSyntaxError(f"unexpected trailing {text!r}", offset)
+                if text != ")":
+                    raise ExprSyntaxError("expected ')'", offset, expected=")")
+                group = pending.pop()
+                depth -= 1
+                if group != "(":
+                    operands.append(Unary(group, operands.pop()))
+                continue
+            op = text
+            expect_operand = True
+        if op not in "+-*/":
+            if depth == MAX_NESTING:
+                raise ExprSyntaxError("expression nested too deeply", offset)
+            depth += 1
+        pending.append(op)
 
 
 # ---------------------------------------------------------------------------
 # unparsing
-
-_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3
-
 
 def unparse(e: Expr) -> str:
     """Render an AST back to source; ``parse(unparse(e))`` is structurally ``e``."""
@@ -270,16 +256,18 @@ def _unparse(e: Expr, context: int) -> str:
         return repr(e.value)
     if isinstance(e, Variable):
         return "x"
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            s = "-" + _unparse(e.child, _NEG_PRECEDENCE)
-            return f"({s})" if _NEG_PRECEDENCE < context else s
+    if isinstance(e, Unary) and e.op != "neg":
         return f"{e.op}({_unparse(e.child, 0)})"
-    prec = _BINARY_PRECEDENCE[e.op]
-    if e.op == "^":
-        s = f"{_unparse(e.left, prec + 1)}^{_unparse(e.right, _NEG_PRECEDENCE)}"
+    prec = _PRECEDENCE[e.op]
+    if isinstance(e, Unary):
+        s = "-" + _unparse(e.child, prec)
     else:
-        s = f"{_unparse(e.left, prec)} {e.op} {_unparse(e.right, prec + 1)}"
+        right = e.op in _RIGHT_ASSOCIATIVE
+        left_s = _unparse(e.left, prec + right)
+        # parse takes a prefix minus wherever an operand starts, so the
+        # right operand of '^' needs no brackets for one
+        right_s = _unparse(e.right, min(prec + (not right), _PRECEDENCE["neg"]))
+        s = f"{left_s}^{right_s}" if e.op == "^" else f"{left_s} {e.op} {right_s}"
     return f"({s})" if prec < context else s
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from hhbounds.cli import main
 from hhbounds.corpus import spec_from_config
-from hhbounds.expr import evaluate, evaluate_dual
+from hhbounds.expr import MAX_NESTING, evaluate, evaluate_dual
 from hhbounds.funcspec import SpecValidationError, validate
 
 
@@ -98,11 +98,11 @@ class TestCheck:
         path = write_config(tmp_path, dict(SQ_Q1, f="exp(x"))
         assert main(["check", path]) == 2
 
-    @pytest.mark.parametrize("level, depth", [("(", 199), ("exp(", 198)], ids=["parentheses", "exp"])
-    def test_over_nested_expression_exits_two(self, tmp_path, capsys, level, depth):
-        # the recursive-descent parser's RecursionError is a syntax error at
-        # the token it stopped before, past level 150 (which parses) but
-        # otherwise dependent on the caller's stack
+    @pytest.mark.parametrize("level", ["(", "exp("], ids=["parentheses", "exp"])
+    def test_over_nested_expression_exits_two(self, tmp_path, capsys, level):
+        # the first level past MAX_NESTING is a syntax error at the token
+        # that opens it, whatever the caller's stack
+        depth = MAX_NESTING + 1
         f = level * depth + "x" + ")" * depth
         assert main(["check", write_config(tmp_path, dict(SQ_Q1, f=f))]) == 2
         captured = capsys.readouterr()
@@ -111,8 +111,7 @@ class TestCheck:
             r"error: invalid config .*: expression nested too deeply \(offset (\d+)\)\n",
             captured.err,
         )
-        offset = int(match[1])
-        assert offset > 150 * len(level) and f[offset - 1] in "(e"
+        assert int(match[1]) == MAX_NESTING * len(level) + 1
 
     def test_failed_certificates_write_json_dumps_bytes(self, tmp_path, capsys):
         # exp(x) fails both certificates at c = 3, so the report holds witness

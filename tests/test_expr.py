@@ -1,18 +1,22 @@
 """Parser, evaluator and dual-number tests."""
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhbounds.expr import (
     Binary,
     Constant,
+    MAX_NESTING,
     DualValue,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     Unary,
     UnknownIdentifierError,
@@ -25,6 +29,7 @@ from hhbounds.expr import (
     _check,
     _contains_variable,
     _int_pow,
+    _tokenize,
     parse,
     unparse,
 )
@@ -220,6 +225,215 @@ class TestRoundTrip:
             for x in rng.uniform(0.5, 2.0, size=20):
                 assert evaluate(e2, float(x)) == evaluate(e, float(x))
 
+
+
+# The recursive-descent parser and the unparser that ``parse`` and
+# ``unparse`` replaced, kept as oracles for every input they handle.
+
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, text, offset = self.peek()
+        if kind == "op" and text == op:
+            return self.advance()
+        raise ExprSyntaxError(f"expected {op!r}", offset, expected=op)
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                node = Binary(text, node, self.parse_term())
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_unary()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                node = Binary(text, node, self.parse_unary())
+            else:
+                return node
+
+    def parse_unary(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Unary("neg", self.parse_unary())
+        return self.parse_power()
+
+    def parse_power(self):
+        node = self.parse_atom()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            return Binary("^", node, self.parse_unary())
+        return node
+
+    def parse_atom(self):
+        kind, text, offset = self.advance()
+        if kind == "number":
+            return Constant(float(text))
+        if kind == "ident":
+            if text == "x":
+                return Variable()
+            if text in ("exp", "ln", "sin", "cos", "sqrt", "abs"):
+                self.expect_op("(")
+                inner = self.parse_expr()
+                self.expect_op(")")
+                return Unary(text, inner)
+            raise UnknownIdentifierError(text, offset)
+        if kind == "op" and text == "(":
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        what = "end of input" if kind == "end" else repr(text)
+        raise ExprSyntaxError(
+            f"expected a number, 'x', a function call or '(', got {what}",
+            offset,
+            expected="operand",
+        )
+
+
+def _reference_parse(source):
+    if not isinstance(source, str) or not source.strip():
+        raise ExprSyntaxError("empty expression", 1)
+    parser = _ReferenceParser(_tokenize(source))
+    node = parser.parse_expr()
+    kind, text, offset = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing {text!r}", offset)
+    return node
+
+
+_REF_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_REF_NEG_PRECEDENCE = 3
+
+
+def _reference_unparse(e, context=0):
+    if isinstance(e, Constant):
+        return repr(e.value)
+    if isinstance(e, Variable):
+        return "x"
+    if isinstance(e, Unary):
+        if e.op == "neg":
+            s = "-" + _reference_unparse(e.child, _REF_NEG_PRECEDENCE)
+            return f"({s})" if _REF_NEG_PRECEDENCE < context else s
+        return f"{e.op}({_reference_unparse(e.child, 0)})"
+    prec = _REF_BINARY_PRECEDENCE[e.op]
+    if e.op == "^":
+        left = _reference_unparse(e.left, prec + 1)
+        s = f"{left}^{_reference_unparse(e.right, _REF_NEG_PRECEDENCE)}"
+    else:
+        left = _reference_unparse(e.left, prec)
+        s = f"{left} {e.op} {_reference_unparse(e.right, prec + 1)}"
+    return f"({s})" if prec < context else s
+
+
+def _parse_outcome(parse_fn, source):
+    """The tree, or the error's type, message, offset and hint."""
+    try:
+        return parse_fn(source)
+    except ExprError as exc:
+        return type(exc), str(exc), exc.offset, getattr(exc, "expected", None)
+
+
+# every token kind, weighted towards operands and brackets so that some
+# strings are valid; adjacent pieces may fuse into one token ("exp" "x")
+SOURCE_PIECES = (
+    ["0", "1", "2.5", "1e3", ".5"] + ["x"] * 3
+    + ["exp", "ln", "sin", "cos", "sqrt", "abs", "tan"]
+    + ["+", "-", "-", "*", "/", "^", "(", "(", ")", ")", " ", "#"]
+)
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(SOURCE_PIECES), max_size=16).map("".join))
+    def test_token_strings(self, source):
+        assert _parse_outcome(parse, source) == _parse_outcome(_reference_parse, source)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_trees(4))
+    @example(Binary("^", Variable(), Unary("neg", Binary("^", Constant(2.0), Variable()))))
+    @example(Unary("neg", Binary("^", Unary("neg", Variable()), Constant(2.0))))
+    def test_unparsed_trees(self, tree):
+        source = unparse(tree)
+        assert source == _reference_unparse(tree)
+        assert _parse_outcome(parse, source) == _parse_outcome(_reference_parse, source)
+
+
+def _at_stack_depth(depth, fn, *args):
+    """``fn(*args)``, called with ``depth`` frames on the stack beneath it."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+
+    def descend(n):
+        return fn(*args) if n == 0 else descend(n - 1)
+
+    return descend(depth - here - 1)
+
+
+# (head, opener, atom, closer): head + opener*n + atom + closer*n nests n levels
+NESTED = {
+    "parentheses": ("", "(", "x", ")"),
+    "calls": ("", "abs(", "x", ")"),
+    "prefix-minus": ("", "-", "x", ""),
+    "powers": ("x", "^1", "", ""),
+}
+
+
+def _nested(construct, n):
+    head, opener, atom, closer = NESTED[construct]
+    return head + opener * n + atom + closer * n
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_cap_is_exact_from_any_caller_depth(self, construct):
+        # recursive descent ran out of stack this far down, whatever the cap
+        head, opener, _, _ = NESTED[construct]
+        assert _at_stack_depth(900, parse, _nested(construct, MAX_NESTING)) == parse(
+            _nested(construct, MAX_NESTING)
+        )
+        with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
+            _at_stack_depth(900, parse, _nested(construct, MAX_NESTING + 1))
+        # the error names the token that opens the first level past the cap
+        assert exc.value.offset == len(head) + len(opener) * MAX_NESTING + 1
+
+    @pytest.mark.parametrize("construct", NESTED)
+    def test_walkers_take_the_cap_from_200_frames_down(self, construct):
+        # the cap is chosen for these walkers: x^1^1... costs them about
+        # 4 frames a level through Binary._int_exponent, and they took at
+        # most 199 levels of it from 200 frames down
+        source = _nested(construct, MAX_NESTING)
+        tree, twin = parse(source), parse(source)
+        assert _at_stack_depth(200, evaluate_dual, tree, 0.5) == DualValue(0.5, 1.0)
+        assert _at_stack_depth(200, unparse, tree) == unparse(twin)
+        assert _at_stack_depth(200, operator.eq, tree, twin)
+        assert _at_stack_depth(200, abs_kink_points, tree, 0.0, 1.0) == []
+
+    def test_flat_sums_are_not_capped(self):
+        # pending + - * / open no level, and each term closes the levels it
+        # opens; the evaluator's recursion bounds the sum
+        e = parse(" + ".join(["-abs((x))^2"] * 500))
+        assert evaluate(e, 2.0) == -2000.0
 
 class TestKinkLocation:
     def test_linear_abs_root(self):
