@@ -65,7 +65,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config not found: {path}")
     try:
         cfg = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or text that is not UTF-8;
+        # RecursionError: arrays or objects nested past json's stack
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -15,9 +15,8 @@ an optional scientific exponent.
 
 ``parse`` accepts ``MAX_NESTING`` nesting levels: each open parenthesis, open
 function call, pending prefix minus and pending ``^`` is one. Flat chains
-of ``+ - * /`` are not capped; the recursive evaluator spends a frame per
-term on them, so under the default recursion limit of 1000 a sum of about
-990 terms is the most it evaluates (799 from 200 frames down).
+of ``+ - * /`` are not capped. No walker recurses: each loops over one
+post-order list of the nodes, so a sum of any length is evaluated.
 
 Evaluation is IEEE double precision throughout and accepts either a float or
 a numpy array for the variable. ``evaluate_dual`` propagates dual numbers
@@ -92,24 +91,51 @@ class EvalDomainError(ExprError):
         self.x = x
 
 
+class _Node:
+    """Base of the AST classes: holds the node list every walker loops over."""
+
+    @cached_property
+    def _postorder(self) -> list:
+        """``(node, value_unread)`` pairs of this tree in post-order.
+
+        ``value_unread`` is true where no rule reads a value once the root's is
+        unread: down from the root through ``+ -`` and prefix minus alone. Each
+        ``^`` node also comes between its operands, with ``value_unread`` None.
+        """
+        order = []
+        todo = [(self, True)]  # visited root, right, left: post-order reversed
+        while todo:
+            node, unread = todo.pop()
+            order.append((node, unread))
+            if isinstance(node, Unary):
+                todo.append((node.child, unread and node.op == "neg"))
+            elif isinstance(node, Binary) and unread is not None:
+                operand_unread = unread and node.op in "+-"
+                todo.append((node.left, operand_unread))
+                if node.op == "^":
+                    todo.append((node, None))
+                todo.append((node.right, operand_unread))
+        return order[::-1]
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # 'neg' or a name from UNARY_FUNCTIONS
     child: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
@@ -118,10 +144,14 @@ class Binary:
     def _int_exponent(self) -> Optional[int]:
         """The right operand as an int when it is variable-free and integral.
 
-        None otherwise. Evaluated once per node; only ``^`` reads it.
+        None otherwise. Evaluated once per node, after those of the ``^`` nodes
+        in it, so evaluations nest one deep at most; only ``^`` reads it.
         """
         if _contains_variable(self.right):
             return None
+        for node, unread in reversed(self.right._postorder):
+            if unread is None:  # a nested exponent; the inner ones come first
+                node._int_exponent
         value = evaluate(self.right, 0.0)
         return int(value) if value.is_integer() else None
 
@@ -130,7 +160,7 @@ Expr = Union[Constant, Variable, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
-# tokenizing / parsing
+# tokenizing, parsing and unparsing
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -160,14 +190,15 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# nesting levels that parse accepts; tests/test_expr.py checks that the
-# tree walkers handle this many from 200 frames down
+# nesting levels that parse accepts: the dataclass-generated ==, hash and
+# repr still recurse, and tests/test_expr.py checks == at the cap
 MAX_NESTING = 180
 
 # binary operators and prefix minus ('neg'), read by parse and unparse: '^'
 # is right associative and binds tighter than prefix minus
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _RIGHT_ASSOCIATIVE = ("^",)
+_ATOM = _PRECEDENCE["^"] + 1  # atoms and calls, which unparse never brackets
 
 
 def parse(source: str) -> Expr:
@@ -243,32 +274,31 @@ def parse(source: str) -> Expr:
         pending.append(op)
 
 
-# ---------------------------------------------------------------------------
-# unparsing
-
 def unparse(e: Expr) -> str:
     """Render an AST back to source; ``parse(unparse(e))`` is structurally ``e``."""
-    return _unparse(e, 0)
+    done: list[tuple[str, int]] = []  # (source, precedence) of operands not yet read
 
+    def operand(context: int) -> str:
+        source, prec = done.pop()
+        return f"({source})" if prec < context else source
 
-def _unparse(e: Expr, context: int) -> str:
-    if isinstance(e, Constant):
-        return repr(e.value)
-    if isinstance(e, Variable):
-        return "x"
-    if isinstance(e, Unary) and e.op != "neg":
-        return f"{e.op}({_unparse(e.child, 0)})"
-    prec = _PRECEDENCE[e.op]
-    if isinstance(e, Unary):
-        s = "-" + _unparse(e.child, prec)
-    else:
-        right = e.op in _RIGHT_ASSOCIATIVE
-        left_s = _unparse(e.left, prec + right)
-        # parse takes a prefix minus wherever an operand starts, so the
-        # right operand of '^' needs no brackets for one
-        right_s = _unparse(e.right, min(prec + (not right), _PRECEDENCE["neg"]))
-        s = f"{left_s}^{right_s}" if e.op == "^" else f"{left_s} {e.op} {right_s}"
-    return f"({s})" if prec < context else s
+    for node, unread in e._postorder:
+        if isinstance(node, (Constant, Variable)):
+            done.append((repr(node.value) if isinstance(node, Constant) else "x", _ATOM))
+        elif isinstance(node, Unary) and node.op != "neg":
+            done.append((f"{node.op}({operand(0)})", _ATOM))
+        elif isinstance(node, Unary):
+            done.append(("-" + operand(_PRECEDENCE["neg"]), _PRECEDENCE["neg"]))
+        elif unread is not None:  # not the mark between a ^ node's operands
+            prec = _PRECEDENCE[node.op]
+            right = node.op in _RIGHT_ASSOCIATIVE
+            # parse takes a prefix minus wherever an operand starts, so the
+            # right operand of '^' needs no brackets for one
+            right_s = operand(min(prec + (not right), _PRECEDENCE["neg"]))
+            left_s = operand(prec + right)
+            s = f"{left_s}^{right_s}" if node.op == "^" else f"{left_s} {node.op} {right_s}"
+            done.append((s, prec))
+    return done.pop()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +308,7 @@ def _unparse(e: Expr, context: int) -> str:
 class DualValue:
     """A value and its derivative, both IEEE doubles or numpy arrays.
 
-    A plain record: ``_eval`` holds the dual-number rules.
+    A plain record: ``_apply`` holds the dual-number rules.
     """
 
     value: Scalar
@@ -286,13 +316,7 @@ class DualValue:
 
 
 def _contains_variable(e: Expr) -> bool:
-    if isinstance(e, Variable):
-        return True
-    if isinstance(e, Unary):
-        return _contains_variable(e.child)
-    if isinstance(e, Binary):
-        return _contains_variable(e.left) or _contains_variable(e.right)
-    return False
+    return any(isinstance(node, Variable) for node, _ in e._postorder)
 
 
 def _int_pow(u, n: int, node: Expr, x):
@@ -382,7 +406,27 @@ def _scale(a, d):
 
 
 def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
-    """``(value, derivative)`` of ``e`` at ``x``.
+    """``(value, derivative)`` of ``e`` at ``x``: ``_apply`` on each node of
+    ``e._postorder`` but a folded exponent's, with a stack for operands."""
+    values: list = []
+    order = iter(e._postorder)
+    for node, unread in order:
+        if unread is not None:
+            values.append(_apply(node, x, dual, need or not unread, values))
+            continue
+        try:
+            n = node._int_exponent  # the exponent of node follows
+        except EvalDomainError:
+            dual = False  # variable-free, it fails alike as a value, naming this x
+            continue
+        if n is not None:  # folded: skip the exponent's nodes
+            for _ in node.right._postorder:
+                next(order)
+    return values.pop()
+
+
+def _apply(e: Expr, x: Scalar, dual: bool, need: bool, values: list):
+    """``(value, derivative)`` of node ``e``; its operands' are on ``values``.
 
     The derivative is None unless ``dual``; the value is None when ``need``
     is false and no derivative rule reads it. The derivative of ``x`` is
@@ -395,10 +439,9 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
     if isinstance(e, Variable):
         return x, (_UNIT if dual else None)
     if isinstance(e, Unary):
+        v, d = values.pop()
         if e.op == "neg":
-            v, d = _eval(e.child, x, dual, need)
             return (-v if need else None), (-_dense(d, x) if dual else None)
-        v, d = _eval(e.child, x, dual)
         if e.op == "exp":
             ev = np.exp(v)
             return ev, (_scale(ev, d) if dual else None)
@@ -420,32 +463,25 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
             # sign(0) = 0 implements the stated kink convention
             return (np.abs(v) if need else None), (_scale(np.sign(v), d) if dual else None)
         raise AssertionError(e.op)
-    # only a sum or difference leaves its operands' values unread
-    operand_need = need or e.op not in "+-"
-    u, du = _eval(e.left, x, dual, operand_need)
+    n = e._int_exponent if e.op == "^" else None
+    if n is None:
+        v, dv = values.pop()
+    u, du = values.pop()
+    if n is not None:
+        if n < 0:
+            _check(u == 0, "zero base with negative exponent", e, x)
+        # a negative power keeps its overflow check even when unread
+        value = _int_pow(u, n, e, x) if need or n < 0 else None
+        if not dual:
+            return value, None
+        if n == 0:
+            return value, u * 0.0
+        return value, _scale(float(n) * _int_pow(u, n - 1, e, x), du)
     if e.op == "^":
-        try:
-            n = e._int_exponent
-        except EvalDomainError:
-            # variable-free, it fails alike here, naming this walk's input
-            _eval(e.right, x, False)
-            raise
-        if n is not None:
-            if n < 0:
-                _check(u == 0, "zero base with negative exponent", e, x)
-            # a negative power keeps its overflow check even when unread
-            value = _int_pow(u, n, e, x) if need or n < 0 else None
-            if not dual:
-                return value, None
-            if n == 0:
-                return value, u * 0.0
-            return value, _scale(float(n) * _int_pow(u, n - 1, e, x), du)
-        v, dv = _eval(e.right, x, dual)
         _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, x)
         lnu = np.log(u)
         value = np.exp(v * lnu)
         return value, (value * (_scale(lnu, dv) + _scale(v, du) / u) if dual else None)
-    v, dv = _eval(e.right, x, dual, operand_need)
     if e.op == "+":
         return (u + v if need else None), (_dense(du, x) + _dense(dv, x) if dual else None)
     if e.op == "-":
@@ -465,34 +501,28 @@ def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
 # ---------------------------------------------------------------------------
 # kink location for abs-bearing expressions
 
-def _is_linear_in_x(e: Expr) -> bool:
-    if not _contains_variable(e):
-        return True
-    if isinstance(e, Variable):
-        return True
-    if isinstance(e, Unary) and e.op == "neg":
-        return _is_linear_in_x(e.child)
-    if isinstance(e, Binary):
-        if e.op in "+-":
-            return _is_linear_in_x(e.left) and _is_linear_in_x(e.right)
-        if e.op == "*":
-            return (not _contains_variable(e.left) and _is_linear_in_x(e.right)) or (
-                not _contains_variable(e.right) and _is_linear_in_x(e.left)
-            )
-        if e.op == "/":
-            return _is_linear_in_x(e.left) and not _contains_variable(e.right)
-    return False
-
-
-def _abs_arguments(e: Expr):
-    """Arguments of the ``abs`` nodes of ``e`` that contain x, in pre-order."""
-    if isinstance(e, Unary):
-        if e.op == "abs" and _contains_variable(e.child):
-            yield e.child
-        yield from _abs_arguments(e.child)
-    elif isinstance(e, Binary):
-        yield from _abs_arguments(e.left)
-        yield from _abs_arguments(e.right)
+def _abs_arguments(e: Expr) -> list:
+    """``(argument, linear in x)`` per ``abs`` node whose argument has x, in pre-order."""
+    done: list = []  # per operand not yet read: (abs arguments, linear, contains x)
+    for node, unread in e._postorder:
+        if isinstance(node, (Constant, Variable)):
+            done.append(([], True, isinstance(node, Variable)))
+        elif isinstance(node, Unary):
+            args, linear, has_x = done.pop()
+            if node.op == "abs" and has_x:
+                args.insert(0, (node.child, linear))
+            done.append((args, not has_x or (node.op == "neg" and linear), has_x))
+        elif unread is not None:  # not the mark between a ^ node's operands
+            (right, right_linear, right_x), (args, left_linear, left_x) = done.pop(), done.pop()
+            args += right
+            if node.op in "+-":
+                linear = left_linear and right_linear
+            elif node.op == "*":
+                linear = (not left_x and right_linear) or (not right_x and left_linear)
+            else:
+                linear = node.op == "/" and left_linear and not right_x
+            done.append((args, linear or not (left_x or right_x), left_x or right_x))
+    return done.pop()[0]
 
 
 def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
@@ -502,8 +532,8 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     left to adaptive refinement.
     """
     points: set[float] = set()
-    for arg in _abs_arguments(e):
-        if _is_linear_in_x(arg):
+    for arg, linear in _abs_arguments(e):
+        if linear:
             intercept = evaluate(arg, 0.0)
             slope = evaluate_derivative(arg, 0.0)
             if slope != 0.0:
@@ -515,4 +545,4 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
 
 def has_abs_kink_at(e: Expr, x: float) -> bool:
     """True when some abs argument of ``e`` evaluates to exactly 0 at ``x``."""
-    return any(evaluate(arg, x) == 0.0 for arg in _abs_arguments(e))
+    return any(evaluate(arg, x) == 0.0 for arg, _ in _abs_arguments(e))

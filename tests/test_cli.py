@@ -113,6 +113,25 @@ class TestCheck:
         )
         assert int(match[1]) == MAX_NESTING * len(level) + 1
 
+    @pytest.mark.parametrize(
+        "text", [b'{"f": "x^2", "a": 0, "b": 1, "id": "\xff"}', b"[" * 100_000],
+        ids=["not-utf-8", "nested-100000"],
+    )
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: cannot read config .*\n", captured.err)
+
+    def test_2000_term_sum_exits_zero(self, tmp_path, capsys):
+        # no expression walker recurses, so a long sum has no term limit
+        f = " + ".join(["x^2"] * 2000)
+        assert main(["check", write_config(tmp_path, dict(SQ_Q1, f=f))]) == 0
+        # a header and the nine bound rows
+        assert len(capsys.readouterr().out.splitlines()) == 10
+
     def test_failed_certificates_write_json_dumps_bytes(self, tmp_path, capsys):
         # exp(x) fails both certificates at c = 3, so the report holds witness
         # lists and cert-failed ERROR rows, which the corpus never writes

@@ -3,6 +3,7 @@
 import math
 import operator
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hhbounds.corpus import corpus_specs
 from hhbounds.expr import (
     Binary,
     Constant,
@@ -33,6 +35,7 @@ from hhbounds.expr import (
     parse,
     unparse,
 )
+from hhbounds.funcspec import derivative_power, function_of
 
 
 class TestParsing:
@@ -418,22 +421,95 @@ class TestNestingCap:
         assert exc.value.offset == len(head) + len(opener) * MAX_NESTING + 1
 
     @pytest.mark.parametrize("construct", NESTED)
-    def test_walkers_take_the_cap_from_200_frames_down(self, construct):
-        # the cap is chosen for these walkers: x^1^1... costs them about
-        # 4 frames a level through Binary._int_exponent, and they took at
-        # most 199 levels of it from 200 frames down
+    def test_walkers_take_the_cap_from_970_frames_down(self, construct):
+        # the walkers loop over the node list, so nesting costs them no
+        # frames: x^1^1... needs the most, about 8 while its exponents are
+        # folded, and under pytest on CPython 3.11 a call can start at most
+        # about 992 frames down. The dataclass-generated == still recurses,
+        # and the cap is chosen for it
         source = _nested(construct, MAX_NESTING)
         tree, twin = parse(source), parse(source)
-        assert _at_stack_depth(200, evaluate_dual, tree, 0.5) == DualValue(0.5, 1.0)
-        assert _at_stack_depth(200, unparse, tree) == unparse(twin)
+        assert _at_stack_depth(970, evaluate_dual, tree, 0.5) == DualValue(0.5, 1.0)
+        assert _at_stack_depth(970, unparse, tree) == unparse(twin)
+        assert _at_stack_depth(970, abs_kink_points, tree, 0.0, 1.0) == []
         assert _at_stack_depth(200, operator.eq, tree, twin)
-        assert _at_stack_depth(200, abs_kink_points, tree, 0.0, 1.0) == []
 
     def test_flat_sums_are_not_capped(self):
         # pending + - * / open no level, and each term closes the levels it
-        # opens; the evaluator's recursion bounds the sum
+        # opens
         e = parse(" + ".join(["-abs((x))^2"] * 500))
         assert evaluate(e, 2.0) == -2000.0
+
+
+class TestLongExpressions:
+    # no walker recurses, so the length of a sum is bounded by memory alone
+    @pytest.fixture(scope="class")
+    def long_sum(self):
+        return parse(" + ".join(["x"] * 100_000))
+
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5, -2.0, 0.0])], ids=["float", "array"])
+    def test_100000_term_sum_evaluates(self, long_sum, x):
+        ones = np.ones_like(x) * 100_000.0
+        assert _same(evaluate(long_sum, x), x * 100_000.0)
+        assert _same(evaluate_dual(long_sum, x), DualValue(x * 100_000.0, ones))
+        assert _same(evaluate_derivative(long_sum, x), ones)
+
+    def test_5000_term_sum_unparses_and_locates_kinks(self):
+        # each term as unparse writes it, so the source must come back as is
+        source = " + ".join(f"abs(x - {k % 7 / 8 + 0.125!r})" for k in range(5000))
+        e = parse(source)
+        assert unparse(e) == source
+        assert abs_kink_points(e, 0.0, 1.0) == [k / 8 for k in range(1, 8)]
+        assert has_abs_kink_at(e, 0.25) and not has_abs_kink_at(e, 0.3)
+
+    def test_domain_error_in_a_2000_term_sum_names_the_input(self):
+        e = parse("ln(" + " + ".join(["x"] * 2000) + ")")
+        message = "^ln of non-positive value in 'ln[(]x [+] x"
+        with pytest.raises(EvalDomainError, match=message) as exc:
+            evaluate(e, -1.0)
+        assert exc.value.x == -1.0
+
+
+# input-sized arrays alive at once while function_of and derivative_power of
+# each corpus f evaluate a 2^17-point array, as the recursive evaluator held them
+PEAK_ARRAYS = {
+    "sq-id-q1-flat": (1, 2),
+    "sq-id-q1-extremal": (1, 2),
+    "sq-id-q2-mid": (1, 2),
+    "sq-id-q2-flat": (1, 2),
+    "exp-id-q1-mid": (1, 2),
+    "exp-id-q2-full": (1, 2),
+    "quartic-id-q2": (2, 2),
+    "quart-id-q2-mid": (3, 3),
+    "quart-id-q1-flat": (3, 3),
+    "mix-id-q3-full": (3, 3),
+    "mix-id-q2-mid": (3, 3),
+    "abs-id-q1": (2, 4),
+    "abs-id-q2": (2, 4),
+    "sq-affine-q2": (1, 2),
+    "exp-phisq-q2": (1, 2),
+    "quart-affine-q1": (3, 3),
+    "linear-id-q1": (2, 2),
+}
+
+
+def test_corpus_targets_hold_no_more_arrays_than_pinned():
+    x = np.linspace(0.05, 0.95, 2**17)
+    held = {}
+    for spec in corpus_specs():
+        for target, g in enumerate((function_of(spec.f), derivative_power(spec.f, spec.q))):
+            g(x[:4])  # builds the node list and folds the exponents
+            tracemalloc.start()
+            try:
+                g(x)
+                held[spec.spec_id, target] = tracemalloc.get_traced_memory()[1] / x.nbytes
+            finally:
+                tracemalloc.stop()
+    assert {spec_id for spec_id, _ in held} == set(PEAK_ARRAYS)
+    # a small allowance for the value stack and its tuples
+    over = {k: v for k, v in held.items() if v > PEAK_ARRAYS[k[0]][k[1]] + 1 / 64}
+    assert not over, over
+
 
 class TestKinkLocation:
     def test_linear_abs_root(self):
@@ -459,6 +535,12 @@ class TestKinkLocation:
         e = parse("abs(abs(x - 0.25) - 0.5)")
         assert abs_kink_points(e, 0.0, 1.0) == [0.25]
         assert has_abs_kink_at(e, 0.25)
+
+    @pytest.mark.parametrize("src", ["abs(1/abs(x))", "abs(1/x) + abs(x)"])
+    def test_arguments_are_tried_in_pre_order(self, src):
+        # the outer or left argument fails at 0 before the kink of x is found
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            has_abs_kink_at(parse(src), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +796,14 @@ class TestFoldedExponent:
         for _ in range(2):
             with pytest.raises(EvalDomainError, match="ln of non-positive"):
                 evaluate(e, 1.0)
+
+    def test_failing_exponent_raises_its_value_error(self):
+        # the exponent fails as a value; its sqrt(0) would fail first only
+        # in a derivative, which a failing exponent never gets
+        e = parse("x^(sqrt(0) + ln(0 - 1))")
+        for fn in (evaluate, evaluate_dual, evaluate_derivative):
+            with pytest.raises(EvalDomainError, match="^ln of non-positive .* at x=2.0$"):
+                fn(e, 2.0)
 
 
 class TestNegativePowerOverflow:
