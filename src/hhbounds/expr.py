@@ -15,8 +15,9 @@ an optional scientific exponent.
 
 ``parse`` accepts ``MAX_NESTING`` nesting levels: each open parenthesis, open
 function call, pending prefix minus and pending ``^`` is one. Flat chains
-of ``+ - * /`` are not capped. No walker recurses: each loops over one
-post-order list of the nodes, so a sum of any length is evaluated.
+of ``+ - * /`` are not capped. No walker recurses, ``==``, ``hash`` and
+``repr`` included: each loops over one post-order list of the nodes, so a
+sum of any length is evaluated, compared and printed.
 
 Evaluation is IEEE double precision throughout and accepts either a float or
 a numpy array for the variable. ``evaluate_dual`` propagates dual numbers
@@ -117,24 +118,78 @@ class _Node:
                 todo.append((node.right, operand_unread))
         return order[::-1]
 
+    # == and repr give what the dataclass would generate, and hash agrees
+    # with ==; each loops over the node list instead of recursing per level
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        """(class, value or op) per node in post-order, which fixes the tree.
+
+        Compared as tuples, a field equals itself, a NaN included, and 0.0
+        equals -0.0, as in the generated ==.
+        """
+        return tuple(
+            (node.__class__,
+             node.value if isinstance(node, Constant) else getattr(node, "op", None))
+            for node, unread in self._postorder
+            if unread is not None  # not the mark between a ^ node's operands
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        done: list = []  # text of the operands not yet read, as _join takes it
+        for node, unread in self._postorder:
+            if isinstance(node, Constant):
+                done.append(f"Constant(value={node.value!r})")
+            elif isinstance(node, Variable):
+                done.append("Variable()")
+            elif isinstance(node, Unary):
+                done.append([f"Unary(op={node.op!r}, child=", done.pop(), ")"])
+            elif unread is not None:
+                right = done.pop()
+                done.append([f"Binary(op={node.op!r}, left=", done.pop(), ", right=", right, ")"])
+        return _join(done.pop())
+
+
+def _join(text) -> str:
+    """The string that ``text``, a string or a list of such, spells out.
+
+    Lists nest as deep as the tree that built them; this loop does not recurse.
+    """
+    out: list[str] = []
+    todo = [text]
+    while todo:
+        part = todo.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            todo.extend(reversed(part))
+    return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(_Node):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Variable(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Node):
     op: str  # 'neg' or a name from UNARY_FUNCTIONS
     child: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
@@ -190,8 +245,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# nesting levels that parse accepts: the dataclass-generated ==, hash and
-# repr still recurse, and tests/test_expr.py checks == at the cap
+# nesting levels that parse accepts. Nothing here recurses on a tree, ==,
+# hash and repr included, so the cap guards no stack: it bounds how deep the
+# brackets and ^ chains of a parsed tree, and so of unparse's text, can go
 MAX_NESTING = 180
 
 # binary operators and prefix minus ('neg'), read by parse and unparse: '^'
@@ -275,30 +331,34 @@ def parse(source: str) -> Expr:
 
 
 def unparse(e: Expr) -> str:
-    """Render an AST back to source; ``parse(unparse(e))`` is structurally ``e``."""
-    done: list[tuple[str, int]] = []  # (source, precedence) of operands not yet read
+    """Render an AST back to source; ``parse(unparse(e))`` is structurally ``e``.
 
-    def operand(context: int) -> str:
-        source, prec = done.pop()
-        return f"({source})" if prec < context else source
+    Each operand's text is kept as fragments, nested lists of strings, and
+    joined once at the end, so the cost is linear in the output.
+    """
+    done: list = []  # (text, precedence) of operands not yet read
+
+    def operand(context: int):
+        text, prec = done.pop()
+        return ["(", text, ")"] if prec < context else text
 
     for node, unread in e._postorder:
         if isinstance(node, (Constant, Variable)):
             done.append((repr(node.value) if isinstance(node, Constant) else "x", _ATOM))
         elif isinstance(node, Unary) and node.op != "neg":
-            done.append((f"{node.op}({operand(0)})", _ATOM))
+            done.append(([f"{node.op}(", operand(0), ")"], _ATOM))
         elif isinstance(node, Unary):
-            done.append(("-" + operand(_PRECEDENCE["neg"]), _PRECEDENCE["neg"]))
+            done.append((["-", operand(_PRECEDENCE["neg"])], _PRECEDENCE["neg"]))
         elif unread is not None:  # not the mark between a ^ node's operands
             prec = _PRECEDENCE[node.op]
             right = node.op in _RIGHT_ASSOCIATIVE
             # parse takes a prefix minus wherever an operand starts, so the
             # right operand of '^' needs no brackets for one
-            right_s = operand(min(prec + (not right), _PRECEDENCE["neg"]))
-            left_s = operand(prec + right)
-            s = f"{left_s}^{right_s}" if node.op == "^" else f"{left_s} {node.op} {right_s}"
-            done.append((s, prec))
-    return done.pop()[0]
+            right_text = operand(min(prec + (not right), _PRECEDENCE["neg"]))
+            left_text = operand(prec + right)
+            op = "^" if node.op == "^" else f" {node.op} "
+            done.append(([left_text, op, right_text], prec))
+    return _join(done.pop()[0])
 
 
 # ---------------------------------------------------------------------------

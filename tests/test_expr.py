@@ -3,6 +3,7 @@
 import math
 import operator
 import sys
+import time
 import tracemalloc
 from dataclasses import dataclass
 
@@ -425,14 +426,15 @@ class TestNestingCap:
         # the walkers loop over the node list, so nesting costs them no
         # frames: x^1^1... needs the most, about 8 while its exponents are
         # folded, and under pytest on CPython 3.11 a call can start at most
-        # about 992 frames down. The dataclass-generated == still recurses,
-        # and the cap is chosen for it
+        # about 992 frames down. ==, hash and repr loop over it too
         source = _nested(construct, MAX_NESTING)
         tree, twin = parse(source), parse(source)
         assert _at_stack_depth(970, evaluate_dual, tree, 0.5) == DualValue(0.5, 1.0)
         assert _at_stack_depth(970, unparse, tree) == unparse(twin)
         assert _at_stack_depth(970, abs_kink_points, tree, 0.0, 1.0) == []
-        assert _at_stack_depth(200, operator.eq, tree, twin)
+        assert _at_stack_depth(970, operator.eq, tree, twin)
+        assert _at_stack_depth(970, hash, tree) == hash(twin)
+        assert _at_stack_depth(970, repr, tree) == repr(twin)
 
     def test_flat_sums_are_not_capped(self):
         # pending + - * / open no level, and each term closes the levels it
@@ -462,12 +464,63 @@ class TestLongExpressions:
         assert abs_kink_points(e, 0.0, 1.0) == [k / 8 for k in range(1, 8)]
         assert has_abs_kink_at(e, 0.25) and not has_abs_kink_at(e, 0.3)
 
+    def test_320000_term_sum_unparses_in_linear_time(self):
+        # built without parse, so unparse builds the node list too. On a
+        # shared 2-vCPU host, text concatenated per node took 28 s and
+        # fragments joined once take 2.7 s
+        e = Variable()
+        for _ in range(319_999):
+            e = Binary("+", e, Constant(1.0))
+        start = time.perf_counter()
+        text = unparse(e)
+        assert time.perf_counter() - start < 8.0
+        assert text == "x" + " + 1.0" * 319_999
+        assert parse(text) == e
+
+    def test_1000_term_sum_compares_hashes_and_prints(self):
+        source = " + ".join(["x"] * 1000)
+        e, twin = parse(source), parse(source)
+        assert e == twin and not e != twin and hash(e) == hash(twin)
+        assert e != parse(source + " + 1") and e != parse("1" + source[1:])
+        assert repr(e) == "Binary(op='+', left=" * 999 + "Variable()" + ", right=Variable())" * 999
+
     def test_domain_error_in_a_2000_term_sum_names_the_input(self):
         e = parse("ln(" + " + ".join(["x"] * 2000) + ")")
         message = "^ln of non-positive value in 'ln[(]x [+] x"
         with pytest.raises(EvalDomainError, match=message) as exc:
             evaluate(e, -1.0)
         assert exc.value.x == -1.0
+
+
+class TestNodeMethods:
+    # == and repr loop over the node list and give what the
+    # dataclass-generated methods gave; hash agrees with ==
+
+    @pytest.mark.parametrize("source, expected", [
+        ("x", "Variable()"),
+        ("2.5", "Constant(value=2.5)"),
+        ("-x^2", "Unary(op='neg', child=Binary(op='^', left=Variable(), "
+                 "right=Constant(value=2.0)))"),
+        ("exp(x) / (1 - x)", "Binary(op='/', left=Unary(op='exp', child=Variable()), "
+                             "right=Binary(op='-', left=Constant(value=1.0), right=Variable()))"),
+    ])
+    def test_repr_of_small_trees(self, source, expected):
+        assert repr(parse(source)) == expected
+
+    def test_equality_keeps_float_semantics(self):
+        assert Constant(0.0) == Constant(-0.0) and hash(Constant(0.0)) == hash(Constant(-0.0))
+        assert Constant(float("nan")) != Constant(float("nan"))
+        # a generated == took a field identical in both as equal, a NaN too
+        nan = math.nan
+        assert Constant(nan) == Constant(nan) and hash(Constant(nan)) == hash(Constant(nan))
+        shared = Binary("+", Variable(), Constant(nan))
+        assert Unary("exp", shared) == Unary("exp", shared)
+
+    def test_other_classes_and_shapes_differ(self):
+        assert Variable() != Constant(0.0) and parse("x") != "x"
+        assert parse("sin(x)") != parse("cos(x)")
+        assert parse("x + x*x") != parse("x*x + x")
+        assert parse("(x + x) + x") != parse("x + (x + x)")
 
 
 # input-sized arrays alive at once while function_of and derivative_power of

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hhbounds.corpus import corpus_specs
-from hhbounds.expr import parse
+from hhbounds.expr import evaluate, evaluate_derivative, parse
 from hhbounds.funcspec import (
     CHUNK_POINTS,
     CertificateResult,
@@ -370,6 +370,26 @@ class TestEstimateMaxModulus:
         # |d/dx x^2|^2 = 4x^2 admits modulus 4
         g = derivative_power(parse("x^2"), 2.0)
         assert estimate_max_modulus(g, IDENTITY, IV01) == pytest.approx(4.0, abs=1e-8)
+
+    @pytest.mark.parametrize("q", [3, 4, 7])
+    def test_integral_power_follows_the_caret_rule(self, q):
+        # libm pow differs from repeated multiplication in the last bits on
+        # thousands of these samples
+        u = np.linspace(-1.5, 1.5, 10_001)
+        g = derivative_power(parse("x^4 + x^2"), float(q))
+        assert g(u).tobytes() == evaluate(parse(f"abs(4*x^3 + 2*x)^{q}"), u).tobytes()
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 1.5])
+    def test_corpus_targets_keep_libm_bits_at_q_1_2_and_fractional(self, q):
+        # x**1.0 is x and numpy computes x**2.0 as x*x, so these targets keep
+        # libm's bits whichever rule takes the power
+        for spec in corpus_specs():
+            g = derivative_power(spec.f, q)
+            u = spec.phi(np.linspace(spec.interval.a, spec.interval.b, 1001))
+            for x in (u, float(u[500])):
+                expected = np.abs(evaluate_derivative(spec.f, x)) ** q
+                assert type(g(x)) is type(expected), spec.spec_id
+                assert np.asarray(g(x)).tobytes() == np.asarray(expected).tobytes(), spec.spec_id
 
 
 # ---------------------------------------------------------------------------
