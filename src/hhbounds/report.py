@@ -6,7 +6,7 @@ rows bounding the gap from above carry margin = bound - gap; the sandwich
 rows bound the integral mean from below or above and carry the
 correspondingly oriented margin (mean - bound, bound - mean), so that HOLDS
 always means margin >= -1e-8. Tightness is the achievement ratio of the
-bound, clamped into [0, inf) and defined as 0 for the 0/0 case.
+bound, clamped into [0, inf); over a zero bound, inf if positive, else 0.
 
 CSV columns are fixed: spec_id, theorem_id, status, bound, gap, margin,
 tightness, notes, with reals printed to 17 significant digits so every value
@@ -32,7 +32,7 @@ from .funcspec import (
     derivative_power,
     endpoints,
     function_of,
-    validate,
+    validate,  # unused here; perfbench/tracer.py wraps report.validate
 )
 from .quad import GapResult, verify_lemma_identity
 
@@ -85,7 +85,7 @@ class BoundReport:
 
 def _ratio(numer: float, denom: float) -> float:
     if denom == 0.0:
-        return 0.0 if numer == 0.0 else math.inf
+        return 0.0 if numer <= 0.0 else math.inf
     return max(0.0, numer / denom)
 
 
@@ -129,9 +129,7 @@ def run_check(
     spec: ProblemSpec,
     with_certificates: bool = True,
 ) -> BoundReport:
-    """Full pipeline for one spec: validate, certify, verify, bound, report."""
-    if not spec.valid:
-        spec = validate(spec)
+    """Full pipeline for one spec, checked when built: certify, verify, bound, report."""
     certificates: tuple[CertificateSummary, ...] = ()
     cert_f = cert_deriv = None
     if with_certificates:

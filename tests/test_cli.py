@@ -125,6 +125,14 @@ class TestCheck:
         assert captured.out == ""
         assert re.fullmatch(r"error: cannot read config .*\n", captured.err)
 
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("[1, 2]")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config must be a JSON object\n"
+
     def test_2000_term_sum_exits_zero(self, tmp_path, capsys):
         # no expression walker recurses, so a long sum has no term limit
         f = " + ".join(["x^2"] * 2000)
@@ -247,8 +255,11 @@ def test_oversize_modulus_sample_exits_two_at_once(tmp_path):
         ["check", "--diagnostics"],
         ["bounds", "--diagnostics"],
         ["modulus", "--format", "json"],
+        pytest.param(["check", "--tol", "1e-9"], id="check-tol"),
+        pytest.param(["bounds", "--tol", "1e-9"], id="bounds-tol"),
         pytest.param(["modulus", "--tol", "1e-9"], id="modulus-tol"),
         ["lemma", "--out", "lemma.txt"],
+        pytest.param(["lemma", "--tol", "1e-9"], id="lemma-tol"),
         ["corpus", "--tol", "1e-9"],
     ],
     ids=lambda argv: argv[0],

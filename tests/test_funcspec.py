@@ -1,5 +1,6 @@
 """Validation and strong phi-convexity certification tests."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hhbounds.corpus import corpus_specs
+from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.expr import evaluate, evaluate_derivative, parse
 from hhbounds.funcspec import (
     CHUNK_POINTS,
@@ -37,10 +38,23 @@ def make_spec(f="x^2", a=0.0, b=1.0, phi="identity", **kw):
     )
 
 
+def assert_no_allocation(build, code, match=None):
+    """``build()`` raises SpecValidationError ``code`` with a traced peak under 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecValidationError, match=match) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == code
+    assert peak < 2**20
+
+
 class TestValidate:
     def test_identity_spec_is_valid(self):
-        spec = validate(make_spec(c=1.0, q=1.0))
-        assert spec.valid
+        spec = make_spec(c=1.0, q=1.0)
+        assert validate(spec) is spec
 
     def test_interval_order(self):
         with pytest.raises(SpecValidationError) as exc:
@@ -90,23 +104,15 @@ class TestValidate:
         assert exc.value.code == "grid-size"
 
     def test_oversize_grid_rejected_without_allocating(self):
-        spec = make_spec(grid=GridConfig(10**5, 10**5, 33))
-        tracemalloc.start()
-        try:
-            with pytest.raises(SpecValidationError) as exc:
-                validate(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exc.value.code == "grid-size"
-        assert peak < 2**20
+        assert_no_allocation(lambda: make_spec(grid=GridConfig(10**5, 10**5, 33)),
+                             "grid-size")
 
     def test_grid_size_counts_the_t_grid_exactly(self):
         # an odd n_t gives n_t t points: 1025*1024*127 = 133,299,200 <= 2^27
-        spec = make_spec(grid=GridConfig(1025, 1024, 127))
         tracemalloc.start()
         try:
-            assert validate(spec).valid
+            spec = make_spec(grid=GridConfig(1025, 1024, 127))
+            assert validate(spec) is spec
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,33 +130,19 @@ class TestValidate:
             # an even n_t gets 1/2 inserted: 4096*1025 = 4,198,400 > 2^22
             (GridConfig(3, 4096, 1024), "one x-row has 4198400 points"),
         ):
-            tracemalloc.start()
-            try:
-                with pytest.raises(SpecValidationError, match=message) as exc:
-                    validate(make_spec(grid=grid))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert exc.value.code == "grid-size"
-            assert peak < 2**20
+            assert_no_allocation(lambda: make_spec(grid=grid), "grid-size", message)
         # 4096*1023 = 4,190,208 <= 2^22
-        assert validate(make_spec(grid=GridConfig(3, 4096, 1023))).valid
+        spec = make_spec(grid=GridConfig(3, 4096, 1023))
+        assert validate(spec) is spec
 
     def test_oversize_modulus_sample_rejected_without_allocating(self):
         # 32*3*1398101 points and an x-row of 3*1398101 are within the scan's
         # limits, but the modulus estimate would sample 31*1398100 + 1 points
-        tracemalloc.start()
-        try:
-            with pytest.raises(SpecValidationError,
-                               match="modulus sample has 43341101 points, above 4194304") as exc:
-                validate(make_spec(grid=GridConfig(32, 3, 1398101)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exc.value.code == "grid-size"
-        assert peak < 2**20
+        assert_no_allocation(lambda: make_spec(grid=GridConfig(32, 3, 1398101)),
+                             "grid-size", "modulus sample has 43341101 points, above 4194304")
         # 31*135300 + 1 = 4,194,301 <= 2^22
-        assert validate(make_spec(grid=GridConfig(32, 3, 135301))).valid
+        spec = make_spec(grid=GridConfig(32, 3, 135301))
+        assert validate(spec) is spec
 
     def test_holder_conjugate(self):
         assert validate(make_spec(q=2.0)).p == 2.0
@@ -162,6 +154,48 @@ class TestValidate:
         assert spec.modulus_f == 1.5 and spec.modulus_deriv == 1.5
         spec = make_spec(c=1.5, c_f=0.5, c_deriv=2.0)
         assert spec.modulus_f == 0.5 and spec.modulus_deriv == 2.0
+
+    # every invalid case above, raised by the constructor with no validate call
+    @pytest.mark.parametrize("kw, code", [
+        ({"a": 1.0, "b": 0.0}, "interval-order"),
+        ({"phi": "1 - x"}, "phi-orientation"),
+        ({"f": "x", "phi": "2*x"}, "phi-range"),
+        ({"c": -0.5}, "modulus-negative"),
+        ({"q": 0.5}, "power-range"),
+        ({"quad_tol": 0.0}, "quad-tol"),
+        *(({key: value}, code)
+          for key, code in (("c", "modulus-negative"), ("c_f", "modulus-negative"),
+                            ("c_deriv", "modulus-negative"), ("q", "power-range"),
+                            ("quad_tol", "quad-tol"))
+          for value in (math.nan, math.inf, -math.inf)),
+        ({"grid": GridConfig(n_x=2)}, "grid-size"),
+        ({"grid": GridConfig(10**5, 10**5, 33)}, "grid-size"),
+        ({"grid": GridConfig(1025, 1024, 128)}, "grid-size"),
+        ({"grid": GridConfig(3, 6700, 6677)}, "grid-size"),
+        ({"grid": GridConfig(3, 4096, 1024)}, "grid-size"),
+        ({"grid": GridConfig(32, 3, 1398101)}, "grid-size"),
+    ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
+    def test_construction_alone_rejects(self, kw, code):
+        with pytest.raises(SpecValidationError) as exc:
+            make_spec(**kw)
+        assert exc.value.code == code
+
+    def test_replace_rejects_a_phi_leaving_the_interval(self):
+        spec = corpus_specs()[0]
+        with pytest.raises(SpecValidationError) as exc:
+            dataclasses.replace(spec, phi=PhiMap.from_source("x + 5"))
+        assert exc.value.code == "phi-range"
+
+    def test_replace_rejects_an_oversize_grid_without_allocating(self):
+        spec = corpus_specs()[0]
+        assert_no_allocation(
+            lambda: dataclasses.replace(spec, grid=GridConfig(10**5, 10**5, 33)), "grid-size"
+        )
+
+    def test_phi_outside_its_domain_is_rejected_from_a_config(self):
+        with pytest.raises(SpecValidationError, match="ln of non-positive") as exc:
+            spec_from_config({"f": "x", "a": 0, "b": 1, "phi": "ln(x)"})
+        assert exc.value.code == "phi-domain"
 
 
 def square(u):

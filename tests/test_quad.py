@@ -343,6 +343,20 @@ class TestEvaluationCap:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_jump_at_zero_stops_at_max_depth_far_below_the_cap(self):
+        # the panels beside the jump at 0 never converge; at 2 per level
+        # the depth limit comes long before the evaluation cap
+        sizes = []
+
+        def sign(t):
+            sizes.append(t.size)
+            return np.sign(t)
+
+        with pytest.raises(QuadratureError,
+                           match=rf"^no convergence on \[.*\] after depth {MAX_DEPTH}$"):
+            integrate(sign, -1.0, 2.0, 1e-10)
+        assert sum(sizes) < MAX_EVALUATIONS // 100
+
     def test_cap_does_not_bite_on_steep_exp(self):
         # 1e-10 is below the roundoff of this 1.07e13 integral; panels whose
         # 15- and 7-point values round to the same float stop refining

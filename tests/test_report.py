@@ -102,6 +102,27 @@ class TestBuildReport:
         assert report.gap == pytest.approx(0.0, abs=1e-12)
         assert rows["power_mean"].tightness == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_bound_over_a_negative_gap_has_zero_tightness(self):
+        # the gap of x^2*(1-x)^2 on [0, 1] is -1/30 and |f'| vanishes at both
+        # ends, so the power mean bound is 0
+        spec = make({"f": "x^2*(1 - x)^2", "a": 0, "b": 1})
+        rows = {r.theorem_id: r for r in run_check(spec, with_certificates=False).rows}
+        assert rows["power_mean"].bound == 0.0
+        assert rows["power_mean"].status == "HOLDS"
+        assert rows["power_mean"].tightness == 0.0
+        # a positive mean over a zero upper bound stays unbounded
+        assert rows["sandwich_upper"].bound == 0.0
+        assert rows["sandwich_upper"].status == "VIOLATED"
+        assert rows["sandwich_upper"].tightness == math.inf
+
+    def test_constant_f_gap_rows_read_zero_over_zero(self):
+        report = run_check(make({"f": "3", "a": 0, "b": 1, "q": 2}), with_certificates=False)
+        assert report.gap == 0.0
+        gap_rows = [r for r in report.rows if not r.theorem_id.startswith("sandwich")]
+        assert len(gap_rows) == 7
+        for row in gap_rows:
+            assert (row.bound, row.tightness) == (0.0, 0.0)
+
     def test_tightness_within_unit_band_for_holding_rows(self):
         for cfg in ({"f": "x^2", "a": 0, "b": 1, "q": 2, "c_f": 1, "c_deriv": 2},
                     {"f": "exp(x)", "a": 0, "b": 1, "q": 2, "c_f": 0.5, "c_deriv": 2}):
