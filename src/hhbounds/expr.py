@@ -15,47 +15,38 @@ an optional scientific exponent.
 
 ``parse`` accepts ``MAX_NESTING`` nesting levels: each open parenthesis, open
 function call, pending prefix minus and pending ``^`` is one. Flat chains
-of ``+ - * /`` are not capped. No walker recurses, ``==``, ``hash`` and
-``repr`` included: each loops over one post-order list of the nodes, so a
-sum of any length is evaluated, compared and printed.
+of ``+ - * /`` are not capped. No walker recurses: ``unparse``, ``==``,
+``hash`` and ``repr`` loop over one post-order list of the nodes.
 
-Evaluation is IEEE double precision throughout and accepts either a float or
-a numpy array for the variable. ``evaluate_dual`` propagates dual numbers
-(value, derivative) through the tree, which yields exact forward-mode
-derivatives; at an ``abs`` kink the derivative convention is 0.
-``evaluate_derivative`` returns the same derivative without computing the
-values that no derivative rule reads.
+On its first evaluation a tree is compiled, once, into a program: one
+instruction per node in post-order over an operand stack, and the ``abs``
+arguments that kink location reads. An exponent without x is evaluated
+then, inner ones first: an integral value folds it and its ``^`` into one
+``powi n`` instruction, a domain error into one that raises that error,
+naming the input, at each evaluation. Each instruction is one lookup in a
+rule table. ``evaluate`` runs the value rules, ``evaluate_dual`` the dual
+(value, derivative) rules, exact forward-mode derivatives with 0 at an
+``abs`` kink, and ``evaluate_derivative`` the dual rules without values no
+derivative reads. All is IEEE double precision, on a float or an array x.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 Scalar = Union[float, np.ndarray]
 
 __all__ = [
-    "Constant",
-    "Variable",
-    "Unary",
-    "Binary",
-    "Expr",
-    "DualValue",
-    "ExprError",
-    "ExprSyntaxError",
-    "UnknownIdentifierError",
-    "EvalDomainError",
-    "parse",
-    "unparse",
-    "evaluate",
-    "evaluate_dual",
-    "evaluate_derivative",
-    "abs_kink_points",
-    "has_abs_kink_at",
+    "Constant", "Variable", "Unary", "Binary", "Expr", "DualValue",
+    "ExprError", "ExprSyntaxError", "UnknownIdentifierError", "EvalDomainError",
+    "parse", "unparse", "evaluate", "evaluate_dual", "evaluate_derivative",
+    "abs_kink_points", "has_abs_kink_at",
 ]
 
 UNARY_FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
@@ -86,37 +77,32 @@ class UnknownIdentifierError(ExprError):
 class EvalDomainError(ExprError):
     """Evaluation left the domain of a sub-expression (ln, sqrt, /, ^)."""
 
-    def __init__(self, message: str, node: "Expr", x):
-        super().__init__(f"{message} in {unparse(node)!r} at x={x!r}")
+    def __init__(self, reason: str, node: "Expr", x):
+        super().__init__(f"{reason} in {unparse(node)!r} at x={x!r}")
+        self.reason = reason  # the message without the node and the input
         self.node = node
         self.x = x
 
 
 class _Node:
-    """Base of the AST classes: holds the node list every walker loops over."""
+    """Base of the AST classes: the node list every walker loops over, and the program."""
 
     @cached_property
     def _postorder(self) -> list:
-        """``(node, value_unread)`` pairs of this tree in post-order.
-
-        ``value_unread`` is true where no rule reads a value once the root's is
-        unread: down from the root through ``+ -`` and prefix minus alone. Each
-        ``^`` node also comes between its operands, with ``value_unread`` None.
-        """
+        """The nodes of this tree in post-order, found with an explicit stack."""
         order = []
-        todo = [(self, True)]  # visited root, right, left: post-order reversed
+        todo = [self]  # visited root, right, left: post-order reversed
         while todo:
-            node, unread = todo.pop()
-            order.append((node, unread))
+            node = todo.pop()
+            order.append(node)
             if isinstance(node, Unary):
-                todo.append((node.child, unread and node.op == "neg"))
-            elif isinstance(node, Binary) and unread is not None:
-                operand_unread = unread and node.op in "+-"
-                todo.append((node.left, operand_unread))
-                if node.op == "^":
-                    todo.append((node, None))
-                todo.append((node.right, operand_unread))
+                todo.append(node.child)
+            elif isinstance(node, Binary):
+                todo += (node.left, node.right)
         return order[::-1]
+
+    # (program, abs arguments), made on first use
+    _compiled = cached_property(lambda self: _compile(self))
 
     # == and repr give what the dataclass would generate, and hash agrees
     # with ==; each loops over the node list instead of recursing per level
@@ -130,8 +116,7 @@ class _Node:
         return tuple(
             (node.__class__,
              node.value if isinstance(node, Constant) else getattr(node, "op", None))
-            for node, unread in self._postorder
-            if unread is not None  # not the mark between a ^ node's operands
+            for node in self._postorder
         )
 
     def __eq__(self, other):
@@ -144,14 +129,14 @@ class _Node:
 
     def __repr__(self):
         done: list = []  # text of the operands not yet read, as _join takes it
-        for node, unread in self._postorder:
+        for node in self._postorder:
             if isinstance(node, Constant):
                 done.append(f"Constant(value={node.value!r})")
             elif isinstance(node, Variable):
                 done.append("Variable()")
             elif isinstance(node, Unary):
                 done.append([f"Unary(op={node.op!r}, child=", done.pop(), ")"])
-            elif unread is not None:
+            else:
                 right = done.pop()
                 done.append([f"Binary(op={node.op!r}, left=", done.pop(), ", right=", right, ")"])
         return _join(done.pop())
@@ -195,21 +180,6 @@ class Binary(_Node):
     left: "Expr"
     right: "Expr"
 
-    @cached_property
-    def _int_exponent(self) -> Optional[int]:
-        """The right operand as an int when it is variable-free and integral.
-
-        None otherwise. Evaluated once per node, after those of the ``^`` nodes
-        in it, so evaluations nest one deep at most; only ``^`` reads it.
-        """
-        if _contains_variable(self.right):
-            return None
-        for node, unread in reversed(self.right._postorder):
-            if unread is None:  # a nested exponent; the inner ones come first
-                node._int_exponent
-        value = evaluate(self.right, 0.0)
-        return int(value) if value.is_integer() else None
-
 
 Expr = Union[Constant, Variable, Unary, Binary]
 
@@ -245,13 +215,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# nesting levels that parse accepts. Nothing here recurses on a tree, ==,
-# hash and repr included, so the cap guards no stack: it bounds how deep the
-# brackets and ^ chains of a parsed tree, and so of unparse's text, can go.
-# That keeps parsed input off a quadratic cost: folding an exponent chain
-# builds one node list per nested exponent, so x^1^1...^1 first evaluates in
-# 26 ms at the cap, and in 1.5 s and about 100 MB at 1,000 levels built
-# without parse (on 2 vCPUs)
+# nesting levels that parse accepts. No walker recurses, so the cap guards no
+# stack: it bounds the bracket and ^ depth of a parsed tree and its unparse
 MAX_NESTING = 180
 
 # binary operators and prefix minus ('neg'), read by parse and unparse: '^'
@@ -346,14 +311,14 @@ def unparse(e: Expr) -> str:
         text, prec = done.pop()
         return ["(", text, ")"] if prec < context else text
 
-    for node, unread in e._postorder:
+    for node in e._postorder:
         if isinstance(node, (Constant, Variable)):
             done.append((repr(node.value) if isinstance(node, Constant) else "x", _ATOM))
         elif isinstance(node, Unary) and node.op != "neg":
             done.append(([f"{node.op}(", operand(0), ")"], _ATOM))
         elif isinstance(node, Unary):
             done.append((["-", operand(_PRECEDENCE["neg"])], _PRECEDENCE["neg"]))
-        elif unread is not None:  # not the mark between a ^ node's operands
+        else:
             prec = _PRECEDENCE[node.op]
             right = node.op in _RIGHT_ASSOCIATIVE
             # parse takes a prefix minus wherever an operand starts, so the
@@ -370,42 +335,102 @@ def unparse(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class DualValue:
-    """A value and its derivative, both IEEE doubles or numpy arrays.
-
-    A plain record: ``_apply`` holds the dual-number rules.
-    """
+    """A value and its derivative, both IEEE doubles or numpy arrays."""
 
     value: Scalar
     deriv: Scalar
 
 
-def _contains_variable(e: Expr) -> bool:
-    return any(isinstance(node, Variable) for node, _ in e._postorder)
+def _compile(root: Expr) -> tuple:
+    """``(program, abs arguments)`` of ``root``, from one pass over its nodes.
+
+    The program holds one ``(rule, node, argument, value read)`` instruction
+    per node in post-order, but for folded exponents (see the module
+    docstring). "Value read" is false where no rule reads the value once the
+    root's is unread: down from the root through ``+ -`` and prefix minus.
+    The abs arguments are ``(argument, linear in x)`` per ``abs`` node whose
+    argument has x, in pre-order.
+    """
+    nodes = root._postorder
+    unread, read = [True], []  # flags of the nodes still to come, root first
+    for node in reversed(nodes):
+        flag = unread.pop()
+        read.append(not flag)
+        if isinstance(node, Unary):
+            unread.append(flag and node.op == "neg")
+        elif isinstance(node, Binary):
+            unread += [flag and node.op in "+-"] * 2
+    program: list = []
+    done: list = []  # per operand not yet read: (first instruction, abs arguments, linear, has x)
+    for node, value_read in zip(nodes, reversed(read)):
+        op, arg = getattr(node, "op", None), None
+        if isinstance(node, (Constant, Variable)):
+            has_x = isinstance(node, Variable)
+            op, arg = ("var", None) if has_x else ("const", node.value)
+            done.append((len(program), [], True, has_x))
+        elif isinstance(node, Unary):
+            start, args, linear, has_x = done.pop()
+            if op == "abs" and has_x:
+                args.insert(0, (node.child, linear))
+            done.append((start, args, not has_x or (op == "neg" and linear), has_x))
+        else:
+            (at, right, right_linear, right_x), (start, args, left_linear, left_x) = (
+                done.pop(), done.pop())
+            if op == "^" and not right_x:
+                try:
+                    n = float(_run(program[at:], 0.0, _VALUES))
+                except EvalDomainError as exc:
+                    op, arg = "fail", (exc.reason, exc.node)
+                else:
+                    if n.is_integer():
+                        op, arg = "powi", int(n)
+                if op != "^":  # one instruction in place of the exponent's and the ^
+                    del program[at:]
+            args += right
+            # an operand without x is linear
+            linear = left_linear and right_linear and (
+                op in "+-" or op == "*" and not (left_x and right_x) or op == "/" and not right_x)
+            has_x = left_x or right_x
+            done.append((start, args, linear or not has_x, has_x))
+        program.append((op, node, arg, value_read))
+    return tuple(program), done.pop()[1]
+
+
+def _run(program, x, rules, every: bool = True):
+    """What ``program`` leaves at ``x`` under ``rules``; unless ``every``, only read values."""
+    stack: list = []
+    for rule, node, arg, read in program:
+        rules[rule](stack, x, node, arg, every or read)
+    return stack.pop()
 
 
 def _int_pow(u, n: int, node: Expr, x):
-    """u**n by repeated multiplication; valid for negative bases.
+    """u**n by binary powering; valid for negative bases.
 
+    On arrays, the last multiply and squarings of arrays made here write in
+    place, never into ``u``; IEEE products commute, so the bits do not move.
     For n < 0, a positive power that underflows to 0 raises EvalDomainError
-    naming the input ``x``, instead of dividing by zero, for floats and
-    arrays alike.
+    naming the input ``x``, instead of dividing by zero.
     """
     if n < 0:
         p = _int_pow(u, -n, node, x)
         _check(p == 0, "negative power overflows", node, x)
         return 1.0 / p
-    result = None
-    base = u
-    k = n
-    while k:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    if result is None:  # n == 0
+    if n == 0:
         return u * 0.0 + 1.0
-    return result
+    # products of a 0-d array are scalars, which cannot be written into
+    array, result, base = type(u) is np.ndarray and u.ndim > 0, None, u
+    while True:
+        if n & 1 and result is None:
+            result = base
+        elif n & 1:
+            out = result if result is not u else base if n == 1 else None
+            result = np.multiply(result, base, out=out) if array else result * base
+        n >>= 1
+        if not n:
+            return result
+        own = array and base is not u and base is not result
+        base = np.multiply(base, base, out=base if own else None) if array else base * base
 
 
 def _first_offender(x, mask):
@@ -433,7 +458,7 @@ def _like_input(v, x):
 
 def evaluate(e: Expr, x: Scalar) -> Scalar:
     """Evaluate ``e`` at ``x``. Raises EvalDomainError outside the domain."""
-    return _like_input(_eval(e, x, False)[0], x)
+    return _like_input(_run(e._compiled[0], x, _VALUES), x)
 
 
 def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
@@ -443,16 +468,13 @@ def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
     deriv(abs) = 0 at the kink; ``u^v`` with a non-integer or non-constant
     exponent is exp(v*ln u) and requires u > 0.
     """
-    value, deriv = _eval(e, x, True)
+    value, deriv = _run(e._compiled[0], x, _DUALS)
     return DualValue(_like_input(value, x), _like_input(_dense(deriv, x), x))
 
 
 def evaluate_derivative(e: Expr, x: Scalar) -> Scalar:
-    """``evaluate_dual(e, x).deriv``, skipping values no derivative reads.
-
-    Raises the same EvalDomainError as ``evaluate_dual``.
-    """
-    return _like_input(_dense(_eval(e, x, True, False)[1], x), x)
+    """``evaluate_dual(e, x).deriv``, or its error, skipping values no derivative reads."""
+    return _like_input(_dense(_run(e._compiled[0], x, _DUALS, False)[1], x), x)
 
 
 # the derivative of x: 1 wherever x is finite, built only where it is used
@@ -469,125 +491,101 @@ def _scale(a, d):
     return a if d is _UNIT else a * d
 
 
-def _eval(e: Expr, x: Scalar, dual: bool, need: bool = True):
-    """``(value, derivative)`` of ``e`` at ``x``: ``_apply`` on each node of
-    ``e._postorder`` but a folded exponent's, with a stack for operands."""
-    values: list = []
-    order = iter(e._postorder)
-    for node, unread in order:
-        if unread is not None:
-            values.append(_apply(node, x, dual, need or not unread, values))
-            continue
-        try:
-            n = node._int_exponent  # the exponent of node follows
-        except EvalDomainError:
-            dual = False  # variable-free, it fails alike as a value, naming this x
-            continue
-        if n is not None:  # folded: skip the exponent's nodes
-            for _ in node.right._postorder:
-                next(order)
-    return values.pop()
+# A value rule, rule(stack, x, node, argument, need), replaces the node's
+# operand values on the stack by its own, and a dual rule their (value,
+# derivative) pairs, with a None value where ``need`` is false and no
+# derivative reads it. ``_unary`` and ``_binary`` make both rules of ``f``
+# from its derivative ``df`` and a domain check, which runs first.
+
+def _unary(f, df, bad=None, message="", reads_value=False):
+    def value_rule(s, x, e, a, need):
+        if bad:
+            _check(bad(s[-1]), message, e, x)
+        s[-1] = f(s[-1])
+
+    def dual_rule(s, x, e, a, need):
+        v, d = s[-1]
+        if bad:
+            _check(bad(v), message, e, x)
+        value = f(v) if need or reads_value else None
+        s[-1] = value, df(v, d, value, x, e)
+    return value_rule, dual_rule
 
 
-def _apply(e: Expr, x: Scalar, dual: bool, need: bool, values: list):
-    """``(value, derivative)`` of node ``e``; its operands' are on ``values``.
+def _binary(f, df, bad=None, message="", reads_value=False):
+    def value_rule(s, x, e, a, need):
+        v = s.pop()
+        if bad:
+            _check(bad(s[-1], v), message, e, x)
+        s[-1] = f(s[-1], v)
 
-    The derivative is None unless ``dual``; the value is None when ``need``
-    is false and no derivative rule reads it. The derivative of ``x`` is
-    the unit marker ``_UNIT``, so a product with it is skipped. Otherwise
-    derivatives follow the forward-mode rules, e.g. (u*v)' = u'*v + u*v',
-    and every domain check runs on the values it tests.
-    """
-    if isinstance(e, Constant):
-        return e.value, (0.0 if dual else None)
-    if isinstance(e, Variable):
-        return x, (_UNIT if dual else None)
-    if isinstance(e, Unary):
-        v, d = values.pop()
-        if e.op == "neg":
-            return (-v if need else None), (-_dense(d, x) if dual else None)
-        if e.op == "exp":
-            ev = np.exp(v)
-            return ev, (_scale(ev, d) if dual else None)
-        if e.op == "ln":
-            _check(np.logical_not(v > 0), "ln of non-positive value", e, x)
-            return (np.log(v) if need else None), (_dense(d, x) / v if dual else None)
-        if e.op == "sin":
-            return (np.sin(v) if need else None), (_scale(np.cos(v), d) if dual else None)
-        if e.op == "cos":
-            return (np.cos(v) if need else None), (_scale(-np.sin(v), d) if dual else None)
-        if e.op == "sqrt":
-            _check(v < 0, "sqrt of negative value", e, x)
-            if not dual:
-                return np.sqrt(v), None
-            _check(v == 0, "sqrt derivative at zero", e, x)
-            s = np.sqrt(v)
-            return s, _dense(d, x) / (2.0 * s)
-        if e.op == "abs":
-            # sign(0) = 0 implements the stated kink convention
-            return (np.abs(v) if need else None), (_scale(np.sign(v), d) if dual else None)
-        raise AssertionError(e.op)
-    n = e._int_exponent if e.op == "^" else None
-    if n is None:
-        v, dv = values.pop()
-    u, du = values.pop()
-    if n is not None:
-        if n < 0:
-            _check(u == 0, "zero base with negative exponent", e, x)
-        # a negative power keeps its overflow check even when unread
-        value = _int_pow(u, n, e, x) if need or n < 0 else None
-        if not dual:
-            return value, None
-        if n == 0:
-            return value, u * 0.0
-        return value, _scale(float(n) * _int_pow(u, n - 1, e, x), du)
-    if e.op == "^":
-        _check(np.logical_not(u > 0), "non-positive base with non-integer exponent", e, x)
-        lnu = np.log(u)
-        value = np.exp(v * lnu)
-        return value, (value * (_scale(lnu, dv) + _scale(v, du) / u) if dual else None)
-    if e.op == "+":
-        return (u + v if need else None), (_dense(du, x) + _dense(dv, x) if dual else None)
-    if e.op == "-":
-        return (u - v if need else None), (_dense(du, x) - _dense(dv, x) if dual else None)
-    if e.op == "*":
-        return (u * v if need else None), (_scale(v, du) + _scale(u, dv) if dual else None)
-    if e.op == "/":
-        _check(v == 0, "division by zero", e, x)
-        return (
-            u / v if need else None,
-            # dividing by v twice: v*v under- or overflows where u/v^2 need not
-            (_scale(v, du) - _scale(u, dv)) / v / v if dual else None,
-        )
-    raise AssertionError(e.op)
+    def dual_rule(s, x, e, a, need):
+        v, dv = s.pop()
+        u, du = s[-1]
+        if bad:
+            _check(bad(u, v), message, e, x)
+        value = f(u, v) if need or reads_value else None
+        s[-1] = value, df(u, du, v, dv, value, x)
+    return value_rule, dual_rule
+
+
+def _sqrt_derivative(v, d, r, x, e):
+    _check(v == 0, "sqrt derivative at zero", e, x)
+    return _dense(d, x) / (2.0 * r)
+
+
+def _powi_value(s, x, e, n, need):
+    if n < 0:
+        _check(s[-1] == 0, "zero base with negative exponent", e, x)
+    s[-1] = _int_pow(s[-1], n, e, x)
+
+
+def _powi_dual(s, x, e, n, need):
+    u, du = s[-1]
+    if n < 0:
+        _check(u == 0, "zero base with negative exponent", e, x)
+    # a negative power keeps its overflow check even when unread
+    value = _int_pow(u, n, e, x) if need or n < 0 else None
+    s[-1] = value, (u * 0.0 if n == 0 else _scale(float(n) * _int_pow(u, n - 1, e, x), du))
+
+
+def _fail(s, x, e, error, need):
+    raise EvalDomainError(*error, _first_offender(x, False))
+
+
+_RULES = {
+    "const": (lambda s, x, e, a, need: s.append(a), lambda s, x, e, a, need: s.append((a, 0.0))),
+    "var": (lambda s, x, e, a, need: s.append(x), lambda s, x, e, a, need: s.append((x, _UNIT))),
+    "neg": _unary(operator.neg, lambda v, d, r, x, e: -_dense(d, x)),
+    "exp": _unary(np.exp, lambda v, d, r, x, e: _scale(r, d), reads_value=True),
+    "ln": _unary(np.log, lambda v, d, r, x, e: _dense(d, x) / v,
+                 lambda v: np.logical_not(v > 0), "ln of non-positive value"),
+    "sin": _unary(np.sin, lambda v, d, r, x, e: _scale(np.cos(v), d)),
+    "cos": _unary(np.cos, lambda v, d, r, x, e: _scale(-np.sin(v), d)),
+    "sqrt": _unary(np.sqrt, _sqrt_derivative, lambda v: v < 0, "sqrt of negative value",
+                   reads_value=True),
+    # sign(0) = 0 implements the stated kink convention
+    "abs": _unary(np.abs, lambda v, d, r, x, e: _scale(np.sign(v), d)),
+    "+": _binary(operator.add, lambda u, du, v, dv, r, x: _dense(du, x) + _dense(dv, x)),
+    "-": _binary(operator.sub, lambda u, du, v, dv, r, x: _dense(du, x) - _dense(dv, x)),
+    "*": _binary(operator.mul, lambda u, du, v, dv, r, x: _scale(v, du) + _scale(u, dv)),
+    # dividing by v twice: v*v under- or overflows where u/v^2 need not
+    "/": _binary(operator.truediv,
+                 lambda u, du, v, dv, r, x: (_scale(v, du) - _scale(u, dv)) / v / v,
+                 lambda u, v: v == 0, "division by zero"),
+    "^": _binary(lambda u, v: np.exp(v * np.log(u)),
+                 lambda u, du, v, dv, r, x: r * (_scale(np.log(u), dv) + _scale(v, du) / u),
+                 lambda u, v: np.logical_not(u > 0),
+                 "non-positive base with non-integer exponent", reads_value=True),
+    "powi": (_powi_value, _powi_dual),
+    "fail": (_fail, _fail),
+}
+_VALUES = {op: rules[0] for op, rules in _RULES.items()}
+_DUALS = {op: rules[1] for op, rules in _RULES.items()}
 
 
 # ---------------------------------------------------------------------------
 # kink location for abs-bearing expressions
-
-def _abs_arguments(e: Expr) -> list:
-    """``(argument, linear in x)`` per ``abs`` node whose argument has x, in pre-order."""
-    done: list = []  # per operand not yet read: (abs arguments, linear, contains x)
-    for node, unread in e._postorder:
-        if isinstance(node, (Constant, Variable)):
-            done.append(([], True, isinstance(node, Variable)))
-        elif isinstance(node, Unary):
-            args, linear, has_x = done.pop()
-            if node.op == "abs" and has_x:
-                args.insert(0, (node.child, linear))
-            done.append((args, not has_x or (node.op == "neg" and linear), has_x))
-        elif unread is not None:  # not the mark between a ^ node's operands
-            (right, right_linear, right_x), (args, left_linear, left_x) = done.pop(), done.pop()
-            args += right
-            if node.op in "+-":
-                linear = left_linear and right_linear
-            elif node.op == "*":
-                linear = (not left_x and right_linear) or (not right_x and left_linear)
-            else:
-                linear = node.op == "/" and left_linear and not right_x
-            done.append((args, linear or not (left_x or right_x), left_x or right_x))
-    return done.pop()[0]
-
 
 def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     """Roots in (lo, hi) of linear ``abs`` arguments, sorted ascending.
@@ -596,7 +594,7 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
     left to adaptive refinement.
     """
     points: set[float] = set()
-    for arg, linear in _abs_arguments(e):
+    for arg, linear in e._compiled[1]:
         if linear:
             intercept = evaluate(arg, 0.0)
             slope = evaluate_derivative(arg, 0.0)
@@ -609,4 +607,4 @@ def abs_kink_points(e: Expr, lo: float, hi: float) -> list[float]:
 
 def has_abs_kink_at(e: Expr, x: float) -> bool:
     """True when some abs argument of ``e`` evaluates to exactly 0 at ``x``."""
-    return any(evaluate(arg, x) == 0.0 for arg, _ in _abs_arguments(e))
+    return any(evaluate(arg, x) == 0.0 for arg, _ in e._compiled[1])

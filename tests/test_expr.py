@@ -30,7 +30,6 @@ from hhbounds.expr import (
     evaluate_dual,
     has_abs_kink_at,
     _check,
-    _contains_variable,
     _int_pow,
     _tokenize,
     parse,
@@ -423,10 +422,11 @@ class TestNestingCap:
 
     @pytest.mark.parametrize("construct", NESTED)
     def test_walkers_take_the_cap_from_970_frames_down(self, construct):
-        # the walkers loop over the node list, so nesting costs them no
-        # frames: x^1^1... needs the most, about 8 while its exponents are
-        # folded, and under pytest on CPython 3.11 a call can start at most
-        # about 992 frames down. ==, hash and repr loop over it too
+        # the walkers loop over the node list, and evaluation over the
+        # program, so nesting costs them no frames: x^1^1... needs the most,
+        # a few while the compile pass runs its exponents, and under pytest
+        # on CPython 3.11 a call can start at most about 992 frames down.
+        # ==, hash and repr loop over the node list too
         source = _nested(construct, MAX_NESTING)
         tree, twin = parse(source), parse(source)
         assert _at_stack_depth(970, evaluate_dual, tree, 0.5) == DualValue(0.5, 1.0)
@@ -524,7 +524,8 @@ class TestNodeMethods:
 
 
 # input-sized arrays alive at once while function_of and derivative_power of
-# each corpus f evaluate a 2^17-point array, as the recursive evaluator held them
+# each corpus f evaluate a 2^17-point array: as the recursive evaluator held
+# them, but for x^4, whose second squaring writes in place
 PEAK_ARRAYS = {
     "sq-id-q1-flat": (1, 2),
     "sq-id-q1-extremal": (1, 2),
@@ -532,7 +533,7 @@ PEAK_ARRAYS = {
     "sq-id-q2-flat": (1, 2),
     "exp-id-q1-mid": (1, 2),
     "exp-id-q2-full": (1, 2),
-    "quartic-id-q2": (2, 2),
+    "quartic-id-q2": (1, 2),
     "quart-id-q2-mid": (3, 3),
     "quart-id-q1-flat": (3, 3),
     "mix-id-q3-full": (3, 3),
@@ -551,7 +552,7 @@ def test_corpus_targets_hold_no_more_arrays_than_pinned():
     held = {}
     for spec in corpus_specs():
         for target, g in enumerate((function_of(spec.f), derivative_power(spec.f, spec.q))):
-            g(x[:4])  # builds the node list and folds the exponents
+            g(x[:4])  # compiles the program
             tracemalloc.start()
             try:
                 g(x)
@@ -632,6 +633,10 @@ class _RefDual:
 
     def __neg__(self):
         return _RefDual(-self.value, -self.deriv)
+
+
+def _contains_variable(e):
+    return any(isinstance(node, Variable) for node in e._postorder)
 
 
 def _ref_constant_exponent(e, x):
@@ -821,28 +826,26 @@ class TestDerivativeOnly:
 
 
 class TestFoldedExponent:
-    def test_exponent_is_evaluated_once_per_node(self, monkeypatch):
+    def test_exponent_is_folded_once_per_compile(self, monkeypatch):
         import hhbounds.expr as expr_module
 
         e = parse("x^(3 - 1) + x^(0.5 + 0.5)")
-        fresh = parse("x^(4 - 2)")
-        assert evaluate(e, 2.0) == 6.0
-        calls = []
-        original = expr_module.evaluate
+        runs = []
+        original = expr_module._run
 
-        def counting(node, x):
-            calls.append(node)
-            return original(node, x)
+        def counting(program, x, *rest):
+            runs.append(len(program))
+            return original(program, x, *rest)
 
-        monkeypatch.setattr(expr_module, "evaluate", counting)
+        monkeypatch.setattr(expr_module, "_run", counting)
         for x in (1.5, np.linspace(0.0, 1.0, 5)):
-            original(e, x)
-            evaluate_dual(e, x)
-            evaluate_derivative(e, x)
-        assert calls == []
-        original(fresh, 3.0)
-        original(fresh, 4.0)
-        assert calls == [fresh.right]
+            for fn in (evaluate, evaluate_dual, evaluate_derivative):
+                fn(e, x)
+        # the compile pass runs each 3-instruction exponent once; each
+        # evaluation then runs the 5-instruction program alone
+        assert runs == [3, 3] + [5] * 6
+        assert [(rule, arg) for rule, _, arg, _ in e._compiled[0]] == [
+            ("var", None), ("powi", 2), ("var", None), ("powi", 1), ("+", None)]
 
     def test_failing_exponent_raises_every_time(self):
         e = parse("x^ln(0 - 1)")
@@ -894,7 +897,7 @@ class TestDomainErrorNamesTheInput:
         ("(x + 0.1)^-400", 0.0, [0.9, 0.0], 0.0, "negative power overflows"),
         # a variable-free failure holds at every input: the first one is named
         ("ln(0 - 1) + x", 0.25, [0.25, 3.0], 0.25, "ln of non-positive value"),
-        # so is a failing exponent, though it is folded once per node
+        # so is a failing exponent, though it is folded once per compile
         ("x^ln(0 - 1)", 1.0, [2.0, 3.0], 2.0, "ln of non-positive value"),
     ]
 
@@ -913,3 +916,104 @@ class TestDomainErrorNamesTheInput:
         with pytest.raises(EvalDomainError) as exc:
             evaluate(parse("ln(0 - 1) + x"), np.array([]))
         assert math.isnan(exc.value.x)
+
+
+class TestCompiledProgram:
+    @pytest.fixture
+    def compiled_roots(self, monkeypatch):
+        import hhbounds.expr as expr_module
+
+        roots = []
+        original = expr_module._compile
+
+        def counting(root):
+            roots.append(root)
+            return original(root)
+
+        monkeypatch.setattr(expr_module, "_compile", counting)
+        return roots
+
+    def test_50_evaluations_in_each_mode_compile_once(self, compiled_roots):
+        e = parse("x^3 - 2*sin(x) / (x + 4)")
+        for x in (0.25, np.linspace(0.0, 1.0, 7)):
+            for fn in (evaluate, evaluate_dual, evaluate_derivative):
+                for _ in range(50):
+                    fn(e, x)
+        assert len(compiled_roots) == 1 and compiled_roots[0] is e
+
+    def test_kink_arguments_are_found_once(self, compiled_roots):
+        # run_check asks for them five times: hh_gap, lemma_rhs and three
+        # kink flags; the compile pass lists them once, with the program
+        e = parse("abs(3*x - 1) + abs(x^2 - 0.25)")
+        for _ in range(5):
+            assert abs_kink_points(e, 0.0, 1.0) == [pytest.approx(1 / 3)]
+            assert has_abs_kink_at(e, 0.5) and not has_abs_kink_at(e, 0.25)
+        assert [root for root in compiled_roots if root is e] == [e]
+
+    def test_1000_level_exponent_chain_folds_in_linear_memory(self):
+        # x^1^...^1, built without parse, which caps chains at MAX_NESTING.
+        # Folding one node list per nested exponent allocated about 96 MB
+        e = Constant(1.0)
+        for _ in range(999):
+            e = Binary("^", Constant(1.0), e)
+        e = Binary("^", Variable(), e)
+        tracemalloc.start()
+        try:
+            assert evaluate(e, 2.0) == 2.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert [rule for rule, *_ in e._compiled[0]] == ["var", "powi"]
+
+
+def _plain_int_pow(u, n):
+    """Binary powering with a new array per product: the bits _int_pow keeps."""
+    if n < 0:
+        return 1.0 / _plain_int_pow(u, -n)
+    result, base = None, u
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return u * 0.0 + 1.0 if result is None else result
+
+
+def _peak_arrays(fn, x):
+    """The most input-sized arrays alive at once while ``fn(x)`` runs."""
+    fn(x[:4])  # compiles any program first
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1] / x.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+class TestIntPow:
+    BASES = [-2.5, -1.0, -0.75, 0.3, 1.7, 3.0]
+
+    @pytest.mark.parametrize("n", range(-3, 10))
+    def test_bits_equal_plain_products(self, n):
+        e = parse("x")
+        arr = np.array(self.BASES)
+        kept = arr.copy()
+        got = _int_pow(arr, n, e, arr)
+        assert np.array_equal(arr, kept)  # the input is never written
+        assert got.tobytes() == _plain_int_pow(kept, n).tobytes()
+        for u in self.BASES:
+            for u_in in (u, np.array(u)):  # a 0-d array's products are scalars
+                got, want = _int_pow(u_in, n, e, u_in), _plain_int_pow(u_in, n)
+                assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("source, pinned", [("x^3", 1), ("x^7", 2)])
+    def test_power_holds_pinned_arrays(self, source, pinned):
+        e = parse(source)
+        held = _peak_arrays(lambda u: evaluate(e, u), np.linspace(-1.0, 1.0, 10**5))
+        assert held <= pinned + 1 / 64
+
+    def test_derivative_power_holds_two_arrays(self):
+        g = derivative_power(parse("x^2 + x"), 3.0)
+        assert _peak_arrays(g, np.linspace(-1.0, 1.0, 10**5)) <= 2 + 1 / 64
