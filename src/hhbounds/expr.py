@@ -15,8 +15,9 @@ an optional scientific exponent.
 
 ``parse`` accepts ``MAX_NESTING`` nesting levels: each open parenthesis, open
 function call, pending prefix minus and pending ``^`` is one. Flat chains
-of ``+ - * /`` are not capped. No walker recurses: ``unparse``, ``==``,
-``hash`` and ``repr`` loop over one post-order list of the nodes.
+of ``+ - * /`` are not capped. No walker recurses: ``==`` and ``hash``
+loop over one post-order list of the nodes, and ``unparse`` and ``repr``
+write their text in order from one stack of what is still to write.
 
 On its first evaluation a tree is compiled, once, into a program: one
 instruction per node in post-order over an operand stack, and the ``abs``
@@ -85,7 +86,7 @@ class EvalDomainError(ExprError):
 
 
 class _Node:
-    """Base of the AST classes: the node list every walker loops over, and the program."""
+    """Base of the AST classes: the node list that ==, hash and compiling read, and the program."""
 
     @cached_property
     def _postorder(self) -> list:
@@ -105,7 +106,7 @@ class _Node:
     _compiled = cached_property(lambda self: _compile(self))
 
     # == and repr give what the dataclass would generate, and hash agrees
-    # with ==; each loops over the node list instead of recursing per level
+    # with ==; == and hash loop over the node list, repr over a stack
 
     def _fields(self) -> tuple:
         """(class, value or op) per node in post-order, which fixes the tree.
@@ -128,34 +129,23 @@ class _Node:
         return hash(self._fields())
 
     def __repr__(self):
-        done: list = []  # text of the operands not yet read, as _join takes it
-        for node in self._postorder:
-            if isinstance(node, Constant):
-                done.append(f"Constant(value={node.value!r})")
-            elif isinstance(node, Variable):
-                done.append("Variable()")
-            elif isinstance(node, Unary):
-                done.append([f"Unary(op={node.op!r}, child=", done.pop(), ")"])
+        out: list[str] = []
+        todo: list = [self]  # nodes and strings still to write, the next last
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Constant):
+                out.append(f"Constant(value={item.value!r})")
+            elif isinstance(item, Variable):
+                out.append("Variable()")
+            elif isinstance(item, Unary):
+                out.append(f"Unary(op={item.op!r}, child=")
+                todo += [")", item.child]
             else:
-                right = done.pop()
-                done.append([f"Binary(op={node.op!r}, left=", done.pop(), ", right=", right, ")"])
-        return _join(done.pop())
-
-
-def _join(text) -> str:
-    """The string that ``text``, a string or a list of such, spells out.
-
-    Lists nest as deep as the tree that built them; this loop does not recurse.
-    """
-    out: list[str] = []
-    todo = [text]
-    while todo:
-        part = todo.pop()
-        if isinstance(part, str):
-            out.append(part)
-        else:
-            todo.extend(reversed(part))
-    return "".join(out)
+                out.append(f"Binary(op={item.op!r}, left=")
+                todo += [")", item.right, ", right=", item.left]
+        return "".join(out)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -190,27 +180,19 @@ Expr = Union[Constant, Variable, Unary, Binary]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, 1-based offset) triples plus a trailing 'end'."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace manually to locate the bad character
-            stripped = source[pos:].lstrip()
-            bad_at = pos + (len(source[pos:]) - len(stripped)) + 1
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", bad_at)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group(kind)
-        tokens.append((kind, text, m.start(kind) + 1))
-        pos = m.end()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind) + 1)
+        tokens.append((kind, m[kind], m.start(kind) + 1))
     tokens.append(("end", "", len(source) + 1))
     return tokens
 
@@ -302,32 +284,37 @@ def parse(source: str) -> Expr:
 def unparse(e: Expr) -> str:
     """Render an AST back to source; ``parse(unparse(e))`` is structurally ``e``.
 
-    Each operand's text is kept as fragments, nested lists of strings, and
-    joined once at the end, so the cost is linear in the output.
+    The text is written in order from one stack of strings and (node,
+    context precedence) pairs still to write, so the cost is linear in it.
     """
-    done: list = []  # (text, precedence) of operands not yet read
-
-    def operand(context: int):
-        text, prec = done.pop()
-        return ["(", text, ")"] if prec < context else text
-
-    for node in e._postorder:
-        if isinstance(node, (Constant, Variable)):
-            done.append((repr(node.value) if isinstance(node, Constant) else "x", _ATOM))
-        elif isinstance(node, Unary) and node.op != "neg":
-            done.append(([f"{node.op}(", operand(0), ")"], _ATOM))
+    out: list[str] = []
+    todo: list = [(e, 0)]  # the next last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, context = item
+        op = getattr(node, "op", None)
+        prec = _PRECEDENCE.get(op, _ATOM)
+        if prec < context:
+            out.append("(")
+            todo += [")", (node, 0)]
+        elif isinstance(node, (Constant, Variable)):
+            out.append(repr(node.value) if isinstance(node, Constant) else "x")
+        elif op == "neg":
+            out.append("-")
+            todo.append((node.child, prec))
         elif isinstance(node, Unary):
-            done.append((["-", operand(_PRECEDENCE["neg"])], _PRECEDENCE["neg"]))
+            out.append(f"{op}(")
+            todo += [")", (node.child, 0)]
         else:
-            prec = _PRECEDENCE[node.op]
-            right = node.op in _RIGHT_ASSOCIATIVE
+            right = op in _RIGHT_ASSOCIATIVE
             # parse takes a prefix minus wherever an operand starts, so the
             # right operand of '^' needs no brackets for one
-            right_text = operand(min(prec + (not right), _PRECEDENCE["neg"]))
-            left_text = operand(prec + right)
-            op = "^" if node.op == "^" else f" {node.op} "
-            done.append(([left_text, op, right_text], prec))
-    return _join(done.pop()[0])
+            todo += [(node.right, min(prec + (not right), _PRECEDENCE["neg"])),
+                     "^" if op == "^" else f" {op} ", (node.left, prec + right)]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Aggregation of certificates, gap and bound values into serializable reports.
 
 Row semantics: a bound value whose status is already set (INAPPLICABLE or
-ERROR) keeps it and its notes, with no margin. Otherwise the margin decides:
-rows bounding the gap from above carry margin = bound - gap; the sandwich
-rows bound the integral mean from below or above and carry the
-correspondingly oriented margin (mean - bound, bound - mean), so that HOLDS
-always means margin >= -1e-8. Tightness is the achievement ratio of the
-bound, clamped into [0, inf); over a zero bound, inf if positive, else 0.
+ERROR) keeps it and its notes, with no margin. Otherwise the row claims
+upper >= lower for one pair: (bound, |gap|) for the gap rows, which bound
+|trapezoid - mean|, (mean, bound) for sandwich_lower and (bound, mean) for
+sandwich_upper. Every such row carries margin = upper - lower, HOLDS iff
+margin >= -1e-8, and tightness lower/upper clamped into [0, inf); over a
+zero upper, inf if lower is positive, else 0.
 
 CSV columns are fixed: spec_id, theorem_id, status, bound, gap, margin,
 tightness, notes, with reals printed to 17 significant digits so every value
@@ -92,17 +92,11 @@ def _ratio(numer: float, denom: float) -> float:
 def _row_from_bound(bv: BoundValue, gap: float, mean: float) -> ReportRow:
     if bv.status is not None:
         return ReportRow(bv.theorem_id, bv.status, bv.value, None, None, bv.notes)
-    if bv.kind == MEAN_LOWER:
-        margin = mean - bv.value
-        tightness = _ratio(bv.value, mean)
-    elif bv.kind == MEAN_UPPER:
-        margin = bv.value - mean
-        tightness = _ratio(mean, bv.value)
-    else:
-        margin = bv.value - gap
-        tightness = _ratio(gap, bv.value)
+    pairs = {MEAN_LOWER: (mean, bv.value), MEAN_UPPER: (bv.value, mean)}
+    upper, lower = pairs.get(bv.kind, (bv.value, abs(gap)))
+    margin = upper - lower
     status = STATUS_HOLDS if margin >= -MARGIN_TOL else STATUS_VIOLATED
-    return ReportRow(bv.theorem_id, status, bv.value, margin, tightness, bv.notes)
+    return ReportRow(bv.theorem_id, status, bv.value, margin, _ratio(lower, upper), bv.notes)
 
 
 def build_report(

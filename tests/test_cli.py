@@ -549,3 +549,17 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def test_runtime_loads_no_test_only_package():
+    # the runtime is numpy-only; scipy, sympy and mpmath serve the tests
+    code = (
+        "import sys, hhbounds, hhbounds.cli; "
+        "print(sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'sympy', 'mpmath'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -11,13 +11,20 @@ The same specs give each certificate target, f and |f'|^q (q an integer
 there), as polynomial pieces, so the largest modulus, min g''/2 on
 phi([a, b]), is exact too: each certificate's pass flag and the 1-D modulus
 estimate are checked against it.
+
+The gap rows are computed from the exact |f'| at phi(a), phi(b) and their
+midpoint, delta, c_deriv and q: each bracket is a Fraction, and its q-th root
+and the Holder prefactors are taken in mpmath at 50 digits. Each row's
+bound, margin against bound - |gap|, tightness and status are checked.
 """
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from hhbounds.bounds import derivative_inputs
 from hhbounds.corpus import CORPUS_CONFIGS, corpus_specs
 from hhbounds.funcspec import derivative_power, estimate_max_modulus, function_of
 from hhbounds.report import MARGIN_TOL, run_check
@@ -199,3 +206,124 @@ def test_certificates_and_estimates_match_exact_moduli(specs, reports, cfg):
         assert minimum - roundoff <= estimate <= first_stencil + roundoff, (
             cfg["id"], target, float(estimate), float(minimum)
         )
+
+
+GAP_ROWS = (
+    "power_mean", "split_holder", "split_holder_relaxed", "holder",
+    "power_mean_c0", "split_holder_c0", "holder_c0",
+)
+
+# the tool's bracket is within this times the sum of its terms' magnitudes:
+# from exact inputs, each term takes at most six roundings (a power within
+# one ulp, products and quotients, the sum), each within eps/2
+BRACKET_ROUNDOFF = 4 * Fraction(EPS)
+
+# a context of its own, so that no other test sees its precision
+MP = mpmath.MPContext()
+MP.dps = 50
+
+
+def _mp(r):
+    return MP.mpf(r.numerator) / r.denominator
+
+
+def derivative_exact(f, u):
+    """|f'(u)|; the specs put no endpoint or midpoint on a kink."""
+    assert u not in EXACT_F[f][0]
+    return abs(_at(_derivative(_polynomial(f, u)), u))
+
+
+def exact_gap_bounds(cfg):
+    """{gap row: (prefactor, brackets)}; the bound is the prefactor times
+    the sum of the brackets' q-th roots.
+
+    A bracket is (value, sum of its terms' magnitudes) in Fractions. The
+    rows that need the Holder conjugate p are absent at q = 1.
+    """
+    phi_a, phi_b = phi_endpoints(cfg)
+    delta, q = phi_b - phi_a, int(cfg["q"])
+    d_a, d_b, d_m = (
+        derivative_exact(cfg["f"], u) ** q for u in (phi_a, phi_b, (phi_a + phi_b) / 2)
+    )
+    rows = {}
+    for suffix, c in (("", Fraction(cfg["c_deriv"])), ("_c0", Fraction(0))):
+        def bracket(*terms, share):
+            terms = (*terms, -share * c * delta**2)
+            return sum(terms), sum(abs(t) for t in terms)
+
+        rows["power_mean" + suffix] = (
+            _mp(delta) / 4, [bracket(d_b / 2, d_a / 2, share=Fraction(1, 8))]
+        )
+        if q == 1:
+            continue
+        p = _mp(Fraction(q, q - 1))
+        holder = (1 / (p + 1)) ** (1 / p)
+        split = _mp(delta) / 4 * holder * MP.mpf(2) ** (-MP.mpf(1) / q)
+        rows["split_holder" + suffix] = (split, [
+            bracket(d_m, d_a, share=Fraction(1, 3)), bracket(d_m, d_b, share=Fraction(1, 3)),
+        ])
+        rows["holder" + suffix] = (
+            _mp(delta) / 2 * holder, [bracket(d_b / 2, d_a / 2, share=Fraction(1, 6))]
+        )
+        if not suffix:
+            rows["split_holder_relaxed"] = (split, [
+                bracket(d_b / 2, 3 * d_a / 2, share=Fraction(7, 12)),
+                bracket(3 * d_b / 2, d_a / 2, share=Fraction(7, 12)),
+            ])
+    return rows
+
+
+def _root(bracket, scale, q):
+    """bracket^(1/q), and a bound on how far the tool's root of it may be."""
+    # a negative bracket would make the row ERROR; no exact spec has one
+    assert bracket >= 0
+    value = MP.root(_mp(bracket), q)
+    error = _mp(BRACKET_ROUNDOFF * scale)
+    # u -> u^(1/q) moves by at most error^(1/q), being (1/q)-Holder with
+    # constant 1, which covers a cancelling bracket; away from 0, by error
+    # times its slope at bracket - error
+    low = _mp(bracket) - error
+    moved = error * low ** (MP.mpf(1) / q - 1) / q if low > 0 else error ** (MP.mpf(1) / q)
+    # the root itself rounds once and takes a rounded exponent 1/q
+    rounding = EPS * (1 + abs(MP.log(value))) * value if value else 0
+    return value, moved + rounding
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=lambda cfg: cfg["id"])
+def test_gap_rows_match_exact_bounds(specs, reports, cfg):
+    spec, report = specs[cfg["id"]], reports[cfg["id"]]
+    q = int(cfg["q"])
+    phi_a, phi_b = phi_endpoints(cfg)
+    inputs = derivative_inputs(spec)
+    # the inputs are exact doubles, so a bracket's error is its own roundoff
+    assert [Fraction(d) for d in (inputs.d_a, inputs.d_b, inputs.d_m)] == [
+        derivative_exact(cfg["f"], u) for u in (phi_a, phi_b, (phi_a + phi_b) / 2)
+    ]
+    # |f'|^q is certified (its pass flag is checked above), so no row is gated
+    assert [c.passed for c in report.certificates if c.target == "fprime_q"] == [True]
+    trapezoid, mean, gap, _, _ = exact_values(cfg)
+    gap_error = 8 * EPS * float(abs(trapezoid) + abs(mean))  # as above
+    exact = exact_gap_bounds(cfg)
+    assert set(exact) == (set(GAP_ROWS) if q > 1 else {"power_mean", "power_mean_c0"})
+    rows = {row.theorem_id: row for row in report.rows}
+    for theorem_id in GAP_ROWS:
+        row = rows[theorem_id]
+        if theorem_id not in exact:
+            assert (row.status, row.bound, row.margin, row.tightness) == (
+                "INAPPLICABLE", None, None, None
+            ), theorem_id
+            continue
+        prefactor, brackets = exact[theorem_id]
+        roots = [_root(value, scale, q) for value, scale in brackets]
+        bound = prefactor * sum(root for root, _ in roots)
+        # the prefactor, the root and the final products round a few times
+        bound_error = prefactor * sum(error for _, error in roots) + 16 * EPS * bound
+        assert abs(row.bound - bound) <= bound_error, (theorem_id, row.bound, float(bound))
+        margin = bound - abs(_mp(gap))
+        assert abs(row.margin - margin) <= MARGIN_TOL, theorem_id
+        # no margin lies within its error of the threshold, so the status is decided
+        assert abs(margin + MARGIN_TOL) > bound_error + gap_error, theorem_id
+        assert row.status == ("HOLDS" if margin >= -MARGIN_TOL else "VIOLATED"), theorem_id
+        tightness = abs(_mp(gap)) / bound
+        tightness_error = (gap_error + tightness * bound_error) / (bound - bound_error)
+        assert abs(row.tightness - tightness) <= tightness_error + 2 * EPS * tightness, theorem_id

@@ -86,6 +86,24 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("x + 1)")
 
+    @pytest.mark.parametrize("source, char, offset", [
+        ("x + #", "#", 5),
+        ("  $x", "$", 3),
+        ("x\t+\u00a0@", "@", 5),  # a tab and a no-break space are whitespace
+        ("\u00e9", "\u00e9", 1),
+        ("sin(x) ~ 1", "~", 8),
+    ])
+    def test_bad_character_names_it_at_its_offset(self, source, char, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(source)
+        assert str(exc.value) == f"unexpected character {char!r} (offset {offset})"
+        assert exc.value.offset == offset
+
+    def test_whitespace_ends_the_tokens(self):
+        assert parse("x  ") == Variable()
+        with pytest.raises(ExprSyntaxError, match=r"^empty expression \(offset 1\)$"):
+            parse("   ")
+
     def test_150_nesting_levels_parse(self):
         assert parse("(" * 150 + "x" + ")" * 150) == Variable()
         node = parse("exp(" * 150 + "x" + ")" * 150)

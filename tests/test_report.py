@@ -102,18 +102,37 @@ class TestBuildReport:
         assert report.gap == pytest.approx(0.0, abs=1e-12)
         assert rows["power_mean"].tightness == pytest.approx(0.0, abs=1e-9)
 
-    def test_zero_bound_over_a_negative_gap_has_zero_tightness(self):
+    def test_zero_bound_below_a_negative_gap_is_violated(self):
         # the gap of x^2*(1-x)^2 on [0, 1] is -1/30 and |f'| vanishes at both
-        # ends, so the power mean bound is 0
+        # ends, so the power mean bound is 0, below |gap|
         spec = make({"f": "x^2*(1 - x)^2", "a": 0, "b": 1})
         rows = {r.theorem_id: r for r in run_check(spec, with_certificates=False).rows}
         assert rows["power_mean"].bound == 0.0
-        assert rows["power_mean"].status == "HOLDS"
-        assert rows["power_mean"].tightness == 0.0
+        assert rows["power_mean"].status == "VIOLATED"
+        assert rows["power_mean"].margin == pytest.approx(-1 / 30, abs=1e-12)
+        assert rows["power_mean"].tightness == math.inf
         # a positive mean over a zero upper bound stays unbounded
         assert rows["sandwich_upper"].bound == 0.0
         assert rows["sandwich_upper"].status == "VIOLATED"
         assert rows["sandwich_upper"].tightness == math.inf
+        # a negative mean under a zero upper bound reads 0
+        spec = make({"f": "-(x^2*(1 - x)^2)", "a": 0, "b": 1})
+        rows = {r.theorem_id: r for r in run_check(spec, with_certificates=False).rows}
+        assert rows["sandwich_upper"].bound == 0.0
+        assert rows["sandwich_upper"].status == "HOLDS"
+        assert rows["sandwich_upper"].tightness == 0.0
+
+    def test_gap_rows_bound_the_absolute_gap(self):
+        # the gap of -(x^2) on [0, 1] is -1/6, and power_mean's bound is 1/4
+        spec = make({"f": "-(x^2)", "a": 0, "b": 1, "q": 1, "c_deriv": 0})
+        report = run_check(spec)
+        assert report.gap == pytest.approx(-1 / 6, abs=1e-12)
+        rows = {r.theorem_id: r for r in report.rows}
+        for theorem_id in ("power_mean", "power_mean_c0"):
+            row = rows[theorem_id]
+            assert (row.status, row.bound) == ("HOLDS", 0.25)
+            assert row.margin == pytest.approx(1 / 12, abs=1e-12)
+            assert row.tightness == pytest.approx(2 / 3, abs=1e-12)
 
     def test_constant_f_gap_rows_read_zero_over_zero(self):
         report = run_check(make({"f": "3", "a": 0, "b": 1, "q": 2}), with_certificates=False)
