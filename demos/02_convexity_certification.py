@@ -2,10 +2,13 @@
 
 A function g is strongly phi-convex with modulus c when the chord through
 g(phi(x)) and g(phi(y)), lowered by c*t*(1-t)*(phi(x)-phi(y))^2, still lies
-above g at the mixture point. The certifier samples that inequality on a
-full (x, y, t) grid and reports the worst slack. The largest modulus is
-min g''/2 over phi([a, b]), which the estimator reads off second
-differences of g on a fine 1-D sample.
+above g at the mixture point. That holds exactly when g - c*u^2 is convex
+on phi([a, b]), so the largest modulus is min g''/2 there. Certifier and
+estimator read one sample: second differences of g on (n_x-1)*(n_t-1) + 1
+exactly equispaced points of phi([a, b]), each with a bound on its own
+rounding error. The certificate passes when no difference falls below 2c
+by more than that bound; a failure comes with a witness, the defining
+inequality at t = 1/2 on two sample points, and its negative slack.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ iv = Interval(0.0, 1.0)
 identity = PhiMap.identity()
 square = lambda u: u * u
 
-print("g(u) = u^2 admits modulus exactly 1 (its chord slack is t(1-t)(x-y)^2):")
+print("g(u) = u^2 admits modulus exactly 1 (its chord slack is (1-c)t(1-t)(x-y)^2):")
 for c in (0.5, 1.0, 1.5):
     res = certify_strong_phi_convexity(square, identity, iv, c)
     verdict = "passes" if res.passed else "fails "

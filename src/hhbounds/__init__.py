@@ -1,7 +1,7 @@
 """Numerical certification of strong phi-convexity and gap bound verification.
 
 The package parses one-variable expressions, certifies strong phi-convexity
-on sampling grids, computes the trapezoid-minus-mean gap with an adaptive
+on a 1-D sample with running error bounds, computes the trapezoid-minus-mean gap with an adaptive
 Gauss-Kronrod oracle, verifies the derivative-based gap identity, and
 evaluates every closed-form bound with margins and tightness ratios.
 """

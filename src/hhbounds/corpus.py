@@ -8,9 +8,9 @@ the largest admissible modulus (min of half the second derivative for the
 smooth targets) so that every certificate passes and every bound bracket
 stays nonnegative.
 
-The abs-bearing entries put the derivative kink at x = 1/3, which no default
-grid or mixture point can hit: every sampled mixture is a multiple of
-1/1280, and in binary floating point 3*u - 1 cannot vanish there.
+The abs-bearing entries put the derivative kink at x = 1/3, which no sample
+point can hit: every point of the 1-D sample is a dyadic rational, and in
+binary floating point 3*u - 1 cannot vanish there.
 """
 
 from __future__ import annotations

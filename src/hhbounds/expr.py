@@ -29,6 +29,9 @@ rule table. ``evaluate`` runs the value rules, ``evaluate_dual`` the dual
 (value, derivative) rules, exact forward-mode derivatives with 0 at an
 ``abs`` kink, and ``evaluate_derivative`` the dual rules without values no
 derivative reads. All is IEEE double precision, on a float or an array x.
+With ``bound=True``, ``evaluate`` and ``evaluate_derivative`` run the same
+rules on ``_Bound`` numbers and also return mu, a running bound on the
+result's rounding error.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ Expr = Union[Constant, Variable, Unary, Binary]
 # tokenizing, parsing and unparsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<bad>\S))"
@@ -443,8 +446,14 @@ def _like_input(v, x):
     return v if isinstance(x, np.ndarray) else float(v)
 
 
-def evaluate(e: Expr, x: Scalar) -> Scalar:
-    """Evaluate ``e`` at ``x``. Raises EvalDomainError outside the domain."""
+def evaluate(e: Expr, x: Scalar, bound: bool = False):
+    """Evaluate ``e`` at ``x``. Raises EvalDomainError outside the domain.
+
+    With ``bound``, return ``(value, mu)``: the same value and mu, a running
+    bound on its rounding error (see ``_Bound``).
+    """
+    if bound:
+        return _unbound(_run(e._compiled[0], x, _VALUES_MU), x)
     return _like_input(_run(e._compiled[0], x, _VALUES), x)
 
 
@@ -459,8 +468,13 @@ def evaluate_dual(e: Expr, x: Scalar) -> DualValue:
     return DualValue(_like_input(value, x), _like_input(_dense(deriv, x), x))
 
 
-def evaluate_derivative(e: Expr, x: Scalar) -> Scalar:
-    """``evaluate_dual(e, x).deriv``, or its error, skipping values no derivative reads."""
+def evaluate_derivative(e: Expr, x: Scalar, bound: bool = False):
+    """``evaluate_dual(e, x).deriv``, or its error, skipping values no derivative reads.
+
+    With ``bound``, return ``(derivative, mu)`` as ``evaluate`` does.
+    """
+    if bound:
+        return _unbound(_dense(_run(e._compiled[0], x, _DUALS_MU, False)[1], x), x)
     return _like_input(_dense(_run(e._compiled[0], x, _DUALS, False)[1], x), x)
 
 
@@ -569,6 +583,96 @@ _RULES = {
 }
 _VALUES = {op: rules[0] for op, rules in _RULES.items()}
 _DUALS = {op: rules[1] for op, rules in _RULES.items()}
+
+
+# ---------------------------------------------------------------------------
+# running error bounds (Wilkinson; Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., SIAM 2002, section 3.3)
+
+EPS = float(np.finfo(float).eps)
+LIBM_ULPS = 4  # allowance for one exp, ln, sin, cos or pow, in eps of its value
+
+
+class _Bound:
+    """A value ``v`` and ``m``, a first-order bound on its absolute rounding error.
+
+    Every ufunc on a ``_Bound`` computes the plain value and adds its error
+    rule from ``_MU``: the inputs' bounds carried through the operation's
+    derivative, plus eps times the result (``LIBM_ULPS`` eps for libm).
+    The value and dual rules run unchanged on
+    these numbers, so the mu lanes are the plain lanes with exact leaves.
+    ``sign`` is taken as exact, so at a point within mu of an ``abs`` kink
+    the derivative lane's bound does not cover the other side's slope.
+    """
+
+    __slots__ = ("v", "m")
+
+    def __init__(self, v, m):
+        self.v, self.m = v, m
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        values = [a.v if type(a) is _Bound else a for a in args]
+        r = ufunc(*values)
+        mus = [a.m if type(a) is _Bound else 0.0 for a in args]
+        return _Bound(r, _MU[ufunc](r, *values, *mus))
+
+    def _op(ufunc, swap=False):
+        return (lambda s, o: s.__array_ufunc__(ufunc, "__call__", o, s)) if swap else (
+            lambda s, *o: s.__array_ufunc__(ufunc, "__call__", s, *o))
+
+    __add__, __radd__ = _op(np.add), _op(np.add, True)
+    __sub__, __rsub__ = _op(np.subtract), _op(np.subtract, True)
+    __mul__, __rmul__ = _op(np.multiply), _op(np.multiply, True)
+    __truediv__, __rtruediv__ = _op(np.true_divide), _op(np.true_divide, True)
+    __neg__, __abs__ = _op(np.negative), _op(np.absolute)
+    del _op
+    # the domain checks compare values
+    __eq__ = lambda s, o: s.v == o
+    __lt__ = lambda s, o: s.v < o
+    __gt__ = lambda s, o: s.v > o
+
+    def __pow__(self, q):
+        """To a constant power q, as ``v ** q`` computes it."""
+        r = self.v**q
+        return _Bound(r, abs(q) * np.abs(self.v) ** (q - 1.0) * self.m
+                      + LIBM_ULPS * EPS * np.abs(r))
+
+
+_TINY = float(np.finfo(float).tiny)
+# per ufunc: mu of the result from (result, inputs, the inputs' mu)
+_MU = {
+    np.add: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
+    np.subtract: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
+    np.multiply: lambda r, u, v, mu, mv: np.abs(v) * mu + np.abs(u) * mv + EPS * np.abs(r),
+    np.true_divide: lambda r, u, v, mu, mv: (mu + np.abs(r) * mv) / np.abs(v) + EPS * np.abs(r),
+    np.negative: lambda r, u, mu: mu,
+    np.absolute: lambda r, u, mu: mu,
+    np.sign: lambda r, u, mu: 0.0,
+    np.exp: lambda r, u, mu: np.abs(r) * (mu + LIBM_ULPS * EPS),
+    np.log: lambda r, u, mu: mu / np.abs(u) + LIBM_ULPS * EPS * np.abs(r),
+    # |sin'| and |cos'| are at most 1
+    np.sin: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
+    np.cos: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
+    # |sqrt(u + d) - sqrt(u)| <= 2|d|/(sqrt(u) + sqrt(|d|)), also at u = 0
+    np.sqrt: lambda r, u, mu: 2.0 * mu / np.maximum(r + np.sqrt(mu), _TINY) + EPS * r,
+}
+
+
+def _unbound(b, x):
+    """``(value, mu)`` of a lane's result, as floats for a float ``x``."""
+    v, m = (b.v, b.m) if type(b) is _Bound else (b, 0.0)  # a constant is exact
+    if np.shape(m) != np.shape(v):
+        m = np.zeros(np.shape(v)) + m
+    return _like_input(v, x), _like_input(m, x)
+
+
+# the mu lanes: the value and dual rules, with constants and x pushed exact
+_VALUES_MU = {**_VALUES, "const": lambda s, x, e, a, need: s.append(_Bound(a, 0.0)),
+              "var": lambda s, x, e, a, need: s.append(_Bound(x, 0.0))}
+_DUALS_MU = {**_DUALS, "const": lambda s, x, e, a, need: s.append((_Bound(a, 0.0), 0.0)),
+             "var": lambda s, x, e, a, need: s.append((_Bound(x, 0.0), _UNIT))}
 
 
 # ---------------------------------------------------------------------------

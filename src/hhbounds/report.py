@@ -6,7 +6,9 @@ upper >= lower for one pair: (bound, |gap|) for the gap rows, which bound
 |trapezoid - mean|, (mean, bound) for sandwich_lower and (bound, mean) for
 sandwich_upper. Every such row carries margin = upper - lower, HOLDS iff
 margin >= -1e-8, and tightness lower/upper clamped into [0, inf); over a
-zero upper, inf if lower is positive, else 0.
+zero upper, inf if lower is positive, else 0; over a negative upper,
+upper/lower if lower is negative, else inf. So a holding row reads at most
+1, up to the margin tolerance.
 
 CSV columns are fixed: spec_id, theorem_id, status, bound, gap, margin,
 tightness, notes, with reals printed to 17 significant digits so every value
@@ -83,10 +85,13 @@ class BoundReport:
     rows: tuple[ReportRow, ...]
 
 
-def _ratio(numer: float, denom: float) -> float:
-    if denom == 0.0:
-        return 0.0 if numer <= 0.0 else math.inf
-    return max(0.0, numer / denom)
+def _ratio(lower: float, upper: float) -> float:
+    """Tightness of upper >= lower, at most 1 exactly when the row holds."""
+    if upper == 0.0:
+        return 0.0 if lower <= 0.0 else math.inf
+    if upper < 0.0:
+        return upper / lower if lower < 0.0 else math.inf
+    return max(0.0, lower / upper)
 
 
 def _row_from_bound(bv: BoundValue, gap: float, mean: float) -> ReportRow:

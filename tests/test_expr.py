@@ -92,6 +92,9 @@ class TestParsing:
         ("x\t+\u00a0@", "@", 5),  # a tab and a no-break space are whitespace
         ("\u00e9", "\u00e9", 1),
         ("sin(x) ~ 1", "~", 8),
+        # numbers are ASCII digits only: other Unicode digits are not numbers
+        ("x + \u0663.\u0665", "\u0663", 5),
+        ("\uff11\uff12", "\uff11", 1),
     ])
     def test_bad_character_names_it_at_its_offset(self, source, char, offset):
         with pytest.raises(ExprSyntaxError) as exc:

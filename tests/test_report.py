@@ -18,6 +18,7 @@ from hhbounds.report import (
     BoundReport,
     CertificateSummary,
     ReportRow,
+    _ratio,
     build_report,
     report_from_json,
     run_check,
@@ -121,6 +122,23 @@ class TestBuildReport:
         assert rows["sandwich_upper"].bound == 0.0
         assert rows["sandwich_upper"].status == "HOLDS"
         assert rows["sandwich_upper"].tightness == 0.0
+
+    def test_holding_rows_read_a_tightness_of_at_most_one(self):
+        # sandwich_lower claims mean >= bound; for -(x^2*(1-x)^2) both are
+        # negative, -1/30 >= -1/16, so the row holds with tightness
+        # upper/lower = 8/15, where lower/upper would read 1.875
+        spec = make({"f": "-(x^2*(1 - x)^2)", "a": 0, "b": 1})
+        rows = {r.theorem_id: r for r in run_check(spec, with_certificates=False).rows}
+        assert rows["sandwich_lower"].status == "HOLDS"
+        assert rows["sandwich_lower"].tightness == pytest.approx(8 / 15, rel=1e-12)
+        # over a positive mean the violated row keeps lower/upper
+        spec = make({"f": "x^2*(1 - x)^2", "a": 0, "b": 1})
+        rows = {r.theorem_id: r for r in run_check(spec, with_certificates=False).rows}
+        assert rows["sandwich_lower"].status == "VIOLATED"
+        assert rows["sandwich_lower"].tightness == pytest.approx(1.875, rel=1e-12)
+        # a negative upper over a lower >= 0 is violated, unboundedly
+        assert _ratio(0.0, -1.0) == _ratio(2.0, -1.0) == math.inf
+        assert _ratio(-2.0, -1.0) == 0.5 and _ratio(-1.0, -2.0) == 2.0
 
     def test_gap_rows_bound_the_absolute_gap(self):
         # the gap of -(x^2) on [0, 1] is -1/6, and power_mean's bound is 1/4
