@@ -29,9 +29,10 @@ A negative bracket raises ModulusInfeasibleError rather than producing a
 NaN: the supplied c exceeds what the derivative data admits. The largest
 admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
 
-evaluate_all returns one BoundValue per report row. Its status is set when
-no margin decides the row: INAPPLICABLE when the bound needs p at q = 1,
-ERROR when a bracket is negative or the row's certificate failed.
+evaluate_all returns one BoundValue per report row, assuming the
+hypotheses. Its status is set when no margin decides the row: INAPPLICABLE
+when the bound needs p at q = 1, ERROR when a bracket is negative.
+report.build_report gates the rows by the certificates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import evaluate, evaluate_derivative, has_abs_kink_at
-from .funcspec import CertificateResult, ProblemSpec, endpoints
+from .funcspec import ProblemSpec, endpoints
 
 __all__ = [
     "BoundInputs",
@@ -224,38 +225,18 @@ def _guarded(builder, inputs, theorem_id: str) -> BoundValue:
         return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=str(exc))
 
 
-def _gated(row: BoundValue, certificate, target: str, notes: str = "") -> BoundValue:
-    """A row already decided passes unchanged; a failed certificate makes an
-    undecided row an error; ``notes`` go on the undecided rows left."""
-    if row.status is not None:
-        return row
-    if certificate is not None and not certificate.passed:
-        notes = (
-            f"cert-failed: {target} is not strongly phi-convex at the "
-            f"requested modulus (worst slack {certificate.worst_slack})"
-        )
-        return dataclasses.replace(row, value=None, status=STATUS_ERROR, notes=notes)
-    return dataclasses.replace(row, notes=notes) if notes else row
-
-
-def evaluate_all(
-    spec: ProblemSpec,
-    cert_f: Optional[CertificateResult] = None,
-    cert_deriv: Optional[CertificateResult] = None,
-) -> list[BoundValue]:
+def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
     """Evaluate every bound plus the c=0 reductions, without aborting.
 
-    Certificates gate the rows: sandwich rows need the certificate for f,
-    derivative rows the one for |f'|^q. A failed certificate turns the rows
-    it gates into errors; with no certificate given for a target, its
-    hypotheses are assumed. Derivative rows still undecided carry the kink
-    flags of their inputs as notes. Reduction rows rerun the same operations
-    with c = 0 and are reported under distinct ids.
+    The hypotheses are assumed here: ``report.build_report`` gates the rows
+    by the certificates it records. Derivative rows still undecided carry
+    the kink flags of their inputs as notes. Reduction rows rerun the same
+    operations with c = 0 and are reported under distinct ids.
     """
     lower, upper = bound_sandwich(spec)
-    rows = [
-        _gated(BoundValue("sandwich_lower", lower, kind=MEAN_LOWER), cert_f, "f"),
-        _gated(BoundValue("sandwich_upper", upper, kind=MEAN_UPPER), cert_f, "f"),
+    sandwich_rows = [
+        BoundValue("sandwich_lower", lower, kind=MEAN_LOWER),
+        BoundValue("sandwich_upper", upper, kind=MEAN_UPPER),
     ]
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
@@ -267,6 +248,7 @@ def evaluate_all(
         for tid, builder, has_c0_row in GAP_BOUNDS
         if has_c0_row
     ]
-    for row in deriv_rows + reduction_rows:
-        rows.append(_gated(row, cert_deriv, "|f'|^q", flags))
-    return rows
+    return sandwich_rows + [
+        dataclasses.replace(row, notes=flags) if row.status is None and flags else row
+        for row in deriv_rows + reduction_rows
+    ]

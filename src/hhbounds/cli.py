@@ -110,8 +110,8 @@ def _cmd_modulus(args) -> int:
     c_star = estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
     if math.isnan(c_star):
         # main reports it as a numerical failure
-        raise ValueError(f"modulus estimate of {target} is NaN: {target} is not "
-                         "finite on its sample of phi([a, b])")
+        raise ValueError(f"modulus estimate of {target} is NaN: its sample of phi([a, b]) "
+                         "holds a NaN value or an unbounded rounding error")
     print("%#.6g" % c_star)
     if c_star < 0:
         print(f"note: {target} is not convex on phi([a, b]), "

@@ -72,12 +72,12 @@ CORPUS_CONFIGS = (
 )
 
 
-def _number(cfg: dict, key: str, default=None, kind=float, name: str | None = None):
-    """``kind(cfg.get(key, default))``; a wrong type is a ``config-type`` error.
+def _number(cfg: dict, key: str, kind=float, name: str | None = None):
+    """``kind(cfg[key])``; a wrong type is a ``config-type`` error.
 
     A bool is not a number, and an integer may not drop a fraction.
     """
-    value = cfg.get(key, default)
+    value = cfg[key]
     try:
         if isinstance(value, bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()
@@ -120,21 +120,20 @@ def spec_from_config(cfg: dict) -> ProblemSpec:
             raise SpecValidationError(
                 "config-type", f"config key {key!r} must be a string, got {cfg[key]!r}"
             )
-    # absent grid counts take GridConfig's defaults
+    # absent numbers and grid counts take ProblemSpec's and GridConfig's
+    # defaults; c_f and c_deriv may also be null
     grid = GridConfig(
         **{k: _number(grid_cfg, k, kind=int, name=f"grid.{k}") for k in grid_cfg}
     )
+    numbers = {k: _number(cfg, k) for k in ("c", "q", "quad_tol") if k in cfg}
+    numbers.update({k: _number(cfg, k) for k in ("c_f", "c_deriv") if cfg.get(k) is not None})
     return ProblemSpec(
         f=parse(cfg["f"]),
         interval=Interval(_number(cfg, "a"), _number(cfg, "b")),
         phi=PhiMap.from_source(cfg.get("phi", "identity")),
-        c=_number(cfg, "c", 0.0),
-        q=_number(cfg, "q", 1.0),
-        quad_tol=_number(cfg, "quad_tol", 1e-10),
         grid=grid,
-        c_f=None if cfg.get("c_f") is None else _number(cfg, "c_f"),
-        c_deriv=None if cfg.get("c_deriv") is None else _number(cfg, "c_deriv"),
         spec_id=cfg.get("id", "spec"),
+        **numbers,
     )
 
 

@@ -77,11 +77,15 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """The 1-D sample has N = (n_x-1)*(n_t-1) + 1 points; n_y sets nothing, but still loads."""
+    """The 1-D sample has N = (n_x-1)*(n_t-1) + 1 points, ``size``; n_y sets nothing."""
 
     n_x: int = 41
     n_y: int = 41
     n_t: int = 33
+
+    @property
+    def size(self) -> int:
+        return (self.n_x - 1) * (self.n_t - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
     [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). Each
-    grid count is at least 3, and N = (n_x-1)*(n_t-1) + 1 at most
+    grid count is at least 3, and the sample size N = grid.size at most
     MAX_SAMPLE_POINTS, before anything is sampled: a certificate peaks near
     9 arrays of N floats (144 MiB) plus g's evaluation with its bound.
     """
@@ -154,7 +158,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     for n in (spec.grid.n_x, spec.grid.n_y, spec.grid.n_t):
         if n < 3:
             raise SpecValidationError("grid-size", f"grid counts must be >= 3, got {n}")
-    n = (spec.grid.n_x - 1) * (spec.grid.n_t - 1) + 1
+    n = spec.grid.size
     if n > MAX_SAMPLE_POINTS:
         raise SpecValidationError("grid-size", f"sample has {n} points, above {MAX_SAMPLE_POINTS}")
     try:
@@ -219,8 +223,8 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
 def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     """(xs, phis, u, h, D2g/2, eps): g's 1-D sample on [m, M] = phi([a, b]).
 
-    (xs, phis) is ``validate``'s phi sample, of range [m, M]. u is N =
-    (n_x-1)*(n_t-1) + 1 points start + i*h in [m, M], start and h multiples
+    (xs, phis) is ``validate``'s phi sample, of range [m, M]. u is
+    N = grid.size points start + i*h in [m, M], start and h multiples
     of 2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
     are exact doubles, and the ends miss m and M by at most N*2**e. eps
     bounds the rounding of each D2g/2 = (g[i-1] - 2*g[i] + g[i+1])/(2*h**2):
@@ -232,7 +236,7 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     lo, hi = float(phis.min()), float(phis.max())
     if not lo < hi:
         raise DegeneratePhiError("phi is constant or NaN on [a, b]")
-    n = (grid.n_x - 1) * (grid.n_t - 1) + 1
+    n = grid.size
     unit = 2.0 ** (math.frexp(max(-lo, hi))[1] - 51)
     first = math.ceil(lo / unit)
     h = (math.floor(hi / unit) - first) // (n - 1) * unit
@@ -250,6 +254,7 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     d = s / scale
     eps = (mu[:-2] + 2.0 * mu[1:-1] + mu[2:] + EPS * (np.abs(a, out=a) + np.abs(s, out=s))) / scale
     eps += EPS * np.abs(d)
+    d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
     return xs, phis, u, h, d, eps
 
 

@@ -1,7 +1,10 @@
 """Aggregation of certificates, gap and bound values into serializable reports.
 
 Row semantics: a bound value whose status is already set (INAPPLICABLE or
-ERROR) keeps it and its notes, with no margin. Otherwise the row claims
+ERROR) keeps it and its notes, with no margin. A failed certificate makes
+every other row it gates an ERROR with no bound, its worst slack in the
+notes: target f gates the sandwich rows, fprime_q the gap rows; with no
+certificate for a target its hypotheses are assumed. Otherwise the row claims
 upper >= lower for one pair: (bound, |gap|) for the gap rows, which bound
 |trapezoid - mean|, (mean, bound) for sandwich_lower and (bound, mean) for
 sandwich_upper. Every such row carries margin = upper - lower, HOLDS iff
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .bounds import MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
+from .bounds import GAP_UPPER, MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
 from .bounds import STATUS_ERROR, STATUS_HOLDS, STATUS_INAPPLICABLE, STATUS_VIOLATED
 from .funcspec import (
     ProblemSpec,
@@ -94,9 +97,18 @@ def _ratio(lower: float, upper: float) -> float:
     return max(0.0, lower / upper)
 
 
-def _row_from_bound(bv: BoundValue, gap: float, mean: float) -> ReportRow:
+# the certificate target that gates each row kind, and its name in notes
+_GATE = {MEAN_LOWER: ("f", "f"), MEAN_UPPER: ("f", "f"), GAP_UPPER: ("fprime_q", "|f'|^q")}
+
+
+def _row_from_bound(bv: BoundValue, gap: float, mean: float, failed: dict) -> ReportRow:
     if bv.status is not None:
         return ReportRow(bv.theorem_id, bv.status, bv.value, None, None, bv.notes)
+    target, name = _GATE[bv.kind]
+    if target in failed:
+        notes = (f"cert-failed: {name} is not strongly phi-convex at the requested modulus "
+                 f"(worst slack {failed[target].worst_slack})")
+        return ReportRow(bv.theorem_id, STATUS_ERROR, None, None, None, notes)
     pairs = {MEAN_LOWER: (mean, bv.value), MEAN_UPPER: (bv.value, mean)}
     upper, lower = pairs.get(bv.kind, (bv.value, abs(gap)))
     margin = upper - lower
@@ -110,10 +122,12 @@ def build_report(
     gap_result: GapResult,
     bound_values: list[BoundValue],
 ) -> BoundReport:
-    """Assemble one report; row order follows ``bound_values`` order."""
+    """Assemble one report; row order follows ``bound_values`` order, and
+    ``certificates`` gate the rows as the module docstring says."""
     gap = gap_result.lhs_gap
     mean = endpoints(spec).trapezoid - gap
-    rows = tuple(_row_from_bound(bv, gap, mean) for bv in bound_values)
+    failed = {c.target: c for c in certificates if not c.passed}
+    rows = tuple(_row_from_bound(bv, gap, mean, failed) for bv in bound_values)
     return BoundReport(
         spec_id=spec.spec_id,
         gap=gap,
@@ -124,28 +138,23 @@ def build_report(
     )
 
 
-def run_check(
-    spec: ProblemSpec,
-    with_certificates: bool = True,
-) -> BoundReport:
-    """Full pipeline for one spec, checked when built: certify, verify, bound, report."""
-    certificates: tuple[CertificateSummary, ...] = ()
-    cert_f = cert_deriv = None
-    if with_certificates:
-        cert_f, cert_deriv = (
-            certify_strong_phi_convexity(g, spec.phi, spec.interval, c, spec.grid)
-            for g, c in (
-                (function_of(spec.f), spec.modulus_f),
-                (derivative_power(spec.f, spec.q), spec.modulus_deriv),
-            )
-        )
-        certificates = tuple(
-            CertificateSummary(target, c.passed, c.worst_slack, c.witness)
-            for target, c in (("f", cert_f), ("fprime_q", cert_deriv))
-        )
+def run_check(spec: ProblemSpec, with_certificates: bool = True) -> BoundReport:
+    """Full pipeline for one spec, checked when built: certify, verify, bound, report.
+
+    ``with_certificates=False`` records no certificate: the hypotheses are assumed.
+    """
+    targets = (
+        ("f", function_of(spec.f), spec.modulus_f),
+        ("fprime_q", derivative_power(spec.f, spec.q), spec.modulus_deriv),
+    ) if with_certificates else ()
+    certificates = tuple(_certificate(spec, *target) for target in targets)
     gap_result = verify_lemma_identity(spec)
-    bound_values = evaluate_all(spec, cert_f=cert_f, cert_deriv=cert_deriv)
-    return build_report(spec, certificates, gap_result, bound_values)
+    return build_report(spec, certificates, gap_result, evaluate_all(spec))
+
+
+def _certificate(spec: ProblemSpec, target: str, g, c: float) -> CertificateSummary:
+    r = certify_strong_phi_convexity(g, spec.phi, spec.interval, c, spec.grid)
+    return CertificateSummary(target, r.passed, r.worst_slack, r.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,13 @@ from hhbounds.bounds import (
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.funcspec import (
-    CertificateResult,
     derivative_power,
     endpoints,
     estimate_max_modulus,
     validate,
 )
 from hhbounds.quad import hh_gap, lemma_rhs, verify_lemma_identity
-from hhbounds.report import build_report, run_check
+from hhbounds.report import CertificateSummary, build_report, run_check
 
 E = math.e
 
@@ -293,21 +292,27 @@ class TestEvaluateAll:
         # c_f = 2 and c_deriv = 5 both fail certification for x^2 at q = 2
         spec = sq_spec(q=2.0, c_f=2.0, c_deriv=5.0)
         report = run_check(spec, with_certificates=False)
-        rows = evaluate_all(spec)
-        assert build_report(spec, (), verify_lemma_identity(spec), rows) == report
+        gap, rows = verify_lemma_identity(spec), evaluate_all(spec)
+        assert build_report(spec, (), gap, rows) == report
         assert not any("no convexity certificate" in r.notes for r in report.rows)
         # a certificate gates its own rows only; a passing one changes nothing
-        ok, failed = CertificateResult(True, 0.0), CertificateResult(False, -1.0)
-        assert evaluate_all(spec, ok, ok) == rows
-        for cert_f, cert_deriv, target in ((failed, None, "f"), (ok, failed, "|f'|^q")):
-            got = evaluate_all(spec, cert_f, cert_deriv)
-            for k, (want, row) in enumerate(zip(rows, got)):
+        ok_f, ok_d = (CertificateSummary(t, True, 0.0, None) for t in ("f", "fprime_q"))
+        failed_f, failed_d = (CertificateSummary(t, False, -1.0, None) for t in ("f", "fprime_q"))
+        assert build_report(spec, (ok_f, ok_d), gap, rows).rows == report.rows
+        for certs, target in (((failed_f,), "f"), ((ok_f, failed_d), "|f'|^q")):
+            got = build_report(spec, certs, gap, rows).rows
+            for k, (bv, want, row) in enumerate(zip(rows, report.rows, got)):
                 # the first two rows are the sandwich rows, gated by f
-                if (k < 2) != (target == "f") or want.status is not None:
+                if (k < 2) != (target == "f") or bv.status is not None:
                     assert row == want
                 else:
-                    assert row.value is None and row.status == STATUS_ERROR
+                    assert row.bound is None and row.status == STATUS_ERROR
                     assert row.notes.startswith(f"cert-failed: {target} is not")
+        # run_check records both failed certificates and gates every undecided row
+        checked = run_check(spec)
+        assert [c.passed for c in checked.certificates] == [False, False]
+        assert checked.rows == build_report(spec, checked.certificates, gap, rows).rows
+        assert all(row.status == STATUS_ERROR for row in checked.rows)
 
     def test_infeasible_bracket_becomes_error_row(self):
         spec = sq_spec(q=2.0, c_deriv=4.0)

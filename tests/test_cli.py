@@ -321,6 +321,38 @@ class TestModulus:
             assert captured.err.startswith(f"error: modulus estimate of {name} is NaN")
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_unbounded_rounding_error_exits_one(self, tmp_path, capsys):
+        # -x^2 in exact arithmetic, with every value finite; its running
+        # error bound overflows, so the estimate is NaN rather than 0
+        path = write_config(tmp_path, {"f": "((x + 1e300) - 1e300)/1e-100 - x^2", "a": 0, "b": 1})
+        assert main(["modulus", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: modulus estimate of f is NaN: its sample of phi([a, b]) holds "
+            "a NaN value or an unbounded rounding error\n"
+        )
+
+
+class TestNarrowRange:
+    # [1, 1 + 64*2**-52] is a valid interval whose range holds too few
+    # doubles for the default 1,281-point sample
+    CFG = {"f": "x^2", "a": 1.0, "b": 1.0 + 64 * 2.0**-52}
+
+    @pytest.mark.parametrize("argv", [["check"], ["modulus"], ["modulus", "--target", "fprime_q"]])
+    def test_sampling_commands_exit_one(self, tmp_path, capsys, argv):
+        assert main([argv[0], write_config(tmp_path, self.CFG), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: phi([a, b]) holds too few doubles for 1281 points\n"
+
+    def test_bounds_samples_nothing(self, tmp_path, capsys):
+        assert main(["bounds", write_config(tmp_path, self.CFG)]) == 0
+        captured = capsys.readouterr()
+        statuses = [row.split(",")[2] for row in captured.out.splitlines()[1:]]
+        assert statuses == ["HOLDS"] * 3 + ["INAPPLICABLE"] * 3 + ["HOLDS"] + ["INAPPLICABLE"] * 2
+        assert captured.err == "note: certificates skipped, hypotheses unverified\n"
+
 
 class TestLemma:
     def test_square(self, tmp_path, capsys):

@@ -460,6 +460,17 @@ class TestCertify:
         assert certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0).passed
         assert estimate_max_modulus(g, IDENTITY, IV01) == 0.0
 
+    def test_unbounded_rounding_error_fails_with_nan_slack(self):
+        # -x^2 in exact arithmetic; every value is finite but mu overflows
+        # to inf, so eps decides nothing: each difference reads NaN
+        g = function_of(parse("((x + 1e300) - 1e300)/1e-100 - x^2"))
+        with np.errstate(all="ignore"):
+            for c in (0.0, 1e300):
+                res = certify_strong_phi_convexity(g, IDENTITY, IV01, c)
+                assert not res.passed and math.isnan(res.worst_slack)
+                assert res.witness[2] == 0.5
+            assert math.isnan(estimate_max_modulus(g, IDENTITY, IV01))
+
     def test_a_stencil_the_witness_does_not_confirm_passes(self):
         # the sample of g dips to -1 at one point, which g shows nowhere
         # else: its neighbours' D2g/2 read -1/(2h^2), but the witness's own
@@ -587,6 +598,17 @@ class TestEstimateMaxModulus:
             estimate_max_modulus(square, PhiMap.from_source("0*x + 0.5"), IV01)
         with pytest.raises(DegeneratePhiError):
             certify_strong_phi_convexity(square, PhiMap.from_source("0*x + 0.5"), IV01, 0.0)
+
+    def test_too_narrow_a_range_is_degenerate(self):
+        # [1, 1 + 64*2**-52] holds 65 doubles, too few for the 1,281-point sample;
+        # the spec itself is valid
+        spec = make_spec(a=1.0, b=1.0 + 64 * 2.0**-52)
+        g = function_of(spec.f)
+        match = "holds too few doubles for 1281 points"
+        with pytest.raises(DegeneratePhiError, match=match):
+            estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
+        with pytest.raises(DegeneratePhiError, match=match):
+            certify_strong_phi_convexity(g, spec.phi, spec.interval, 0.0, spec.grid)
 
     def test_derivative_power_target(self):
         # |d/dx x^2|^2 = 4x^2 admits modulus 4

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhbounds.bounds import BoundValue, GAP_UPPER, MEAN_LOWER, MEAN_UPPER
+from hhbounds.bounds import BoundValue, GAP_UPPER, MEAN_LOWER, MEAN_UPPER, evaluate_all
 from hhbounds.corpus import spec_from_config
 from hhbounds.funcspec import validate
 from hhbounds.quad import GapResult
@@ -74,6 +74,32 @@ class TestBuildReport:
             "split_holder_c0",
             "holder_c0",
         ]
+
+    def test_a_failed_certificate_gates_only_its_target_rows(self):
+        spec = make({"f": "x^2", "a": 0, "b": 1, "q": 2})
+        gap = GapResult(1 / 6, 1 / 6, 0.0)
+        values = evaluate_all(spec)
+        plain = build_report(spec, (), gap, values)
+        assert all(r.status == "HOLDS" for r in plain.rows)
+        for target, name, gated in (("f", "f", 2), ("fprime_q", "|f'|^q", 7)):
+            failed = CertificateSummary(target, False, -0.5, (0.0, 0.1, 0.5, 0.2, 0.1))
+            report = build_report(spec, (failed,), gap, values)
+            assert report.certificates == (failed,)
+            errors = [r for r in report.rows if r.status == "ERROR"]
+            assert len(errors) == gated
+            assert all(r.theorem_id.startswith("sandwich") == (target == "f") for r in errors)
+            for r in errors:
+                assert (r.bound, r.margin, r.tightness) == (None, None, None)
+                assert r.notes == (
+                    f"cert-failed: {name} is not strongly phi-convex at the "
+                    "requested modulus (worst slack -0.5)"
+                )
+            kept = [r for r in report.rows if r.status != "ERROR"]
+            assert kept == [r for r in plain.rows if r.theorem_id not in
+                            {e.theorem_id for e in errors}]
+            # a passing certificate of the same target gates nothing
+            passed = CertificateSummary(target, True, 0.5, None)
+            assert build_report(spec, (passed,), gap, values).rows == plain.rows
 
     def test_violated_requires_negative_margin(self):
         spec = make(SQ_Q1)
