@@ -594,7 +594,7 @@ LIBM_ULPS = 4  # allowance for one exp, ln, sin, cos or pow, in eps of its value
 
 
 class _Bound:
-    """A value ``v`` and ``m``, a first-order bound on its absolute rounding error.
+    """A value ``v`` and ``m``, a first-order bound on its absolute rounding error; None if exact.
 
     Every ufunc on a ``_Bound`` computes the plain value and adds its error
     rule from ``_MU``: the inputs' bounds carried through the operation's
@@ -615,7 +615,7 @@ class _Bound:
             return NotImplemented
         values = [a.v if type(a) is _Bound else a for a in args]
         r = ufunc(*values)
-        mus = [a.m if type(a) is _Bound else 0.0 for a in args]
+        mus = [a.m if type(a) is _Bound else None for a in args]
         return _Bound(r, _MU[ufunc](r, *values, *mus))
 
     def _op(ufunc, swap=False):
@@ -635,44 +635,67 @@ class _Bound:
 
     def __pow__(self, q):
         """To a constant power q, as ``v ** q`` computes it."""
-        r = self.v**q
-        return _Bound(r, abs(q) * np.abs(self.v) ** (q - 1.0) * self.m
-                      + LIBM_ULPS * EPS * np.abs(r))
+        r, m = self.v**q, self.m
+        return _Bound(r, _err(m if m is None else abs(q) * np.abs(self.v) ** (q - 1.0) * m,
+                              r, _LIBM))
+
+
+# The terms of the mu rules. None is an exact operand's mu: its term is left
+# out, not multiplied by 0, which keeps a sum's bits wherever it is finite;
+# where that product would have been NaN, eps*|r| is not finite either.
+def _plus(s, t):
+    return t if s is None else s if t is None else s + t
+
+
+def _scaled(w, m, divide=False):
+    """|w|*m, or m/|w| with ``divide``; None for m None."""
+    return m if m is None else m / np.abs(w) if divide else np.abs(w) * m
+
+
+def _err(s, r, scale=EPS):
+    """s + scale*|r|, added in place into the fresh array |r|."""
+    e = np.abs(r, dtype=float)
+    e *= scale
+    if s is not None:
+        e += s
+    return e
 
 
 _TINY = float(np.finfo(float).tiny)
+_LIBM = LIBM_ULPS * EPS
 # per ufunc: mu of the result from (result, inputs, the inputs' mu)
 _MU = {
-    np.add: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
-    np.subtract: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
-    np.multiply: lambda r, u, v, mu, mv: np.abs(v) * mu + np.abs(u) * mv + EPS * np.abs(r),
-    np.true_divide: lambda r, u, v, mu, mv: (mu + np.abs(r) * mv) / np.abs(v) + EPS * np.abs(r),
+    np.add: lambda r, u, v, mu, mv: _err(_plus(mu, mv), r),
+    np.multiply: lambda r, u, v, mu, mv: _err(_plus(_scaled(v, mu), _scaled(u, mv)), r),
+    np.true_divide: lambda r, u, v, mu, mv: _err(_scaled(v, _plus(mu, _scaled(r, mv)), True), r),
     np.negative: lambda r, u, mu: mu,
     np.absolute: lambda r, u, mu: mu,
-    np.sign: lambda r, u, mu: 0.0,
-    np.exp: lambda r, u, mu: np.abs(r) * (mu + LIBM_ULPS * EPS),
-    np.log: lambda r, u, mu: mu / np.abs(u) + LIBM_ULPS * EPS * np.abs(r),
+    np.sign: lambda r, u, mu: None,
+    np.exp: lambda r, u, mu: _err(None, r, _LIBM) if mu is None else np.abs(r) * (mu + _LIBM),
+    np.log: lambda r, u, mu: _err(_scaled(u, mu, True), r, _LIBM),
     # |sin'| and |cos'| are at most 1
-    np.sin: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
-    np.cos: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
+    np.sin: lambda r, u, mu: _err(mu, r, _LIBM),
+    np.cos: lambda r, u, mu: _err(mu, r, _LIBM),
     # |sqrt(u + d) - sqrt(u)| <= 2|d|/(sqrt(u) + sqrt(|d|)), also at u = 0
-    np.sqrt: lambda r, u, mu: 2.0 * mu / np.maximum(r + np.sqrt(mu), _TINY) + EPS * r,
+    np.sqrt: lambda r, u, mu: _err(
+        mu if mu is None else 2.0 * mu / np.maximum(r + np.sqrt(mu), _TINY), r),
 }
+_MU[np.subtract] = _MU[np.add]
 
 
 def _unbound(b, x):
     """``(value, mu)`` of a lane's result, as floats for a float ``x``."""
-    v, m = (b.v, b.m) if type(b) is _Bound else (b, 0.0)  # a constant is exact
+    v, m = (b.v, 0.0 if b.m is None else b.m) if type(b) is _Bound else (b, 0.0)  # None: exact
     if np.shape(m) != np.shape(v):
         m = np.zeros(np.shape(v)) + m
     return _like_input(v, x), _like_input(m, x)
 
 
 # the mu lanes: the value and dual rules, with constants and x pushed exact
-_VALUES_MU = {**_VALUES, "const": lambda s, x, e, a, need: s.append(_Bound(a, 0.0)),
-              "var": lambda s, x, e, a, need: s.append(_Bound(x, 0.0))}
-_DUALS_MU = {**_DUALS, "const": lambda s, x, e, a, need: s.append((_Bound(a, 0.0), 0.0)),
-             "var": lambda s, x, e, a, need: s.append((_Bound(x, 0.0), _UNIT))}
+_VALUES_MU = {**_VALUES, "const": lambda s, x, e, a, need: s.append(_Bound(a, None)),
+              "var": lambda s, x, e, a, need: s.append(_Bound(x, None))}
+_DUALS_MU = {**_DUALS, "const": lambda s, x, e, a, need: s.append((_Bound(a, None), 0.0)),
+             "var": lambda s, x, e, a, need: s.append((_Bound(x, None), _UNIT))}
 
 
 # ---------------------------------------------------------------------------

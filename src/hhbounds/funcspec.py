@@ -140,7 +140,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). Each
     grid count is at least 3, and the sample size N = grid.size at most
     MAX_SAMPLE_POINTS, before anything is sampled: a certificate peaks near
-    9 arrays of N floats (144 MiB) plus g's evaluation with its bound.
+    7 arrays of N floats (112 MiB) plus g's evaluation with its bound.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
@@ -242,33 +242,60 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     h = (math.floor(hi / unit) - first) // (n - 1) * unit
     if h == 0:
         raise DegeneratePhiError(f"phi([a, b]) holds too few doubles for {n} points")
-    u = np.arange(n) * h + first * unit
+    u = np.arange(n, dtype=float)
+    u = np.add(np.multiply(u, h, out=u), first * unit, out=u)
     if hasattr(g, "bounded"):
         gu, mu = (np.broadcast_to(np.asarray(v, dtype=float), u.shape) for v in g.bounded(u))
     else:
         gu = _sample(g, u)
         mu = LIBM_ULPS * EPS * np.abs(gu)
     scale = 2.0 * h * h
+    # eps = (mu[:-2] + 2*mu[1:-1] + mu[2:] + EPS*(|a| + |s|))/scale + EPS*|d|, in place
+    eps = mu[:-2] + 2.0 * mu[1:-1] + mu[2:]
     a = gu[:-2] - 2.0 * gu[1:-1]
     s = a + gu[2:]
     d = s / scale
-    eps = (mu[:-2] + 2.0 * mu[1:-1] + mu[2:] + EPS * (np.abs(a, out=a) + np.abs(s, out=s))) / scale
-    eps += EPS * np.abs(d)
+    eps += np.multiply(np.add(np.abs(a, out=a), np.abs(s, out=s), out=a), EPS, out=a)
+    eps /= scale
+    eps += np.multiply(np.abs(d, out=s), EPS, out=s)
     d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
     return xs, phis, u, h, d, eps
 
 
 def _preimage(phi, xs: np.ndarray, phis: np.ndarray, u: float) -> float:
-    """x with phi(x) = u: a phi sample's x, or bisection between the first bracketing two."""
+    """x with phi(x) = u: a phi sample's x, or else the closer to u under phi
+    of the two adjacent doubles where phi(x) > u flips in the first sample
+    cell that brackets u. The cell shrinks by probes, each end keeping its
+    side: secant steps from its two samples (bisection where one leaves it or
+    is not under half the step before last); once one is within an ulp, steps
+    of 1, 2, 4, ... ulps across the flip; then bisection. Where phi(x) > u is
+    monotone on the cell, the pair is unique: the one plain bisection finds.
+    """
     hit = phis == u
     if hit.any():
         return float(xs[np.argmax(hit)])
     above = phis > u
     k = int(np.argmax(above[:-1] != above[1:]))
     lo, hi = float(xs[k]), float(xs[k + 1])
+    x0, v0, x1, v1 = lo, float(phis[k]), hi, float(phis[k + 1])  # the last two probes
+    values, before, last = {}, math.inf, math.inf  # phi at the probes; the last two steps
+    ulps = 0.0  # the straddle's next step once the secant is within one ulp; inf to bisect
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if (float(phi(mid)) > u) == above[k] else (lo, mid)
-    return min((lo, hi), key=lambda x: abs(float(phi(x)) - u))
+        up, x = x1 == lo, mid
+        if not ulps:
+            s = x1 + (x1 - x0) * ((u - v1) / (v1 - v0)) if v1 != v0 else mid
+            ulps = math.ulp(x1) if abs(s - x1) <= math.ulp(x1) else 0.0
+            x = s if not ulps and lo < s < hi and abs(s - x1) < 0.5 * before else mid
+            before, last = last, abs(x - x1)
+        if 0.0 < ulps < math.inf:
+            x = x1 + ulps if up else x1 - ulps
+            x, ulps = (x, 2.0 * ulps) if lo < x < hi else (mid, math.inf)
+        v = values[x] = float(phi(x))
+        low = (v > u) == above[k]
+        ulps = math.inf if ulps and low != up else ulps  # a crossing ends the straddle
+        lo, hi = (x, hi) if low else (lo, x)
+        x0, v0, x1, v1 = x1, v1, x, v
+    return min((lo, hi), key=lambda x: abs((values[x] if x in values else float(phi(x))) - u))
 
 
 def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: float,
@@ -281,7 +308,7 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     x and y their preimages under phi, computed as it reads, with worst
     slack rhs - lhs, about h**2*(D2g/2 - c); unless that is negative the
     sample does not refute c, and it passes. A NaN difference fails with a
-    NaN worst slack. Memory peaks near 9 arrays of N floats, plus g's
+    NaN worst slack. Memory peaks near 7 arrays of N floats, plus g's
     evaluation: two arrays per value on its operand stack.
     """
     xs, phis, u, h, d, eps = _second_differences(g, phi, iv, grid)

@@ -1,10 +1,13 @@
 """Validation and strong phi-convexity certification tests."""
 
 import dataclasses
+import itertools
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hhbounds.funcspec import (
     function_of,
     validate,
 )
+from hhbounds.funcspec import _phi_sample, _preimage, _second_differences
 
 IV01 = Interval(0.0, 1.0)
 IDENTITY = PhiMap.identity()
@@ -210,13 +214,12 @@ def _sample_of(g, u):
     return np.broadcast_to(np.asarray(g(u), dtype=float), u.shape)
 
 
-def reference_estimate_1d(g, phi, iv, grid, roundoff=True):
-    """Plain-loop 1-D estimate: the least D2g/2 = (g[i-1] - 2*g[i] +
-    g[i+1]) / (2*h**2) on ``sample_points``. With ``roundoff`` it reads 0.0
-    when min(D2g/2 - eps) <= 0 <= min(D2g/2 + eps), eps being the mu of the
-    three samples through the stencil, its two roundings and eps*|D2g/2|;
-    mu is ``g.bounded``'s, or LIBM_ULPS = 4 eps of each value for any other
-    g. A NaN difference is the minimum."""
+def reference_stencil(g, phi, iv, grid):
+    """Plain-loop (u, h, D2g/2, eps) on ``sample_points``: D2g/2 = (g[i-1] -
+    2*g[i] + g[i+1]) / (2*h**2), and eps the mu of the three samples through
+    the stencil, its two roundings and eps*|D2g/2|, each as the formula
+    reads; mu is ``g.bounded``'s, or LIBM_ULPS = 4 eps of each value for
+    any other g."""
     us, h = sample_points(phi, iv, grid)
     u = np.array(us)
     if hasattr(g, "bounded"):
@@ -230,11 +233,20 @@ def reference_estimate_1d(g, phi, iv, grid, roundoff=True):
         a = gu[i - 1] - 2.0 * gu[i]
         s = a + gu[i + 1]
         d = s / scale
-        if math.isnan(d):
-            return d
         ds.append(d)
         eps.append((mu[i - 1] + 2.0 * mu[i] + mu[i + 1] + EPS * (abs(a) + abs(s))) / scale
                    + EPS * abs(d))
+    return us, h, ds, eps
+
+
+def reference_estimate_1d(g, phi, iv, grid, roundoff=True):
+    """Plain-loop 1-D estimate: the least D2g/2 of ``reference_stencil``.
+    With ``roundoff`` it reads 0.0 when min(D2g/2 - eps) <= 0 <= min(D2g/2
+    + eps). A NaN difference is the minimum."""
+    _, _, ds, eps = reference_stencil(g, phi, iv, grid)
+    for d in ds:
+        if math.isnan(d):
+            return d
     if roundoff and min(d - e for d, e in zip(ds, eps)) <= 0.0 <= min(
             d + e for d, e in zip(ds, eps)):
         return 0.0
@@ -313,7 +325,7 @@ def assert_witness(g, phi, c, res, iv=IV01, grid=GridConfig()):
     """A failed certificate's witness is the inequality at t = 1/2 on two
     sample points 2h apart, computed as it reads, with worst slack rhs - lhs
     < 0 (NaN where a difference is NaN). Its x and y are preimages, so
-    phi(y) - phi(x) is 2h up to bisection's last bit."""
+    phi(y) - phi(x) is 2h up to the search's last bit."""
     x, y, t, lhs, rhs = res.witness
     assert not res.passed and t == 0.5
     assert iv.a <= x <= iv.b and iv.a <= y <= iv.b
@@ -912,7 +924,7 @@ class TestBlockSize:
     def test_default_grid_blocks_stay_below_64_kib(self):
         # every array holds at most N = 1281 floats on the default grid, 10
         # KiB, below the 64 KiB whose free may make glibc trim the heap; the
-        # peak, near 9 of them plus g's own, stays below 128 KiB
+        # peak, near 7 of them plus g's own, stays below 128 KiB
         counted = counting(np.exp)
         certify_strong_phi_convexity(counted, IDENTITY, IV01, 3.0)
         assert max(counted.points) * 8 < 2**16
@@ -924,11 +936,14 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
     def test_large_scans_keep_the_full_size_rule(self, grid):
-        # the peak is near 9 arrays of N floats, as ``validate`` states
+        # the peak is near 7 arrays of N floats, as ``validate`` states: the
+        # sample u, g(u) and its mu, and the stencil's four, plus g's own
+        # evaluation, which holds two arrays per value (8.1 to 8.3 in all
+        # for |f'|^2 here, 7.35 and 7.54 for exp)
         n = (grid.n_x - 1) * (grid.n_t - 1) + 1
         for g in (np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
             peak = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid))
-            assert 8 * 8 * n < peak < 10 * 8 * n
+            assert 7 * 8 * n < peak < 9 * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +984,9 @@ class TestFineGridShapes:
     def test_partial_last_block(self, grid):
         # -x^4 is least convex at the right end, so its last stencil is the
         # witness, whose y is the preimage of the last sample point under
-        # x^2: bisection brackets it below 1 on validate's phi sample
+        # x^2: the preimage search brackets it in the last cell of
+        # validate's phi sample, below 1, where x^2 is monotone, so y is the
+        # double next to sqrt of that point
         g = function_of(parse("0 - x^4"))
         phi = PhiMap.from_source("x^2")
         us = sample_points(phi, IV01, grid)[0]
@@ -1043,3 +1060,125 @@ class TestOneDimensionalRule:
         assert got.passed == reference_certify(g, phi, IV01, c, grid).passed
         if not got.passed:
             assert_witness(g, phi, c, got, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# the sample and its stencil, written in place, against the plain loop
+
+
+class TestStencil:
+    @pytest.mark.parametrize("g", [
+        np.exp, function_of(parse("x^4 + x^2")), derivative_power(parse("exp(x) - sin(x)"), 3.0),
+        function_of(parse("((x + 1e300) - 1e300)/1e-100 - x^2")),
+    ])
+    def test_sample_and_stencil_have_the_plain_loop_bits(self, g):
+        # the last g's mu overflows while its values stay finite: its
+        # differences read NaN, and eps keeps the loop's non-finite bits
+        for phi, grid in ((IDENTITY, GridConfig()), (PhiMap.from_source("x^2"), WITNESS_GRID)):
+            with np.errstate(all="ignore"):
+                _, _, u, h, d, eps = _second_differences(g, phi, IV01, grid)
+                us, h_ref, ds, eps_ref = reference_stencil(g, phi, IV01, grid)
+            assert (u.tolist(), h) == (us, h_ref)
+            assert _key(tuple(eps.tolist())) == _key(tuple(eps_ref))
+            ds = np.array(ds)
+            ds[~np.isfinite(eps)] = np.nan
+            assert _key(tuple(d.tolist())) == _key(tuple(ds.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# the witnesses' bytes, pinned: no corpus certificate fails, so this is the
+# one check of a failed certificate's x and y to the last bit
+
+WITNESSES = Path(__file__).parent / "data" / "witnesses.json"
+WITNESS_GRID = GridConfig(81, 81, 53)
+
+
+def witness_entries():
+    """Per fine-grid family, phi map and target (f, then |f'|^q at q = 1, 2,
+    3): the certificate at ``_pass_and_fail_moduli``'s failing modulus on
+    WITNESS_GRID, as a JSON-ready dict. tests/data/witnesses.json holds
+    ``json.dumps(witness_entries(), indent=1)`` as plain bisection found
+    the preimages; every float in it is repr-exact."""
+    entries = []
+    for source, phi_source, q in itertools.product(FAMILIES, PHIS, (None, 1, 2, 3)):
+        f, phi = parse(source), PhiMap.from_source(phi_source)
+        g = function_of(f) if q is None else derivative_power(f, float(q))
+        c = _pass_and_fail_moduli(g, phi, WITNESS_GRID)[1]
+        res = certify_strong_phi_convexity(g, phi, IV01, c, WITNESS_GRID)
+        entries.append({"f": source, "phi": phi_source, "q": q, "c": c, "passed": res.passed,
+                        "worst_slack": res.worst_slack,
+                        "witness": None if res.witness is None else list(res.witness)})
+    return entries
+
+
+class TestWitnessBytes:
+    def test_entries_equal_the_pinned_file(self):
+        pinned = json.loads(WITNESSES.read_text())
+        got = witness_entries()
+        assert len(got) == len(pinned) == 84
+        assert not any(entry["passed"] for entry in pinned)
+        for entry, want in zip(got, pinned):
+            assert json.dumps(entry) == json.dumps(want)
+
+
+# ---------------------------------------------------------------------------
+# the preimage search against plain bisection over the same cell
+
+
+def bisection_preimage(phi, xs, phis, u):
+    """x with phi(x) = u: a phi sample's x, or bisection of the first cell
+    that brackets u down to two adjacent doubles, the closer one to u."""
+    hit = phis == u
+    if hit.any():
+        return float(xs[np.argmax(hit)])
+    above = phis > u
+    k = int(np.argmax(above[:-1] != above[1:]))
+    lo, hi = float(xs[k]), float(xs[k + 1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if (float(phi(mid)) > u) == above[k] else (lo, mid)
+    return min((lo, hi), key=lambda x: abs(float(phi(x)) - u))
+
+
+MONOTONE_PHIS = ("identity", "0.25 + 0.5*x", "x^2", "x^3", "sin(x)", "sqrt(x)",
+                 "(exp(x) - 1)/(exp(1) - 1)", "ln(1 + x)/ln(2)")
+
+
+def preimage_draws(source, draws=300):
+    """(phi counting its calls in ``.calls``, xs, phis, u values) for
+    ``draws`` seeded u in phi([0, 1])."""
+    phi = PhiMap.from_source(source)
+
+    def counted(x):
+        counted.calls += 1
+        return phi(x)
+
+    counted.calls = 0
+    xs, phis = _phi_sample(phi, IV01)
+    rng = random.Random(source)
+    return counted, xs, phis, [rng.uniform(float(phis.min()), float(phis.max()))
+                               for _ in range(draws)]
+
+
+class TestPreimage:
+    @pytest.mark.parametrize("source", MONOTONE_PHIS)
+    def test_monotone_phi_gives_the_bisection_double_in_few_calls(self, source):
+        phi, xs, phis, us = preimage_draws(source)
+        want = [bisection_preimage(phi, xs, phis, u) for u in us]
+        assert phi.calls / len(us) > 40
+        phi.calls = 0
+        assert [_preimage(phi, xs, phis, u) for u in us] == want
+        assert phi.calls / len(us) <= 8
+
+    def test_phi_not_monotone_at_ulp_scale_gives_a_flip_as_close(self):
+        # abs(x - 0.5) + 0.5*x rounds to values that are not monotone in the
+        # last bits, so the two searches may stop at different flips of
+        # phi(x) > u; each is a flip, and the new one is no farther from u
+        phi, xs, phis, us = preimage_draws("abs(x - 0.5) + 0.5*x")
+        differ = 0
+        for u in us:
+            x, want = _preimage(phi, xs, phis, u), bisection_preimage(phi, xs, phis, u)
+            neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+            assert any((float(phi(n)) > u) != (float(phi(x)) > u) for n in neighbours)
+            assert abs(float(phi(x)) - u) <= abs(float(phi(want)) - u)
+            differ += x != want
+        assert differ < len(us) // 10

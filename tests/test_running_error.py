@@ -20,7 +20,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from hhbounds.expr import Binary, Constant, EvalDomainError, Unary, Variable
+from hhbounds import expr
+from hhbounds.expr import EPS, LIBM_ULPS, Binary, Constant, EvalDomainError, Unary, Variable
 from hhbounds.expr import evaluate, evaluate_derivative, parse
 
 EXPRESSIONS = 700
@@ -149,3 +150,107 @@ def test_array_lanes_carry_the_scalar_bounds():
         for k in range(0, 41, 5):
             assert (values[k], mu[k]) == pytest.approx(lane(e, float(u[k]), bound=True),
                                                        rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the lean mu rules against the ones that multiply an exact operand's 0.0
+# through every array: the same bits wherever those are finite
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _zero_for_exact(rule):
+    """``rule`` with an exact operand's mu, None, read as 0.0."""
+    return lambda r, *args: rule(r, *(0.0 if a is None else a for a in args))
+
+
+ORACLE_MU = {ufunc: _zero_for_exact(rule) for ufunc, rule in {
+    np.add: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
+    np.subtract: lambda r, u, v, mu, mv: mu + mv + EPS * np.abs(r),
+    np.multiply: lambda r, u, v, mu, mv: np.abs(v) * mu + np.abs(u) * mv + EPS * np.abs(r),
+    np.true_divide: lambda r, u, v, mu, mv: (mu + np.abs(r) * mv) / np.abs(v) + EPS * np.abs(r),
+    np.negative: lambda r, u, mu: mu,
+    np.absolute: lambda r, u, mu: mu,
+    np.sign: lambda r, u, mu: 0.0,
+    np.exp: lambda r, u, mu: np.abs(r) * (mu + LIBM_ULPS * EPS),
+    np.log: lambda r, u, mu: mu / np.abs(u) + LIBM_ULPS * EPS * np.abs(r),
+    np.sin: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
+    np.cos: lambda r, u, mu: mu + LIBM_ULPS * EPS * np.abs(r),
+    np.sqrt: lambda r, u, mu: 2.0 * mu / np.maximum(r + np.sqrt(mu), _TINY) + EPS * r,
+}.items()}
+
+
+def _oracle_pow(self, q):
+    r, m = self.v**q, 0.0 if self.m is None else self.m
+    return expr._Bound(r, abs(q) * np.abs(self.v) ** (q - 1.0) * m + LIBM_ULPS * EPS * np.abs(r))
+
+
+def _both(lane, e, x, monkeypatch):
+    """(lean, oracle) ``(value, mu)`` of ``lane`` at x, or None on a domain error."""
+    try:
+        lean = lane(e, x, bound=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(expr, "_MU", ORACLE_MU)
+            patch.setattr(expr._Bound, "__pow__", _oracle_pow)
+            return lean, lane(e, x, bound=True)
+    except EvalDomainError:
+        return None
+
+
+def _bits(pair):
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in pair)
+
+
+def test_lean_mu_has_the_oracle_bits_on_both_lanes(monkeypatch):
+    # the draws of test_mu_covers_the_error_on_both_lanes, each input alone
+    # and the four of an expression as one array
+    rng = random.Random(20241019)
+    checked = 0
+    for _ in range(EXPRESSIONS):
+        e = parse(_expression(rng, rng.randint(1, 4)))
+        xs = [rng.uniform(-3.0, 3.0) for _ in range(INPUTS)]
+        for x in (*xs, np.array(xs)):
+            for lane in (evaluate, evaluate_derivative):
+                with np.errstate(all="ignore"):
+                    both = _both(lane, e, x, monkeypatch)
+                if both is None:
+                    continue
+                lean, oracle = both
+                finite = np.isfinite(oracle[1])
+                assert np.array_equal(np.isfinite(lean[1]), finite), (e, x, lane)
+                if np.all(finite):
+                    assert _bits(lean) == _bits(oracle), (e, x, lane)
+                    checked += 1
+    assert checked >= 6000
+
+
+def test_lean_mu_is_not_finite_where_the_oracle_is(monkeypatch):
+    rng = random.Random(7)
+    special = np.array([math.inf, -math.inf, math.nan, 0.0, 1e300, -2.5])
+    non_finite = 0
+    for _ in range(EXPRESSIONS):
+        e = parse(_expression(rng, rng.randint(1, 4)))
+        for x in (special, special[[0, 3, 5]], special[[1, 4]]):
+            for lane in (evaluate, evaluate_derivative):
+                with np.errstate(all="ignore"):
+                    both = _both(lane, e, x, monkeypatch)
+                if both is None:
+                    continue
+                (value, mu), (oracle_value, oracle_mu) = (
+                    [np.asarray(v, dtype=float) for v in pair] for pair in both)
+                assert value.tobytes() == oracle_value.tobytes()
+                assert np.array_equal(np.isfinite(mu), np.isfinite(oracle_mu)), (e, x, lane)
+                finite = np.isfinite(oracle_mu)
+                assert mu[finite].tobytes() == oracle_mu[finite].tobytes()
+                non_finite += int(np.sum(~finite))
+    assert non_finite >= 1000
+
+
+def test_an_exact_operand_adds_no_nan(monkeypatch):
+    # 2*x at x = inf: the oracle's |x|*0.0 is NaN, the lean mu is eps*|inf|
+    x = np.array([math.inf, 1.0])
+    with np.errstate(all="ignore"):
+        (value, mu), (_, oracle_mu) = _both(evaluate, parse("2*x"), x, monkeypatch)
+    assert value.tolist() == [math.inf, 2.0]
+    assert mu[0] == math.inf and math.isnan(oracle_mu[0])
+    assert mu[1] == oracle_mu[1] == 2.0 * EPS
