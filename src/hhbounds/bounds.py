@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import evaluate, evaluate_derivative, has_abs_kink_at
-from .funcspec import ProblemSpec, endpoints
+from .funcspec import ProblemSpec
 
 __all__ = [
     "BoundInputs",
@@ -113,18 +113,17 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
     If an endpoint sits exactly on an abs kink of f the derivative
     convention (0) applies and the point is flagged for the report.
     """
-    ends = endpoints(spec)
     flags = []
     for label, point in (
-        ("phi(a)", ends.phi_a), ("phi(b)", ends.phi_b), ("midpoint", ends.mid)
+        ("phi(a)", spec.phi_a), ("phi(b)", spec.phi_b), ("midpoint", spec.mid)
     ):
         if has_abs_kink_at(spec.f, point):
             flags.append(f"kink-at-endpoint: {label}")
     return BoundInputs(
-        delta=ends.delta,
-        d_a=abs(evaluate_derivative(spec.f, ends.phi_a)),
-        d_b=abs(evaluate_derivative(spec.f, ends.phi_b)),
-        d_m=abs(evaluate_derivative(spec.f, ends.mid)),
+        delta=spec.delta,
+        d_a=abs(evaluate_derivative(spec.f, spec.phi_a)),
+        d_b=abs(evaluate_derivative(spec.f, spec.phi_b)),
+        d_m=abs(evaluate_derivative(spec.f, spec.mid)),
         c=spec.modulus_deriv,
         q=spec.q,
         p=spec.p,
@@ -134,10 +133,9 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
 
 def bound_sandwich(spec: ProblemSpec) -> tuple[float, float]:
     """Two-sided estimate of the integral mean for strongly phi-convex f."""
-    ends = endpoints(spec)
     c = spec.modulus_f
-    lower = evaluate(spec.f, ends.mid) + (c / 12.0) * ends.delta**2
-    upper = ends.trapezoid - (c / 6.0) * ends.delta**2
+    lower = evaluate(spec.f, spec.mid) + (c / 12.0) * spec.delta**2
+    upper = spec.trapezoid - (c / 6.0) * spec.delta**2
     return lower, upper
 
 

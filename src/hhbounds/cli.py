@@ -21,7 +21,8 @@ missing keys, wrong-type values and instances that ``validate`` rejects):
     c_deriv   modulus override for |f'|^q
     q         power >= 1 (default 1)
     quad_tol  quadrature tolerance (default 1e-10)
-    grid      {"n_x": 41, "n_y": 41, "n_t": 33}
+    grid      {"n_x": 41, "n_y": 41, "n_t": 33}: the certificate's sample has
+              N = (n_x-1)*(n_t-1) + 1 points; n_y sets nothing but must be >= 3
     id        report name (default: config file stem)
 
 Exit codes: 0 ok, 1 violated/error rows or a numerical failure,

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import (EPS, LIBM_ULPS, Expr, _Bound, _int_pow, _unbound, evaluate,
-                   evaluate_derivative, parse)
+from .expr import (EPS, LIBM_ULPS, Expr, _Bound, _int_pow, _unbound, abs_kink_points,
+                   evaluate, evaluate_derivative, parse)
 
 __all__ = [
     "Interval", "PhiMap", "GridConfig", "ProblemSpec", "CertificateResult",
-    "SpecValidationError", "DegeneratePhiError", "Endpoints", "validate", "endpoints",
+    "SpecValidationError", "DegeneratePhiError", "validate",
     "certify_strong_phi_convexity", "estimate_max_modulus", "function_of", "derivative_power",
 ]
 
@@ -103,7 +104,11 @@ class CertificateResult:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full problem instance; building it, ``dataclasses.replace`` too, runs ``validate``."""
+    """A full problem instance; building it, ``dataclasses.replace`` too, runs ``validate``.
+
+    phi_a, phi_b, the ``trapezoid`` (f(phi_a) + f(phi_b))/2 and the linear
+    abs ``kinks`` of f in (phi_a, phi_b) are computed on first read and kept.
+    """
 
     f: Expr
     interval: Interval
@@ -132,15 +137,40 @@ class ProblemSpec:
     def modulus_deriv(self) -> float:
         return self.c if self.c_deriv is None else self.c_deriv
 
+    @cached_property
+    def phi_a(self) -> float:
+        return float(self.phi(self.interval.a))
+
+    @cached_property
+    def phi_b(self) -> float:
+        return float(self.phi(self.interval.b))
+
+    @property
+    def delta(self) -> float:
+        return self.phi_b - self.phi_a
+
+    @property
+    def mid(self) -> float:
+        return (self.phi_a + self.phi_b) / 2.0
+
+    @cached_property
+    def trapezoid(self) -> float:
+        return (evaluate(self.f, self.phi_a) + evaluate(self.f, self.phi_b)) / 2.0
+
+    @cached_property
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(abs_kink_points(self.f, self.phi_a, self.phi_b))
+
 
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check every instance invariant and return ``spec``; ``ProblemSpec`` runs it when built.
 
     phi is sampled on a uniform 1001-point grid: it must stay inside
-    [a - eps, b + eps] with eps = 1e-12*(b - a), and phi(a) < phi(b). Each
-    grid count is at least 3, and the sample size N = grid.size at most
-    MAX_SAMPLE_POINTS, before anything is sampled: a certificate peaks near
-    7 arrays of N floats (112 MiB) plus g's evaluation with its bound.
+    [a - eps, b + eps] with eps = 1e-12*(b - a), a NaN sample escaping it,
+    and phi(a) < phi(b). Each grid count is at least 3, and the sample size
+    N = grid.size at most MAX_SAMPLE_POINTS, before anything is sampled: a
+    certificate peaks near 7 arrays of N floats (112 MiB) plus g's
+    evaluation with its bound.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
@@ -166,7 +196,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     except Exception as exc:
         raise SpecValidationError("phi-domain", f"phi not evaluable on [a, b]: {exc}")
     eps = 1e-12 * iv.width
-    escape = (phis < iv.a - eps) | (phis > iv.b + eps)
+    escape = ~((phis >= iv.a - eps) & (phis <= iv.b + eps))
     if np.any(escape):
         at = float(xs[np.argmax(escape)])
         raise SpecValidationError(
@@ -176,33 +206,6 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         raise SpecValidationError("phi-orientation",
                                   f"phi(a) = {phi_a} must be < phi(b) = {phi_b}")
     return spec
-
-
-@dataclass(frozen=True)
-class Endpoints:
-    """The interval mapped through phi, and the trapezoid value of f on it.
-
-    ``delta`` is phi(b) - phi(a) and ``mid`` the midpoint of [phi(a),
-    phi(b)]. ``trapezoid``, (f(phi(a)) + f(phi(b)))/2, evaluates f each
-    time it is read, so callers that never read it pay nothing.
-    """
-
-    phi_a: float
-    phi_b: float
-    delta: float
-    mid: float
-    f: Expr
-
-    @property
-    def trapezoid(self) -> float:
-        return (evaluate(self.f, self.phi_a) + evaluate(self.f, self.phi_b)) / 2.0
-
-
-def endpoints(spec: ProblemSpec) -> Endpoints:
-    """Map [a, b] through phi; ``spec``'s construction checked phi(a) < phi(b)."""
-    phi_a = float(spec.phi(spec.interval.a))
-    phi_b = float(spec.phi(spec.interval.b))
-    return Endpoints(phi_a, phi_b, phi_b - phi_a, (phi_a + phi_b) / 2.0, spec.f)
 
 
 # ---------------------------------------------------------------------------

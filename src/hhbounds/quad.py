@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import abs_kink_points, evaluate, evaluate_derivative
-from .funcspec import ProblemSpec, _sample, endpoints
+from .expr import evaluate, evaluate_derivative
+from .funcspec import ProblemSpec, _sample
 
 __all__ = [
     "QuadResult",
@@ -172,12 +172,10 @@ def hh_gap(spec: ProblemSpec) -> float:
 
     The integral is pre-split at the kinks of f, so each piece is smooth.
     """
-    ends = endpoints(spec)
-    kinks = abs_kink_points(spec.f, ends.phi_a, ends.phi_b)
-    points = [ends.phi_a] + kinks + [ends.phi_b]
+    points = [spec.phi_a, *spec.kinks, spec.phi_b]
     tol = spec.quad_tol / (len(points) - 1)
     integral = integrate(lambda u: evaluate(spec.f, u), points[:-1], points[1:], tol).value
-    return ends.trapezoid - integral / ends.delta
+    return spec.trapezoid - integral / spec.delta
 
 
 def lemma_rhs(spec: ProblemSpec) -> float:
@@ -189,11 +187,10 @@ def lemma_rhs(spec: ProblemSpec) -> float:
     nodes are interior, so each piece sees only one side of a kink and never
     the kink convention value.
     """
-    ends = endpoints(spec)
-    phi_a, phi_b, delta = ends.phi_a, ends.phi_b, ends.delta
+    phi_a, phi_b, delta = spec.phi_a, spec.phi_b, spec.delta
 
     cuts = {0.5}
-    for root in abs_kink_points(spec.f, phi_a, phi_b):
+    for root in spec.kinks:
         t = (root - phi_a) / delta
         if 0.0 < t < 1.0:
             cuts.add(t)

@@ -35,7 +35,6 @@ from .funcspec import (
     ProblemSpec,
     certify_strong_phi_convexity,
     derivative_power,
-    endpoints,
     function_of,
     validate,  # unused here; perfbench/tracer.py wraps report.validate
 )
@@ -125,7 +124,7 @@ def build_report(
     """Assemble one report; row order follows ``bound_values`` order, and
     ``certificates`` gate the rows as the module docstring says."""
     gap = gap_result.lhs_gap
-    mean = endpoints(spec).trapezoid - gap
+    mean = spec.trapezoid - gap
     failed = {c.target: c for c in certificates if not c.passed}
     rows = tuple(_row_from_bound(bv, gap, mean, failed) for bv in bound_values)
     return BoundReport(

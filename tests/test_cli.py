@@ -239,6 +239,16 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "bounds", "modulus", "lemma"])
+def test_a_nan_phi_exits_two(tmp_path, capsys, command):
+    path = write_config(tmp_path, {"f": "x^2", "a": 0, "b": 1,
+                                   "phi": "x + 0*exp(1000 - 4000*(x - 0.5)^2)"})
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid config {path}: phi(0.231) = nan escapes [0.0, 1.0]\n"
+
+
 def test_oversize_modulus_sample_exits_two_at_once(tmp_path):
     # the 1-D sample would hold 31*1398100 + 1 = 43,341,101 points; a
     # process, so that its whole stderr and its time are what is checked

@@ -34,6 +34,8 @@ from hhbounds.funcspec import _phi_sample, _preimage, _second_differences
 
 IV01 = Interval(0.0, 1.0)
 IDENTITY = PhiMap.identity()
+# x, but NaN (0*inf) on 539 of validate's 1001 phi samples
+NAN_PHI = "x + 0*exp(1000 - 4000*(x - 0.5)^2)"
 
 
 def make_spec(f="x^2", a=0.0, b=1.0, phi="identity", **kw):
@@ -179,6 +181,18 @@ class TestValidate:
         assert_no_allocation(
             lambda: dataclasses.replace(spec, grid=GridConfig(10**5, 10**5, 33)), "grid-size"
         )
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_spec(phi=NAN_PHI),
+        lambda: spec_from_config({"f": "x^2", "a": 0, "b": 1, "phi": NAN_PHI}),
+    ], ids=["spec", "config"])
+    def test_a_nan_phi_escapes(self, build):
+        # numpy would warn on exp's overflow; the CLI ignores it, as here
+        with np.errstate(all="ignore"), pytest.raises(SpecValidationError) as exc:
+            build()
+        assert exc.value.code == "phi-range"
+        assert str(exc.value) == "phi(0.231) = nan escapes [0.0, 1.0]"
+        assert exc.value.witness == 0.231
 
     def test_phi_outside_its_domain_is_rejected_from_a_config(self):
         with pytest.raises(SpecValidationError, match="ln of non-positive") as exc:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -229,6 +230,33 @@ def random_report(rng) -> BoundReport:
     )
 
 
+class TestSpecFacts:
+    def test_run_check_computes_the_endpoint_facts_once(self, monkeypatch):
+        from hhbounds import bounds, expr, funcspec, quad, report
+
+        # every module's own binding, so a call counts wherever it is made
+        calls = []
+        for module in (expr, funcspec, quad, bounds, report):
+            for name in ("evaluate", "abs_kink_points"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                                        calls.append((_n, a)) or _f(*a, **k))
+        spec = make({"f": "abs(3*x - 1) + x^2", "a": 0, "b": 1, "phi": "0.25 + 0.5*x"})
+        calls.clear()
+
+        def scalar_calls(e, points):
+            return [a[1] for n, a in calls if n == "evaluate" and a[0] is e
+                    and isinstance(a[1], float) and a[1] in points]
+
+        for _ in range(2):
+            run_check(spec)
+            # f at phi(a) and phi(b), phi at a and b, and the kink search, once each
+            assert scalar_calls(spec.f, (0.25, 0.75)) == [0.25, 0.75]
+            assert scalar_calls(spec.phi.expr, (0.0, 1.0)) == [0.0, 1.0]
+            assert [n for n, _ in calls].count("abs_kink_points") == 1
+
+
 class TestSerialization:
     def test_csv_header_and_line_count(self):
         report = run_check(make(SQ_Q1))
@@ -289,6 +317,14 @@ class TestSerialization:
                    run_check(make({"f": "exp(x)", "a": 0, "b": 1, "id": "e"}))]
         lines = serialize_many(reports, "csv").decode().strip().split("\n")
         assert len(lines) == 1 + sum(len(r.rows) for r in reports)
+
+    def test_an_int_leaf_is_written_as_json_dumps_writes_it(self):
+        spec = make(SQ_Q1)
+        report = build_report(spec, (), GapResult(1 / 6, 1 / 6, 0.0), [BoundValue("power_mean", 3)])
+        assert type(report.rows[0].bound) is int
+        text = serialize(report, "json")
+        assert text == (json.dumps(asdict(report), indent=2) + "\n").encode("utf-8")
+        assert report_from_json(text) == report
 
     def test_unknown_format_rejected(self):
         report = run_check(make(SQ_Q1))

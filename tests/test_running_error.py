@@ -254,3 +254,14 @@ def test_an_exact_operand_adds_no_nan(monkeypatch):
     assert value.tolist() == [math.inf, 2.0]
     assert mu[0] == math.inf and math.isnan(oracle_mu[0])
     assert mu[1] == oracle_mu[1] == 2.0 * EPS
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: np.add.reduce(b),
+    lambda b: np.add(b, 1.0, out=np.empty(2)),
+], ids=["reduce", "out"])
+def test_a_ufunc_the_mu_rules_do_not_cover_raises(call):
+    # a value computed without its mu would drop the bound unnoticed
+    b = expr._Bound(np.array([1.0, 2.0]), np.array([0.0, EPS]))
+    with pytest.raises(TypeError):
+        call(b)
