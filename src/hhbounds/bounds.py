@@ -31,7 +31,7 @@ admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
 
 evaluate_all returns one BoundValue per report row, assuming the
 hypotheses. Its status is set when no margin decides the row: INAPPLICABLE
-when the bound needs p at q = 1, ERROR when a bracket is negative.
+when the bound needs p at q = 1, ERROR on a negative bracket or a float overflow.
 report.build_report gates the rows by the certificates.
 """
 
@@ -216,11 +216,18 @@ GAP_BOUNDS = (
 )
 
 
+def _overflow(theorem_id: str) -> BoundValue:
+    # Python's float ** raises OverflowError where numpy would return inf
+    return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=f"{theorem_id}: float overflow")
+
+
 def _guarded(builder, inputs, theorem_id: str) -> BoundValue:
     try:
         return builder(inputs)
     except ModulusInfeasibleError as exc:
         return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=str(exc))
+    except OverflowError:
+        return _overflow(theorem_id)
 
 
 def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
@@ -231,11 +238,14 @@ def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
     the kink flags of their inputs as notes. Reduction rows rerun the same
     operations with c = 0 and are reported under distinct ids.
     """
-    lower, upper = bound_sandwich(spec)
-    sandwich_rows = [
-        BoundValue("sandwich_lower", lower, kind=MEAN_LOWER),
-        BoundValue("sandwich_upper", upper, kind=MEAN_UPPER),
-    ]
+    try:
+        lower, upper = bound_sandwich(spec)
+        sandwich_rows = [
+            BoundValue("sandwich_lower", lower, kind=MEAN_LOWER),
+            BoundValue("sandwich_upper", upper, kind=MEAN_UPPER),
+        ]
+    except OverflowError:
+        sandwich_rows = [_overflow("sandwich_lower"), _overflow("sandwich_upper")]
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
     # c = 0 reductions share the arithmetic path of the main operations

@@ -12,7 +12,8 @@ Commands and their flags:
              --format, --out
 
 Config schema (JSON object; ``corpus.spec_from_config`` rejects unknown or
-missing keys, wrong-type values and instances that ``validate`` rejects):
+missing keys, wrong-type values and instances that ``validate`` rejects;
+a number must be a JSON number, not a string):
     f         expression string (required)
     a, b      interval endpoints (required)
     phi       expression string or "identity" (default "identity")

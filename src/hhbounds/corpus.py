@@ -27,10 +27,12 @@ from .expr import parse
 
 __all__ = ["CORPUS_CONFIGS", "corpus_configs", "corpus_specs", "spec_from_config"]
 
-CONFIG_KEYS = {
-    "f", "a", "b", "phi", "c", "c_f", "c_deriv", "q", "quad_tol", "grid", "id",
+# each config key's type, and the grid's keys' types; ``_typed`` checks them
+GRID_TYPES = {"n_x": int, "n_y": int, "n_t": int}
+CONFIG_TYPES = {
+    "f": str, "phi": str, "id": str, "grid": GRID_TYPES, "a": float, "b": float,
+    "c": float, "c_f": float, "c_deriv": float, "q": float, "quad_tol": float,
 }
-GRID_KEYS = {"n_x", "n_y", "n_t"}
 REQUIRED_KEYS = {"f", "a", "b"}
 
 # entries follow the config schema that spec_from_config enforces
@@ -72,68 +74,53 @@ CORPUS_CONFIGS = (
 )
 
 
-def _number(cfg: dict, key: str, kind=float, name: str | None = None):
-    """``kind(cfg[key])``; a wrong type is a ``config-type`` error.
+def _typed(value, kind, name: str):
+    """``kind(value)`` if ``value`` has type ``kind``, else a ``config-type`` error.
 
-    A bool is not a number, and an integer may not drop a fraction.
+    A number (``float``) is an int or a float, never a bool or a str; an
+    integer (``int``) is a number without a fraction.
     """
-    value = cfg[key]
-    try:
-        if isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()
-        ):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise SpecValidationError(
-            "config-type", f"config key {name or key!r} must be {what}, got {value!r}"
-        ) from None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if {str: isinstance(value, str), float: number, int: number and value % 1 == 0}[kind]:
+        try:
+            return kind(value)
+        except OverflowError:  # float() of a JSON integer past the largest double
+            pass
+    what = {str: "a string", float: "a number", int: "an integer"}[kind]
+    raise SpecValidationError("config-type", f"config key {name!r} must be {what}, got {value!r}")
 
 
 def spec_from_config(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from a config mapping; ``validate`` runs as it is built.
 
     Unknown or missing keys, and a ``grid`` that is not a mapping of grid
-    counts, raise SpecValidationError with code ``config-keys``; a value
-    that is not a number where one is expected (a bool included), a grid
-    count with a fraction, or an ``f``, ``phi`` or ``id`` that is not a
-    string, code ``config-type``; a failed ``validate`` check, that check's code.
+    counts, raise SpecValidationError with code ``config-keys``; a value not
+    of its ``CONFIG_TYPES`` type, code ``config-type``: a number must be a
+    JSON number, not a bool or a string, a grid count has no fraction, and
+    ``f``, ``phi`` and ``id`` are strings. A failed ``validate`` check raises
+    it with that check's code.
     """
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = set(cfg) - set(CONFIG_TYPES)
     if unknown:
-        raise SpecValidationError(
-            "config-keys", f"unknown config keys: {sorted(unknown)}"
-        )
+        raise SpecValidationError("config-keys", f"unknown config keys: {sorted(unknown)}")
     missing = REQUIRED_KEYS - set(cfg)
     if missing:
-        raise SpecValidationError(
-            "config-keys", f"missing config keys: {sorted(missing)}"
-        )
+        raise SpecValidationError("config-keys", f"missing config keys: {sorted(missing)}")
     grid_cfg = cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict) or set(grid_cfg) - GRID_KEYS:
+    if not isinstance(grid_cfg, dict) or set(grid_cfg) - set(GRID_TYPES):
         raise SpecValidationError(
-            "config-keys", f"grid must be an object with keys among {sorted(GRID_KEYS)}"
+            "config-keys", f"grid must be an object with keys among {sorted(GRID_TYPES)}"
         )
-    for key in ("f", "phi", "id"):
-        if key in cfg and not isinstance(cfg[key], str):
-            raise SpecValidationError(
-                "config-type", f"config key {key!r} must be a string, got {cfg[key]!r}"
-            )
-    # absent numbers and grid counts take ProblemSpec's and GridConfig's
-    # defaults; c_f and c_deriv may also be null
-    grid = GridConfig(
-        **{k: _number(grid_cfg, k, kind=int, name=f"grid.{k}") for k in grid_cfg}
-    )
-    numbers = {k: _number(cfg, k) for k in ("c", "q", "quad_tol") if k in cfg}
-    numbers.update({k: _number(cfg, k) for k in ("c_f", "c_deriv") if cfg.get(k) is not None})
+    # absent keys, and a null c_f or c_deriv, take ProblemSpec's and GridConfig's defaults
+    values = {k: _typed(v, CONFIG_TYPES[k], k) for k, v in cfg.items()
+              if k != "grid" and (v is not None or k not in ("c_f", "c_deriv"))}
     return ProblemSpec(
-        f=parse(cfg["f"]),
-        interval=Interval(_number(cfg, "a"), _number(cfg, "b")),
-        phi=PhiMap.from_source(cfg.get("phi", "identity")),
-        grid=grid,
-        spec_id=cfg.get("id", "spec"),
-        **numbers,
+        grid=GridConfig(**{k: _typed(v, GRID_TYPES[k], f"grid.{k}") for k, v in grid_cfg.items()}),
+        f=parse(values.pop("f")),
+        interval=Interval(values.pop("a"), values.pop("b")),
+        phi=PhiMap.from_source(values.pop("phi", "identity")),
+        spec_id=values.pop("id", "spec"),
+        **values,
     )
 
 

@@ -318,6 +318,22 @@ class TestEvaluateAll:
         assert rows["split_holder"].status == STATUS_ERROR
         assert rows["power_mean"].status is None  # its bracket is still positive
 
+    @pytest.mark.parametrize("cfg, overflowing", [
+        # |f'(1)|^2000 = 2^2000; Python's float ** raises where numpy returns inf
+        ({"f": "x^2", "a": 0, "b": 1, "q": 2000},
+         {"power_mean", "split_holder", "split_holder_relaxed", "holder",
+          "power_mean_c0", "split_holder_c0", "holder_c0"}),
+        # delta^2 = 1e310, while the gap of a constant f is 0
+        ({"f": "1", "a": 0, "b": 1e155},
+         {"sandwich_lower", "sandwich_upper", "power_mean", "power_mean_c0"}),
+    ])
+    def test_overflow_becomes_error_row(self, cfg, overflowing):
+        errors = {bv.theorem_id: bv for bv in evaluate_all(make(cfg)) if bv.status == STATUS_ERROR}
+        assert set(errors) == overflowing
+        for tid, bv in errors.items():
+            assert bv.value is None
+            assert bv.notes == tid.removesuffix("_c0") + ": float overflow"
+
 
 class TestBracketFeasibility:
     def test_power_mean_bracket_dominates_quadratic_floor_up_to_cstar(self):

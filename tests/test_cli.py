@@ -212,6 +212,13 @@ class TestConfigSchema:
         ({"phi": None}, "'phi' must be a string"),
         ({"f": 5}, "'f' must be a string"),
         ({"f": None}, "'f' must be a string"),
+        # float() and int() would read these strings as 0, 2, 1.0 and 41
+        ({"a": "0"}, "'a' must be a number"),
+        ({"q": "2"}, "'q' must be a number"),
+        ({"c_f": " 1e0 "}, "'c_f' must be a number"),
+        ({"grid": {"n_x": "41"}}, "'grid.n_x' must be an integer"),
+        # a JSON integer past the largest double: float() overflows
+        ({"a": 10**400}, "'a' must be a number"),
     ]
 
     @pytest.mark.parametrize("edit, key", WRONG_TYPES)
@@ -237,6 +244,26 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, command):
         assert main([command, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "bounds"])
+@pytest.mark.parametrize("cfg, statuses", [
+    # |f'(1)|^2000 = 2^2000 overflows in every derivative bound
+    ({"f": "x^2", "a": 0, "b": 1, "q": 2000}, ["HOLDS"] * 2 + ["ERROR"] * 7),
+    # delta^2 = 1e310 overflows in the sandwich and power_mean brackets
+    ({"f": "1", "a": 0, "b": 1e155},
+     ["ERROR"] * 3 + ["INAPPLICABLE"] * 3 + ["ERROR"] + ["INAPPLICABLE"] * 2),
+])
+def test_an_overflowing_bound_is_an_error_row(tmp_path, capsys, command, cfg, statuses):
+    # Python's float ** raises OverflowError where numpy returns inf
+    assert main([command, write_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [row["status"] for row in rows] == statuses
+    assert all(row["notes"].endswith(": float overflow")
+               for row in rows if row["status"] == "ERROR")
+    assert captured.err == ("" if command == "check"
+                            else "note: certificates skipped, hypotheses unverified\n")
 
 
 @pytest.mark.parametrize("command", ["check", "bounds", "modulus", "lemma"])
