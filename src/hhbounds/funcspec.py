@@ -16,7 +16,7 @@ job is falsification and modulus estimation at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -165,15 +165,19 @@ class ProblemSpec:
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check every instance invariant and return ``spec``; ``ProblemSpec`` runs it when built.
 
-    phi is sampled on a uniform 1001-point grid: it must stay inside
-    [a - eps, b + eps] with eps = 1e-12*(b - a), a NaN sample escaping it,
-    and phi(a) < phi(b). Each grid count is at least 3, and the sample size
+    Both ends of [a, b] are finite, and a < b. phi is sampled on a uniform
+    1001-point grid: it must stay inside [a - eps, b + eps] with eps =
+    1e-12*(b - a), a NaN sample escaping it, and phi(a) < phi(b). Each
+    grid count is at least 3, and the sample size
     N = grid.size at most MAX_SAMPLE_POINTS, before anything is sampled: a
     certificate peaks near 7 arrays of N floats (112 MiB) plus g's
     evaluation with its bound.
     """
     iv = spec.interval
-    if not (np.isfinite(iv.a) and np.isfinite(iv.b)) or not iv.a < iv.b:
+    if not (np.isfinite(iv.a) and np.isfinite(iv.b)):
+        raise SpecValidationError("interval-finite",
+                                  f"interval ends must be finite, got [{iv.a}, {iv.b}]")
+    if not iv.a < iv.b:
         raise SpecValidationError("interval-order",
                                   f"interval requires a < b, got [{iv.a}, {iv.b}]")
     for label, value in (("c", spec.c), ("c_f", spec.c_f), ("c_deriv", spec.c_deriv)):
@@ -211,10 +215,31 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # the 1-D sample
 
+@dataclass
+class _Record:
+    """phi's range [lo, hi] on ``iv``, and per target kind ("f" or
+    "fprime_q") the (expression, N, q, estimate) last certified or estimated
+    there. Scalars and references only, so no array outlives a call."""
+
+    phi: object
+    iv: Interval
+    lo: float
+    hi: float
+    estimates: dict = field(default_factory=dict)
+
+
+_record: Optional[_Record] = None  # the last (phi object, interval) sampled
+
+
+def _shaped(v, x: np.ndarray) -> np.ndarray:
+    """``v`` as a float array of x's shape; broadcast only if it has another."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+
+
 def _sample(g, x: np.ndarray) -> np.ndarray:
-    """``g(x)`` as a float array of x's shape; broadcast only if g returns another."""
-    f = np.asarray(g(x), dtype=float)
-    return f if f.shape == x.shape else np.broadcast_to(f, x.shape)
+    """``g(x)`` as a float array of x's shape."""
+    return _shaped(g(x), x)
 
 
 def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
@@ -223,23 +248,59 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return xs, _sample(phi, xs)
 
 
-def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
-    """(xs, phis, u, h, D2g/2, eps): g's 1-D sample on [m, M] = phi([a, b]).
+def _record_for(phi, iv: Interval) -> Optional[_Record]:
+    """The record if it is for this phi object and an equal interval."""
+    rec = _record
+    return rec if rec is not None and rec.phi is phi and rec.iv == iv else None
 
-    (xs, phis) is ``validate``'s phi sample, of range [m, M]. u is
-    N = grid.size points start + i*h in [m, M], start and h multiples
-    of 2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
+
+def _range_record(phi, iv: Interval) -> _Record:
+    """The record for (phi, iv); a new (phi, iv) samples ``_phi_sample`` and
+    replaces the whole record. Raises DegeneratePhiError."""
+    global _record
+    rec = _record_for(phi, iv)
+    if rec is not None:
+        return rec
+    phis = _phi_sample(phi, iv)[1]
+    lo, hi = float(phis.min()), float(phis.max())
+    if not lo < hi:
+        raise DegeneratePhiError("phi is constant or NaN on [a, b]")
+    _record = _Record(phi, iv, lo, hi)
+    return _record
+
+
+def _recorded_estimate(g, phi, iv: Interval, n: int) -> Optional[float]:
+    """The estimate recorded for g's target on (phi, iv) at N = n, or None.
+    Only ``function_of`` and ``derivative_power`` targets carry a key: the
+    kind, the expression object (matched by ``is``) and q."""
+    target = getattr(g, "target", None)
+    rec = _record_for(phi, iv)
+    if target is None or rec is None:
+        return None
+    kind, e, q = target
+    entry = rec.estimates.get(kind)
+    if entry is not None and entry[0] is e and entry[1] == n and entry[2] == q:
+        return entry[3]
+    return None
+
+
+def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
+    """(u, h, D2g/2, eps, estimate): g's 1-D sample on [m, M] = phi([a, b]).
+
+    [m, M] is the range of ``validate``'s phi sample, kept in the record
+    for (phi, iv) (``_range_record``). u is N = grid.size points
+    start + i*h in [m, M], start and h multiples of
+    2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
     are exact doubles, and the ends miss m and M by at most N*2**e. eps
     bounds the rounding of each D2g/2 = (g[i-1] - 2*g[i] + g[i+1])/(2*h**2):
     the samples' running bounds mu through the stencil, its two roundings,
     and eps*|D2g/2| for the division. ``g.bounded(u)`` gives (g(u), mu); any
-    other g counts as one libm call. Raises DegeneratePhiError.
+    other g counts as one libm call. ``estimate`` is estimate_max_modulus's
+    reduction of the sample; a keyed target's is recorded once g has been
+    evaluated without error. Raises DegeneratePhiError.
     """
-    xs, phis = _phi_sample(phi, iv)
-    lo, hi = float(phis.min()), float(phis.max())
-    if not lo < hi:
-        raise DegeneratePhiError("phi is constant or NaN on [a, b]")
-    n = grid.size
+    rec = _range_record(phi, iv)
+    lo, hi, n = rec.lo, rec.hi, grid.size
     unit = 2.0 ** (math.frexp(max(-lo, hi))[1] - 51)
     first = math.ceil(lo / unit)
     h = (math.floor(hi / unit) - first) // (n - 1) * unit
@@ -248,7 +309,7 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     u = np.arange(n, dtype=float)
     u = np.add(np.multiply(u, h, out=u), first * unit, out=u)
     if hasattr(g, "bounded"):
-        gu, mu = (np.broadcast_to(np.asarray(v, dtype=float), u.shape) for v in g.bounded(u))
+        gu, mu = (_shaped(v, u) for v in g.bounded(u))
     else:
         gu = _sample(g, u)
         mu = LIBM_ULPS * EPS * np.abs(gu)
@@ -262,7 +323,14 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     eps /= scale
     eps += np.multiply(np.abs(d, out=s), EPS, out=s)
     d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
-    return xs, phis, u, h, d, eps
+    # estimate_max_modulus's rule, with a and s as scratch
+    in_band = np.subtract(d, eps, out=a).min() <= 0.0 <= np.add(d, eps, out=s).min()
+    estimate = 0.0 if in_band else float(d.min())
+    target = getattr(g, "target", None)
+    if target is not None:
+        kind, e, q = target
+        rec.estimates[kind] = (e, n, q, estimate)
+    return u, h, d, eps, estimate
 
 
 def _preimage(phi, xs: np.ndarray, phis: np.ndarray, u: float) -> float:
@@ -306,21 +374,26 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     """Check modulus c for an array-capable g on ``_second_differences``' sample.
 
     It passes when min(D2g/2 - c + eps) >= 0, with worst slack
-    h**2*min(D2g/2 - c) in g units (+0.0 for a zero). A failure's witness
+    h**2*(min D2g/2 - c) in g units (+0.0 for a zero). A failure's witness
     is the defining inequality at t = 1/2 on the argmin's two neighbours,
-    x and y their preimages under phi, computed as it reads, with worst
-    slack rhs - lhs, about h**2*(D2g/2 - c); unless that is negative the
-    sample does not refute c, and it passes. A NaN difference fails with a
-    NaN worst slack. Memory peaks near 7 arrays of N floats, plus g's
-    evaluation: two arrays per value on its operand stack.
+    x and y their preimages under phi, found on a fresh phi sample and
+    computed as it reads, with worst slack rhs - lhs, about
+    h**2*(D2g/2 - c); unless that is negative the sample does not refute
+    c, and it passes. A NaN difference fails with a NaN worst slack. Memory
+    peaks near 7 arrays of N floats, plus g's evaluation: two arrays per
+    value on its operand stack. The sample's estimate_max_modulus value is
+    left in the record, so an estimate of the same target on the same phi
+    object, interval and N evaluates nothing.
     """
-    xs, phis, u, h, d, eps = _second_differences(g, phi, iv, grid)
-    slack = d - c
-    worst = h * h * float(slack.min()) + 0.0
+    u, h, d, eps, _ = _second_differences(g, phi, iv, grid)
+    # rounding is monotone, so min(D2g/2) - c rounds to min(D2g/2 - c)
+    worst = h * h * (float(d.min()) - c) + 0.0
+    slack = np.subtract(d, c, out=d)
     slack += eps
     k = int(np.argmin(slack))
     if slack[k] >= 0:
         return CertificateResult(True, worst)
+    xs, phis = _phi_sample(phi, iv)
     x, y = (_preimage(phi, xs, phis, float(u[i])) for i in (k, k + 2))
     px, py = (float(v) for v in _sample(phi, np.array([x, y])))
     t = 0.5
@@ -341,12 +414,14 @@ def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
     clamped, is min D2g/2 on the certificate's sample, or 0.0 where its eps
     cannot tell that from 0 (min(D2g/2 - eps) <= 0 <= min(D2g/2 + eps)), so
     a linear g reads 0 and the certificate passes at the result. A NaN
-    sample gives NaN; DegeneratePhiError as for the sample.
+    sample gives NaN; DegeneratePhiError as for the sample. A
+    ``function_of`` or ``derivative_power`` target already certified or
+    estimated on this phi object, an equal interval and the same N reads
+    its recorded value, bit for bit what the sample gives, without
+    evaluating g.
     """
-    _, _, _, _, d, eps = _second_differences(g, phi, iv, grid)
-    if (d - eps).min() <= 0.0 <= (d + eps).min():
-        return 0.0
-    return float(d.min())
+    estimate = _recorded_estimate(g, phi, iv, grid.size)
+    return _second_differences(g, phi, iv, grid)[-1] if estimate is None else estimate
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +429,13 @@ def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
 
 def function_of(e: Expr) -> Callable:
     """Plain evaluation of ``e`` as an array-capable callable; ``g.bounded(u)``
-    returns ``(g(u), mu)``, mu its running error bound (``expr._Bound``)."""
+    returns ``(g(u), mu)``, mu its running error bound (``expr._Bound``).
+    ``g.target``, ("f", e, None), keys its estimate in the record."""
     def g(u, bound=False):
         return evaluate(e, u, bound)
 
     g.bounded = lambda u: g(u, True)
+    g.target = ("f", e, None)
     return g
 
 
@@ -370,7 +447,7 @@ def derivative_power(e: Expr, q: float) -> Callable:
     most about 1,080 multiplies (1,023 squarings plus one per set bit). Any
     other q takes libm pow, as bounds.py does on its scalar endpoint values,
     which keeps the corpus report unchanged; at q = 1 and 2 the two agree.
-    ``g.bounded`` is as for ``function_of``.
+    ``g.bounded`` is as for ``function_of``; ``g.target`` is ("fprime_q", e, q).
     """
     n = int(q) if q >= 1 and float(q).is_integer() else None
 
@@ -381,4 +458,5 @@ def derivative_power(e: Expr, q: float) -> Callable:
         return _unbound(d, u) if bound else d
 
     g.bounded = lambda u: g(u, True)
+    g.target = ("fprime_q", e, q)
     return g

@@ -94,6 +94,15 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["check", "bounds", "modulus", "lemma"])
+    @pytest.mark.parametrize("a, b", [(0, math.inf), (-math.inf, 1), (math.nan, 1)])
+    def test_non_finite_endpoint_exits_two(self, tmp_path, capsys, command, a, b):
+        path = write_config(tmp_path, dict(SQ_Q1, a=a, b=b))
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err and "a < b" not in captured.err
+
     def test_bad_expression_exits_two(self, tmp_path):
         path = write_config(tmp_path, dict(SQ_Q1, f="exp(x"))
         assert main(["check", path]) == 2

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hhbounds import funcspec
 from hhbounds.corpus import corpus_specs, spec_from_config
-from hhbounds.expr import evaluate, evaluate_derivative, parse
+from hhbounds.expr import EvalDomainError, evaluate, evaluate_derivative, parse
 from hhbounds.funcspec import (
     CertificateResult,
     DegeneratePhiError,
@@ -30,7 +31,7 @@ from hhbounds.funcspec import (
     function_of,
     validate,
 )
-from hhbounds.funcspec import _phi_sample, _preimage, _second_differences
+from hhbounds.funcspec import PHI_RANGE_GRID, _phi_sample, _preimage, _second_differences
 
 IV01 = Interval(0.0, 1.0)
 IDENTITY = PhiMap.identity()
@@ -66,6 +67,16 @@ class TestValidate:
         with pytest.raises(SpecValidationError) as exc:
             validate(make_spec(a=1.0, b=0.0))
         assert exc.value.code == "interval-order"
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_non_finite_endpoint_is_not_an_ordering_error(self, a, b):
+        # [-inf, 1] is ordered, so an ordering message would be false there
+        with pytest.raises(SpecValidationError, match="finite") as exc:
+            spec_from_config({"f": "x^2", "a": a, "b": b})
+        assert exc.value.code == "interval-finite"
+        assert "a < b" not in str(exc.value)
 
     def test_phi_orientation(self):
         with pytest.raises(SpecValidationError) as exc:
@@ -151,6 +162,7 @@ class TestValidate:
     # every invalid case above, raised by the constructor with no validate call
     @pytest.mark.parametrize("kw, code", [
         ({"a": 1.0, "b": 0.0}, "interval-order"),
+        ({"a": 0.0, "b": math.inf}, "interval-finite"),
         ({"phi": "1 - x"}, "phi-orientation"),
         ({"f": "x", "phi": "2*x"}, "phi-range"),
         ({"c": -0.5}, "modulus-negative"),
@@ -952,12 +964,17 @@ class TestBlockSize:
     def test_large_scans_keep_the_full_size_rule(self, grid):
         # the peak is near 7 arrays of N floats, as ``validate`` states: the
         # sample u, g(u) and its mu, and the stencil's four, plus g's own
-        # evaluation, which holds two arrays per value (8.1 to 8.3 in all
-        # for |f'|^2 here, 7.35 and 7.54 for exp)
+        # evaluation, which holds two arrays per value (8.0 in all for
+        # |f'|^2 here, 7.26 and 7.28 for exp). It is measured on a cold
+        # call, a phi object the record has not seen, which samples phi; a
+        # warm call reads phi's range from the record and peaks no higher
         n = (grid.n_x - 1) * (grid.n_t - 1) + 1
         for g in (np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
-            peak = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid))
-            assert 7 * 8 * n < peak < 9 * 8 * n
+            cold = traced_peak(
+                lambda: certify_strong_phi_convexity(g, PhiMap.identity(), IV01, 0.5, grid))
+            warm = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid))
+            assert 7 * 8 * n < cold < 9 * 8 * n
+            assert warm <= cold
 
 
 # ---------------------------------------------------------------------------
@@ -1015,19 +1032,146 @@ class TestFineGridShapes:
 
 class TestScanKeepsNothing:
     def test_distinct_grids_leave_no_memory_behind(self):
-        # each grid's sample takes at least 40 KB, so a kept sample array
-        # would show in the traced memory
+        # the last two grids sample 40,001 and 160,001 points, so a kept
+        # sample array would show in the traced memory; the record keeps
+        # each keyed target's estimate and phi's range, scalars and
+        # references only
         grids = (GridConfig(3, 20001, 3), GridConfig(3, 5, 20001), GridConfig(5, 5, 40001))
-        certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 0.25, GridConfig(3, 3, 3))
+        targets = (np.exp, function_of(parse("x^4 + x^2")),
+                   derivative_power(parse("exp(x) - x"), 3.0))
+
+        def run(grid):
+            for g in targets:
+                estimate_max_modulus(g, IDENTITY, IV01, grid)  # samples g
+                certify_strong_phi_convexity(g, IDENTITY, IV01, 0.25, grid)
+                estimate_max_modulus(g, IDENTITY, IV01, grid)  # a keyed g's reads the record
+
+        run(GridConfig(3, 3, 3))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for grid in grids:
-                certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 0.25, grid)
+                run(grid)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert kept < 2**14
+
+
+# ---------------------------------------------------------------------------
+# the record: phi's range and each keyed target's estimate, left by a sample
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The sizes of the inputs funcspec evaluates expressions on, one entry
+    per ``evaluate`` or ``evaluate_derivative`` call, phi's included."""
+    sizes = []
+    for name in ("evaluate", "evaluate_derivative"):
+        def counted(e, x, *args, _real=getattr(funcspec, name), **kw):
+            sizes.append(np.size(x))
+            return _real(e, x, *args, **kw)
+
+        monkeypatch.setattr(funcspec, name, counted)
+    return sizes
+
+
+def cold_estimate(g, phi, iv, grid):
+    """estimate_max_modulus on an empty record."""
+    funcspec._record = None
+    try:
+        return estimate_max_modulus(g, phi, iv, grid)
+    finally:
+        funcspec._record = None
+
+
+class TestRecord:
+    F = parse("x^4 + x^2")
+    PHI = PhiMap.from_source("x^2")
+    GRID = GridConfig(21, 21, 11)
+
+    @pytest.mark.parametrize("target", ["f", "fprime_q"])
+    @pytest.mark.parametrize("c", [0.0, 50.0])
+    def test_estimate_after_a_certificate_evaluates_nothing(self, evaluations, target, c):
+        # c = 50 fails, so the certificate also finds a witness first
+        g = function_of(self.F) if target == "f" else derivative_power(self.F, 3.0)
+        passed = certify_strong_phi_convexity(g, self.PHI, IV01, c, self.GRID).passed
+        assert passed == (c == 0.0)
+        evaluations.clear()
+        got = estimate_max_modulus(g, self.PHI, IV01, self.GRID)
+        assert evaluations == []
+        assert _key(got) == _key(cold_estimate(g, self.PHI, IV01, self.GRID))
+
+    @pytest.mark.parametrize("grid, phi, f, q", TestFineGridShapes.CASES)
+    def test_warm_estimate_has_the_cold_bits(self, evaluations, grid, phi, f, q):
+        e, phi = parse(f), PhiMap.from_source(phi)
+        g = function_of(e) if q is None else derivative_power(e, q)
+        cold = cold_estimate(g, phi, IV01, grid)
+        for c in (cold, 2.0 * cold + 1.0):
+            funcspec._record = None
+            certify_strong_phi_convexity(g, phi, IV01, c, grid)
+            evaluations.clear()
+            # a new callable of the same expression object is the same target
+            same = function_of(e) if q is None else derivative_power(e, q)
+            assert _key(estimate_max_modulus(same, phi, IV01, grid)) == _key(cold)
+            assert evaluations == []
+
+    @pytest.mark.parametrize("change", ["N", "phi", "interval", "q", "expression", "kind"])
+    def test_any_other_key_samples_g(self, evaluations, change):
+        phi, iv, grid, e, q = self.PHI, IV01, self.GRID, self.F, 2.0
+        certify_strong_phi_convexity(derivative_power(e, q), phi, iv, 0.0, grid)
+        if change == "N":
+            grid = GridConfig(21, 21, 13)
+        elif change == "phi":
+            phi = PhiMap.from_source("x^2")
+            assert phi == self.PHI and phi is not self.PHI
+        elif change == "interval":
+            iv = Interval(0.0, 0.5)
+        elif change == "q":
+            q = 3.0
+        elif change == "expression":
+            e = parse("x^4 + x^2")
+        g = function_of(e) if change == "kind" else derivative_power(e, q)
+        evaluations.clear()
+        got = estimate_max_modulus(g, phi, iv, grid)
+        assert grid.size in evaluations
+        assert _key(got) == _key(cold_estimate(g, phi, iv, grid))
+
+    def test_an_equal_interval_object_is_the_same_key(self, evaluations):
+        g = derivative_power(self.F, 2.0)
+        certify_strong_phi_convexity(g, self.PHI, Interval(0.0, 1.0), 0.0, self.GRID)
+        evaluations.clear()
+        estimate_max_modulus(g, self.PHI, Interval(0.0, 1.0), self.GRID)
+        assert evaluations == []
+
+    def test_a_raising_g_leaves_no_estimate(self):
+        g = function_of(parse("ln(x - 0.5)"))
+        with pytest.raises(EvalDomainError) as certified:
+            certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, self.GRID)
+        with pytest.raises(EvalDomainError) as estimated:
+            estimate_max_modulus(g, IDENTITY, IV01, self.GRID)
+        assert str(estimated.value) == str(certified.value)
+        assert "f" not in funcspec._record.estimates
+
+    def test_certificates_on_one_phi_sample_it_once(self, evaluations):
+        # the second target reads phi's range; a failing certificate samples
+        # phi again, for its witness's preimages
+        certify_strong_phi_convexity(function_of(self.F), self.PHI, IV01, 0.0, self.GRID)
+        assert evaluations.count(PHI_RANGE_GRID) == 1
+        evaluations.clear()
+        certify_strong_phi_convexity(derivative_power(self.F, 2.0), self.PHI, IV01, 0.0,
+                                     self.GRID)
+        assert PHI_RANGE_GRID not in evaluations
+        certify_strong_phi_convexity(derivative_power(self.F, 2.0), self.PHI, IV01, 50.0,
+                                     self.GRID)
+        assert evaluations.count(PHI_RANGE_GRID) == 1
+
+    def test_a_degenerate_phi_raises_from_the_estimate_too(self):
+        phi, g = PhiMap.from_source("0.5 + 0*x"), function_of(self.F)
+        for call in (lambda: certify_strong_phi_convexity(g, phi, IV01, 0.0, self.GRID),
+                     lambda: estimate_max_modulus(g, phi, IV01, self.GRID)):
+            with pytest.raises(DegeneratePhiError):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1234,7 @@ class TestStencil:
         # differences read NaN, and eps keeps the loop's non-finite bits
         for phi, grid in ((IDENTITY, GridConfig()), (PhiMap.from_source("x^2"), WITNESS_GRID)):
             with np.errstate(all="ignore"):
-                _, _, u, h, d, eps = _second_differences(g, phi, IV01, grid)
+                u, h, d, eps, _ = _second_differences(g, phi, IV01, grid)
                 us, h_ref, ds, eps_ref = reference_stencil(g, phi, IV01, grid)
             assert (u.tolist(), h) == (us, h_ref)
             assert _key(tuple(eps.tolist())) == _key(tuple(eps_ref))
