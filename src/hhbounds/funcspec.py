@@ -63,6 +63,7 @@ class PhiMap:
     """Either the identity or an expression mapping [a, b] into [a, b]."""
 
     expr: Optional[Expr] = None
+    _sample_record = None  # not a field: the _Record its last sample left, kept as a cache
 
     @classmethod
     def identity(cls) -> "PhiMap":
@@ -91,15 +92,19 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class CertificateResult:
-    """Outcome of a strong phi-convexity check.
+    """Outcome of a strong phi-convexity check, as a report records it.
 
-    ``witness`` is (x, y, t, lhs, rhs) when the check fails: lhs is g at
-    the mixture, rhs the corrected chord value, and rhs - lhs < 0.
+    ``target`` is "f" for a ``function_of`` g, "fprime_q" for a
+    ``derivative_power`` g, else None. ``witness`` is (x, y, t, lhs, rhs)
+    when the check fails: lhs is g at the mixture, rhs the corrected chord
+    value, and rhs - lhs < 0 unless the worst slack is NaN (|f'|^2000 of
+    x^2 on [0, 1]: lhs 7.88e301, rhs 3.62e302).
     """
 
+    target: Optional[str]
     passed: bool
     worst_slack: float
-    witness: Optional[tuple[float, float, float, float, float]] = None
+    witness: Optional[tuple[float, float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class ProblemSpec:
 
     f: Expr
     interval: Interval
-    phi: PhiMap = PhiMap.identity()
+    phi: PhiMap = field(default_factory=PhiMap.identity)  # a map per spec: no record is shared
     c: float = 0.0
     q: float = 1.0
     quad_tol: float = 1e-10
@@ -171,7 +176,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     grid count is at least 3, and the sample size
     N = grid.size at most MAX_SAMPLE_POINTS, before anything is sampled: a
     certificate peaks near 7 arrays of N floats (112 MiB) plus g's
-    evaluation with its bound.
+    evaluation with its bound. phi's range on the sample starts a PhiMap's
+    record for [a, b] (``_range_record``), so no certificate samples it again.
     """
     iv = spec.interval
     if not (np.isfinite(iv.a) and np.isfinite(iv.b)):
@@ -209,6 +215,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     if not phi_a < phi_b:
         raise SpecValidationError("phi-orientation",
                                   f"phi(a) = {phi_a} must be < phi(b) = {phi_b}")
+    _range_record(spec.phi, iv, phis)
     return spec
 
 
@@ -217,18 +224,15 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
 @dataclass
 class _Record:
-    """phi's range [lo, hi] on ``iv``, and per target kind ("f" or
-    "fprime_q") the (expression, N, q, estimate) last certified or estimated
-    there. Scalars and references only, so no array outlives a call."""
+    """What a sample of a PhiMap on ``iv`` leaves on it: phi's range
+    [lo, hi] there, and per target kind ("f" or "fprime_q") the
+    (expression, N, q, estimate) last certified or estimated there.
+    Scalars and references only, so no array outlives a call."""
 
-    phi: object
     iv: Interval
     lo: float
     hi: float
     estimates: dict = field(default_factory=dict)
-
-
-_record: Optional[_Record] = None  # the last (phi object, interval) sampled
 
 
 def _shaped(v, x: np.ndarray) -> np.ndarray:
@@ -248,47 +252,35 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return xs, _sample(phi, xs)
 
 
-def _record_for(phi, iv: Interval) -> Optional[_Record]:
-    """The record if it is for this phi object and an equal interval."""
-    rec = _record
-    return rec if rec is not None and rec.phi is phi and rec.iv == iv else None
+def _record_on(phi, iv: Interval) -> Optional[_Record]:
+    """phi's record if it is for an interval equal to ``iv``; only a PhiMap keeps one."""
+    rec = phi._sample_record if isinstance(phi, PhiMap) else None
+    return rec if rec is not None and rec.iv == iv else None
 
 
-def _range_record(phi, iv: Interval) -> _Record:
-    """The record for (phi, iv); a new (phi, iv) samples ``_phi_sample`` and
-    replaces the whole record. Raises DegeneratePhiError."""
-    global _record
-    rec = _record_for(phi, iv)
+def _range_record(phi, iv: Interval, phis: Optional[np.ndarray] = None) -> _Record:
+    """phi's record for ``iv``; without one, phi's range on ``phis`` (a new
+    ``_phi_sample`` if None) starts a record that a PhiMap keeps in place of
+    its old one, whole, so no reader sees one half built. Raises
+    DegeneratePhiError."""
+    rec = _record_on(phi, iv)
     if rec is not None:
         return rec
-    phis = _phi_sample(phi, iv)[1]
+    phis = _phi_sample(phi, iv)[1] if phis is None else phis
     lo, hi = float(phis.min()), float(phis.max())
     if not lo < hi:
         raise DegeneratePhiError("phi is constant or NaN on [a, b]")
-    _record = _Record(phi, iv, lo, hi)
-    return _record
-
-
-def _recorded_estimate(g, phi, iv: Interval, n: int) -> Optional[float]:
-    """The estimate recorded for g's target on (phi, iv) at N = n, or None.
-    Only ``function_of`` and ``derivative_power`` targets carry a key: the
-    kind, the expression object (matched by ``is``) and q."""
-    target = getattr(g, "target", None)
-    rec = _record_for(phi, iv)
-    if target is None or rec is None:
-        return None
-    kind, e, q = target
-    entry = rec.estimates.get(kind)
-    if entry is not None and entry[0] is e and entry[1] == n and entry[2] == q:
-        return entry[3]
-    return None
+    rec = _Record(iv, lo, hi)
+    if isinstance(phi, PhiMap):
+        object.__setattr__(phi, "_sample_record", rec)
+    return rec
 
 
 def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     """(u, h, D2g/2, eps, estimate): g's 1-D sample on [m, M] = phi([a, b]).
 
-    [m, M] is the range of ``validate``'s phi sample, kept in the record
-    for (phi, iv) (``_range_record``). u is N = grid.size points
+    [m, M] is the range of ``validate``'s phi sample, which a PhiMap keeps
+    in its record for iv (``_range_record``). u is N = grid.size points
     start + i*h in [m, M], start and h multiples of
     2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
     are exact doubles, and the ends miss m and M by at most N*2**e. eps
@@ -379,12 +371,14 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     x and y their preimages under phi, found on a fresh phi sample and
     computed as it reads, with worst slack rhs - lhs, about
     h**2*(D2g/2 - c); unless that is negative the sample does not refute
-    c, and it passes. A NaN difference fails with a NaN worst slack. Memory
-    peaks near 7 arrays of N floats, plus g's evaluation: two arrays per
-    value on its operand stack. The sample's estimate_max_modulus value is
-    left in the record, so an estimate of the same target on the same phi
-    object, interval and N evaluates nothing.
+    c, and it passes. A NaN difference fails with a NaN worst slack, its
+    witness's rhs - lhs of any sign. Memory peaks near 7 arrays of N floats,
+    plus g's evaluation: two arrays per value on its operand stack. The
+    sample's estimate_max_modulus value is left in phi's record, so an
+    estimate of g's target (the result's) on the same PhiMap, interval and N
+    evaluates nothing.
     """
+    target = g.target[0] if hasattr(g, "target") else None
     u, h, d, eps, _ = _second_differences(g, phi, iv, grid)
     # rounding is monotone, so min(D2g/2) - c rounds to min(D2g/2 - c)
     worst = h * h * (float(d.min()) - c) + 0.0
@@ -392,7 +386,7 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     slack += eps
     k = int(np.argmin(slack))
     if slack[k] >= 0:
-        return CertificateResult(True, worst)
+        return CertificateResult(target, True, worst, None)
     xs, phis = _phi_sample(phi, iv)
     x, y = (_preimage(phi, xs, phis, float(u[i])) for i in (k, k + 2))
     px, py = (float(v) for v in _sample(phi, np.array([x, y])))
@@ -400,8 +394,9 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     gx, gy, lhs = (float(v) for v in _sample(g, np.array([px, py, t * px + t * py])))
     rhs = (t * gx + t * gy) - (px - py) * (px - py) * (c * t * t)
     if not (rhs - lhs < 0 or math.isnan(slack[k])):
-        return CertificateResult(True, worst)
-    return CertificateResult(False, rhs - lhs if slack[k] < 0 else math.nan, (x, y, t, lhs, rhs))
+        return CertificateResult(target, True, worst, None)
+    return CertificateResult(target, False, rhs - lhs if slack[k] < 0 else math.nan,
+                             (x, y, t, lhs, rhs))
 
 
 def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
@@ -416,12 +411,19 @@ def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
     a linear g reads 0 and the certificate passes at the result. A NaN
     sample gives NaN; DegeneratePhiError as for the sample. A
     ``function_of`` or ``derivative_power`` target already certified or
-    estimated on this phi object, an equal interval and the same N reads
-    its recorded value, bit for bit what the sample gives, without
-    evaluating g.
+    estimated on this PhiMap, an equal interval and the same N reads the
+    value in phi's record, bit for bit what the sample gives, without
+    evaluating g: its key is the kind, the expression object (matched by
+    ``is``) and q.
     """
-    estimate = _recorded_estimate(g, phi, iv, grid.size)
-    return _second_differences(g, phi, iv, grid)[-1] if estimate is None else estimate
+    target = getattr(g, "target", None)
+    rec = _record_on(phi, iv)
+    if target is not None and rec is not None:
+        kind, e, q = target
+        entry = rec.estimates.get(kind)
+        if entry is not None and entry[0] is e and entry[1] == grid.size and entry[2] == q:
+            return entry[3]
+    return _second_differences(g, phi, iv, grid)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,7 @@ def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
 def function_of(e: Expr) -> Callable:
     """Plain evaluation of ``e`` as an array-capable callable; ``g.bounded(u)``
     returns ``(g(u), mu)``, mu its running error bound (``expr._Bound``).
-    ``g.target``, ("f", e, None), keys its estimate in the record."""
+    ``g.target``, ("f", e, None), names its certificates and keys its estimate."""
     def g(u, bound=False):
         return evaluate(e, u, bound)
 
@@ -447,7 +449,7 @@ def derivative_power(e: Expr, q: float) -> Callable:
     most about 1,080 multiplies (1,023 squarings plus one per set bit). Any
     other q takes libm pow, as bounds.py does on its scalar endpoint values,
     which keeps the corpus report unchanged; at q = 1 and 2 the two agree.
-    ``g.bounded`` is as for ``function_of``; ``g.target`` is ("fprime_q", e, q).
+    ``g.bounded`` and ``g.target``, ("fprime_q", e, q), are as for ``function_of``.
     """
     n = int(q) if q >= 1 and float(q).is_integer() else None
 

@@ -32,6 +32,7 @@ from typing import Optional
 from .bounds import GAP_UPPER, MEAN_LOWER, MEAN_UPPER, BoundValue, evaluate_all
 from .bounds import STATUS_ERROR, STATUS_HOLDS, STATUS_INAPPLICABLE, STATUS_VIOLATED
 from .funcspec import (
+    CertificateResult,
     ProblemSpec,
     certify_strong_phi_convexity,
     derivative_power,
@@ -46,7 +47,6 @@ __all__ = [
     "STATUS_VIOLATED",
     "STATUS_INAPPLICABLE",
     "STATUS_ERROR",
-    "CertificateSummary",
     "ReportRow",
     "BoundReport",
     "build_report",
@@ -57,14 +57,6 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CertificateSummary:
-    target: str  # "f" or "fprime_q"
-    passed: bool
-    worst_slack: float
-    witness: Optional[tuple[float, float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class BoundReport:
     gap: float
     lemma_residual: float
     mean: float
-    certificates: tuple[CertificateSummary, ...]
+    certificates: tuple[CertificateResult, ...]
     rows: tuple[ReportRow, ...]
 
 
@@ -117,7 +109,7 @@ def _row_from_bound(bv: BoundValue, gap: float, mean: float, failed: dict) -> Re
 
 def build_report(
     spec: ProblemSpec,
-    certificates: tuple[CertificateSummary, ...],
+    certificates: tuple[CertificateResult, ...],
     gap_result: GapResult,
     bound_values: list[BoundValue],
 ) -> BoundReport:
@@ -143,17 +135,15 @@ def run_check(spec: ProblemSpec, with_certificates: bool = True) -> BoundReport:
     ``with_certificates=False`` records no certificate: the hypotheses are assumed.
     """
     targets = (
-        ("f", function_of(spec.f), spec.modulus_f),
-        ("fprime_q", derivative_power(spec.f, spec.q), spec.modulus_deriv),
+        (function_of(spec.f), spec.modulus_f),
+        (derivative_power(spec.f, spec.q), spec.modulus_deriv),
     ) if with_certificates else ()
-    certificates = tuple(_certificate(spec, *target) for target in targets)
+    certificates = tuple(
+        certify_strong_phi_convexity(g, spec.phi, spec.interval, c, spec.grid)
+        for g, c in targets
+    )
     gap_result = verify_lemma_identity(spec)
     return build_report(spec, certificates, gap_result, evaluate_all(spec))
-
-
-def _certificate(spec: ProblemSpec, target: str, g, c: float) -> CertificateSummary:
-    r = certify_strong_phi_convexity(g, spec.phi, spec.interval, c, spec.grid)
-    return CertificateSummary(target, r.passed, r.worst_slack, r.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def _json_template(cls, indent: str) -> str:
 
 
 _REPORT_JSON = _json_template(BoundReport, "")
-_CERTIFICATE_JSON = _json_template(CertificateSummary, "    ")
+_CERTIFICATE_JSON = _json_template(CertificateResult, "    ")
 _ROW_JSON = _json_template(ReportRow, "    ")
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -306,7 +296,7 @@ def report_from_json(data: bytes | str) -> BoundReport:
     report = BoundReport(**json.loads(data))
     certificates = []
     for obj in report.certificates:
-        c = CertificateSummary(**obj)
+        c = CertificateResult(**obj)
         if c.witness is not None:
             c = replace(c, witness=tuple(c.witness))
         certificates.append(c)

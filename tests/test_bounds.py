@@ -24,12 +24,13 @@ from hhbounds.bounds import (
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.funcspec import (
+    CertificateResult,
     derivative_power,
     estimate_max_modulus,
     validate,
 )
 from hhbounds.quad import hh_gap, lemma_rhs, verify_lemma_identity
-from hhbounds.report import CertificateSummary, build_report, run_check
+from hhbounds.report import build_report, run_check
 
 E = math.e
 
@@ -294,8 +295,8 @@ class TestEvaluateAll:
         assert build_report(spec, (), gap, rows) == report
         assert not any("no convexity certificate" in r.notes for r in report.rows)
         # a certificate gates its own rows only; a passing one changes nothing
-        ok_f, ok_d = (CertificateSummary(t, True, 0.0, None) for t in ("f", "fprime_q"))
-        failed_f, failed_d = (CertificateSummary(t, False, -1.0, None) for t in ("f", "fprime_q"))
+        ok_f, ok_d = (CertificateResult(t, True, 0.0, None) for t in ("f", "fprime_q"))
+        failed_f, failed_d = (CertificateResult(t, False, -1.0, None) for t in ("f", "fprime_q"))
         assert build_report(spec, (ok_f, ok_d), gap, rows).rows == report.rows
         for certs, target in (((failed_f,), "f"), ((ok_f, failed_d), "|f'|^q")):
             got = build_report(spec, certs, gap, rows).rows

@@ -1,11 +1,13 @@
 """Validation and strong phi-convexity certification tests."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from hhbounds.funcspec import (
     validate,
 )
 from hhbounds.funcspec import PHI_RANGE_GRID, _phi_sample, _preimage, _second_differences
+from hhbounds.report import run_check
 
 IV01 = Interval(0.0, 1.0)
 IDENTITY = PhiMap.identity()
@@ -305,7 +308,9 @@ def _reference_samples(g, phi, iv, grid, interior=False):
 
 def reference_certify(g, phi, iv, c, grid, tol=None):
     """The 3-D oracle: the defining inequality on the full (x, y, t) grid,
-    passing within tol = 1e-9*(1 + max|g| over the x and y samples)."""
+    passing within tol = 1e-9*(1 + max|g| over the x and y samples), with
+    the certificate's target."""
+    target = getattr(g, "target", (None,))[0]
     xs, ys, ts, X, Y, T, gx, gy, gmix, chord = _reference_samples(g, phi, iv, grid)
     penalty = c * T * (1.0 - T) * (X - Y) ** 2
     slack = chord - penalty - gmix
@@ -314,13 +319,13 @@ def reference_certify(g, phi, iv, c, grid, tol=None):
         tol = 1e-9 * (1.0 + max(np.abs(gx).max(), np.abs(gy).max()))
     worst = float(slack.min())
     if worst >= -tol:
-        return CertificateResult(True, worst, None)
+        return CertificateResult(target, True, worst, None)
     i, j, k = np.unravel_index(np.argmin(slack), slack.shape)
     witness = (
         float(xs[i]), float(ys[j]), float(ts[k]),
         float(gmix[i, j, k]), float(corrected[i, j, k]),
     )
-    return CertificateResult(False, worst, witness)
+    return CertificateResult(target, False, worst, witness)
 
 
 def reference_estimate(g, phi, iv, grid):
@@ -508,6 +513,23 @@ class TestCertify:
                 assert not res.passed and math.isnan(res.worst_slack)
                 assert res.witness[2] == 0.5
             assert math.isnan(estimate_max_modulus(g, IDENTITY, IV01))
+
+    def test_the_result_names_g_s_target(self):
+        f = parse("exp(x)")
+        for g, target in ((function_of(f), "f"), (derivative_power(f, 2.0), "fprime_q"),
+                          (np.exp, None)):
+            for c in (0.0, 5.0):
+                res = certify_strong_phi_convexity(g, IDENTITY, IV01, c)
+                assert res.passed == (c == 0.0) and res.target == target
+
+    def test_a_nan_slack_witness_need_not_have_rhs_below_lhs(self):
+        # |f'|^2000 of x^2 overflows near 0.7: its eps is not finite there
+        g = derivative_power(parse("x^2"), 2000.0)
+        with np.errstate(all="ignore"):
+            res = certify_strong_phi_convexity(g, PhiMap.identity(), IV01, 0.0)
+        assert not res.passed and math.isnan(res.worst_slack)
+        lhs, rhs = res.witness[3:]
+        assert (f"{lhs:.3g}", f"{rhs:.3g}") == ("7.88e+301", "3.62e+302")
 
     def test_a_stencil_the_witness_does_not_confirm_passes(self):
         # the sample of g dips to -1 at one point, which g shows nowhere
@@ -1077,18 +1099,17 @@ def evaluations(monkeypatch):
 
 
 def cold_estimate(g, phi, iv, grid):
-    """estimate_max_modulus on an empty record."""
-    funcspec._record = None
-    try:
-        return estimate_max_modulus(g, phi, iv, grid)
-    finally:
-        funcspec._record = None
+    """estimate_max_modulus on an empty record: that of a new map equal to phi."""
+    return estimate_max_modulus(g, PhiMap(phi.expr), iv, grid)
 
 
 class TestRecord:
     F = parse("x^4 + x^2")
-    PHI = PhiMap.from_source("x^2")
     GRID = GridConfig(21, 21, 11)
+
+    def setup_method(self):
+        # each test samples its own phi map, so no record is left by another test
+        self.PHI = PhiMap.from_source("x^2")
 
     @pytest.mark.parametrize("target", ["f", "fprime_q"])
     @pytest.mark.parametrize("c", [0.0, 50.0])
@@ -1108,7 +1129,7 @@ class TestRecord:
         g = function_of(e) if q is None else derivative_power(e, q)
         cold = cold_estimate(g, phi, IV01, grid)
         for c in (cold, 2.0 * cold + 1.0):
-            funcspec._record = None
+            phi = PhiMap(phi.expr)  # the certificate samples g on an empty record
             certify_strong_phi_convexity(g, phi, IV01, c, grid)
             evaluations.clear()
             # a new callable of the same expression object is the same target
@@ -1145,13 +1166,13 @@ class TestRecord:
         assert evaluations == []
 
     def test_a_raising_g_leaves_no_estimate(self):
-        g = function_of(parse("ln(x - 0.5)"))
+        g, phi = function_of(parse("ln(x - 0.5)")), PhiMap.identity()
         with pytest.raises(EvalDomainError) as certified:
-            certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, self.GRID)
+            certify_strong_phi_convexity(g, phi, IV01, 0.0, self.GRID)
         with pytest.raises(EvalDomainError) as estimated:
-            estimate_max_modulus(g, IDENTITY, IV01, self.GRID)
+            estimate_max_modulus(g, phi, IV01, self.GRID)
         assert str(estimated.value) == str(certified.value)
-        assert "f" not in funcspec._record.estimates
+        assert "f" not in phi._sample_record.estimates
 
     def test_certificates_on_one_phi_sample_it_once(self, evaluations):
         # the second target reads phi's range; a failing certificate samples
@@ -1165,6 +1186,43 @@ class TestRecord:
         certify_strong_phi_convexity(derivative_power(self.F, 2.0), self.PHI, IV01, 50.0,
                                      self.GRID)
         assert evaluations.count(PHI_RANGE_GRID) == 1
+
+    def test_a_map_that_is_not_a_phimap_keeps_no_record(self, evaluations):
+        def phi(x):  # a plain callable, not a PhiMap
+            return self.PHI(x)
+
+        for _ in range(2):
+            certify_strong_phi_convexity(function_of(self.F), phi, IV01, 0.0, self.GRID)
+            estimate_max_modulus(function_of(self.F), phi, IV01, self.GRID)
+        assert evaluations.count(PHI_RANGE_GRID) == 4
+        assert evaluations.count(self.GRID.size) == 4
+        assert self.PHI._sample_record is None
+
+    def test_a_built_spec_is_certified_without_sampling_phi(self, evaluations):
+        spec = spec_from_config({"f": "x^4 + x^2", "a": 0, "b": 1, "phi": "x^2", "q": 2})
+        assert evaluations.count(PHI_RANGE_GRID) == 1  # validate's sample
+        evaluations.clear()
+        report = run_check(spec)
+        assert all(c.passed for c in report.certificates)
+        assert evaluations.count(PHI_RANGE_GRID) == 0
+
+    def test_another_phi_leaves_the_first_record_in_place(self, evaluations):
+        a, b = (make_spec("x^4 + x^2", phi="x^2", q=2.0, grid=self.GRID) for _ in range(2))
+        assert a.phi is not b.phi
+        g = derivative_power(a.f, a.q)
+        certify_strong_phi_convexity(g, a.phi, a.interval, 0.0, a.grid)
+        certify_strong_phi_convexity(derivative_power(b.f, b.q), b.phi, b.interval, 0.0, b.grid)
+        evaluations.clear()
+        estimate_max_modulus(g, a.phi, a.interval, a.grid)
+        assert evaluations == []
+
+    def test_a_checked_spec_leaves_nothing_alive(self):
+        spec = spec_from_config({"f": "x^4 + x^2", "a": 0, "b": 1, "phi": "x^2", "q": 2})
+        run_check(spec)
+        refs = weakref.ref(spec.phi), weakref.ref(spec.f)
+        del spec
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_a_degenerate_phi_raises_from_the_estimate_too(self):
         phi, g = PhiMap.from_source("0.5 + 0*x"), function_of(self.F)

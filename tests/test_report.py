@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from hhbounds.bounds import BoundValue, GAP_UPPER, MEAN_LOWER, MEAN_UPPER, evaluate_all
 from hhbounds.corpus import spec_from_config
-from hhbounds.funcspec import validate
+from hhbounds.funcspec import CertificateResult, validate
 from hhbounds.quad import GapResult
 from hhbounds.report import (
     BoundReport,
-    CertificateSummary,
     ReportRow,
     _ratio,
     build_report,
@@ -83,7 +82,7 @@ class TestBuildReport:
         plain = build_report(spec, (), gap, values)
         assert all(r.status == "HOLDS" for r in plain.rows)
         for target, name, gated in (("f", "f", 2), ("fprime_q", "|f'|^q", 7)):
-            failed = CertificateSummary(target, False, -0.5, (0.0, 0.1, 0.5, 0.2, 0.1))
+            failed = CertificateResult(target, False, -0.5, (0.0, 0.1, 0.5, 0.2, 0.1))
             report = build_report(spec, (failed,), gap, values)
             assert report.certificates == (failed,)
             errors = [r for r in report.rows if r.status == "ERROR"]
@@ -99,7 +98,7 @@ class TestBuildReport:
             assert kept == [r for r in plain.rows if r.theorem_id not in
                             {e.theorem_id for e in errors}]
             # a passing certificate of the same target gates nothing
-            passed = CertificateSummary(target, True, 0.5, None)
+            passed = CertificateResult(target, True, 0.5, None)
             assert build_report(spec, (passed,), gap, values).rows == plain.rows
 
     def test_violated_requires_negative_margin(self):
@@ -210,7 +209,7 @@ def random_report(rng) -> BoundReport:
         for k in range(rng.integers(0, 6))
     )
     certs = tuple(
-        CertificateSummary(
+        CertificateResult(
             target=t,
             passed=bool(rng.random() < 0.8),
             worst_slack=float(rng.normal() * 1e-6),
@@ -290,6 +289,11 @@ class TestSerialization:
             again = report_from_json(serialize(report, "json"))
             assert again == report
 
+    def test_run_check_records_each_target_s_certificate(self):
+        certificates = run_check(make(SQ_Q1)).certificates
+        assert all(type(c) is CertificateResult for c in certificates)
+        assert [c.target for c in certificates] == ["f", "fprime_q"]
+
     def test_json_round_trip_on_real_report(self):
         report = run_check(make({"f": "exp(x)", "a": 0, "b": 1, "q": 2, "c_f": 0.5,
                                  "c_deriv": 1.0}))
@@ -303,8 +307,10 @@ class TestSerialization:
             lambda obj: obj["certificates"][0].pop("witness"),
             lambda obj: obj.update(extra=1),
             lambda obj: obj["rows"][0].update(extra=1),
+            lambda obj: obj["certificates"][0].update(extra=1),
         ],
-        ids=["missing", "missing-row-key", "missing-witness", "unknown", "unknown-row-key"],
+        ids=["missing", "missing-row-key", "missing-witness", "unknown", "unknown-row-key",
+             "unknown-certificate-key"],
     )
     def test_json_keys_must_match_the_fields(self, edit):
         obj = json.loads(serialize(run_check(make(SQ_Q1)), "json"))
@@ -370,7 +376,7 @@ texts = st.text(max_size=10) | st.text(
     alphabet='"\\\x00\x1f\n\t\x7f,\u00e9\u20ac\U0001f600', max_size=10
 )
 certificates = st.builds(
-    CertificateSummary,
+    CertificateResult,
     target=st.sampled_from(("f", "fprime_q")),
     passed=st.booleans(),
     worst_slack=reals,
