@@ -648,8 +648,25 @@ def _plus(s, t):
 
 
 def _scaled(w, m, divide=False):
-    """|w|*m, or m/|w| with ``divide``; None for m None."""
-    return m if m is None else m / np.abs(w) if divide else np.abs(w) * m
+    """|w|*m, or m/|w| with ``divide``, written into the fresh array |w| where
+    that has the result's shape; None for m None."""
+    if m is None:
+        return m
+    a = np.abs(w, dtype=float)
+    out = a if type(a) is np.ndarray and np.shape(m) in ((), a.shape) else None
+    return np.divide(m, a, out=out) if divide else np.multiply(a, m, out=out)
+
+
+def _product(r, u, v, mu, mv):
+    """mu of r = u*v: |v|*mu + |u|*mv, summed into the first term's fresh
+    array. A square's two terms are one, computed once."""
+    s = _scaled(v, mu)
+    t = s if u is v and mu is mv else _scaled(u, mv)
+    if s is None or t is None:
+        return _err(_plus(s, t), r)
+    s += t
+    del t  # before _err allocates
+    return _err(s, r)
 
 
 def _err(s, r, scale=EPS):
@@ -666,7 +683,7 @@ _LIBM = LIBM_ULPS * EPS
 # per ufunc: mu of the result from (result, inputs, the inputs' mu)
 _MU = {
     np.add: lambda r, u, v, mu, mv: _err(_plus(mu, mv), r),
-    np.multiply: lambda r, u, v, mu, mv: _err(_plus(_scaled(v, mu), _scaled(u, mv)), r),
+    np.multiply: _product,
     np.true_divide: lambda r, u, v, mu, mv: _err(_scaled(v, _plus(mu, _scaled(r, mv)), True), r),
     np.negative: lambda r, u, mu: mu,
     np.absolute: lambda r, u, mu: mu,

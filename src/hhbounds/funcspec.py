@@ -175,8 +175,9 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     1e-12*(b - a), a NaN sample escaping it, and phi(a) < phi(b). Each
     grid count is at least 3, and the sample size
     N = grid.size at most MAX_SAMPLE_POINTS, before anything is sampled: a
-    certificate peaks near 7 arrays of N floats (112 MiB) plus g's
-    evaluation with its bound. phi's range on the sample starts a PhiMap's
+    certificate holds at most 4 arrays of N floats (64 MiB) besides g's
+    evaluation with its bound, which sets the peak for an expression target
+    (8 arrays, 128 MiB, for |f'|^2 of x^4 + x^2). phi's range on the sample starts a PhiMap's
     record for [a, b] (``_range_record``), so no certificate samples it again.
     """
     iv = spec.interval
@@ -277,52 +278,66 @@ def _range_record(phi, iv: Interval, phis: Optional[np.ndarray] = None) -> _Reco
 
 
 def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
-    """(u, h, D2g/2, eps, estimate): g's 1-D sample on [m, M] = phi([a, b]).
+    """(start, h, D2g/2, eps, least, estimate): g's 1-D sample on [m, M] = phi([a, b]).
 
     [m, M] is the range of ``validate``'s phi sample, which a PhiMap keeps
-    in its record for iv (``_range_record``). u is N = grid.size points
-    start + i*h in [m, M], start and h multiples of
+    in its record for iv (``_range_record``). The sample is g at the N =
+    grid.size points u_i = start + i*h in [m, M], start and h multiples of
     2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
     are exact doubles, and the ends miss m and M by at most N*2**e. eps
     bounds the rounding of each D2g/2 = (g[i-1] - 2*g[i] + g[i+1])/(2*h**2):
     the samples' running bounds mu through the stencil, its two roundings,
     and eps*|D2g/2| for the division. ``g.bounded(u)`` gives (g(u), mu); any
-    other g counts as one libm call. ``estimate`` is estimate_max_modulus's
-    reduction of the sample; a keyed target's is recorded once g has been
-    evaluated without error. Raises DegeneratePhiError.
+    other g counts as one libm call. ``least`` is min D2g/2 and ``estimate``
+    estimate_max_modulus's reduction of the sample; a keyed target's is
+    recorded once g has been evaluated without error. Besides g's
+    evaluation, at most 4 arrays of N floats are alive at once. Raises
+    DegeneratePhiError.
     """
     rec = _range_record(phi, iv)
     lo, hi, n = rec.lo, rec.hi, grid.size
     unit = 2.0 ** (math.frexp(max(-lo, hi))[1] - 51)
+    if unit == 0:
+        raise DegeneratePhiError(f"phi([a, b]) = [{lo}, {hi}] lies below 2**-1024, too near 0")
     first = math.ceil(lo / unit)
-    h = (math.floor(hi / unit) - first) // (n - 1) * unit
-    if h == 0:
+    k = (math.floor(hi / unit) - first) // (n - 1)
+    if k == 0:
         raise DegeneratePhiError(f"phi([a, b]) holds too few doubles for {n} points")
-    u = np.arange(n, dtype=float)
-    u = np.add(np.multiply(u, h, out=u), first * unit, out=u)
+    start, h = first * unit, k * unit
+    u = np.arange(first, first + n * k, k, dtype=float)
+    u *= unit
     if hasattr(g, "bounded"):
         gu, mu = (_shaped(v, u) for v in g.bounded(u))
     else:
         gu = _sample(g, u)
         mu = LIBM_ULPS * EPS * np.abs(gu)
+    del u
     scale = 2.0 * h * h
-    # eps = (mu[:-2] + 2*mu[1:-1] + mu[2:] + EPS*(|a| + |s|))/scale + EPS*|d|, in place
-    eps = mu[:-2] + 2.0 * mu[1:-1] + mu[2:]
-    a = gu[:-2] - 2.0 * gu[1:-1]
-    s = a + gu[2:]
+    # eps = (mu[:-2] + 2*mu[1:-1] + mu[2:] + EPS*(|a| + |s|))/scale + EPS*|d|,
+    # in arrays made here, as mu and g(u) may be g's own
+    eps = np.multiply(mu[1:-1], 2.0)
+    np.add(mu[:-2], eps, out=eps)
+    eps += mu[2:]
+    del mu
+    a = np.multiply(gu[1:-1], 2.0)
+    np.subtract(gu[:-2], a, out=a)
+    s = np.add(a, gu[2:])
+    del gu
     d = s / scale
     eps += np.multiply(np.add(np.abs(a, out=a), np.abs(s, out=s), out=a), EPS, out=a)
     eps /= scale
     eps += np.multiply(np.abs(d, out=s), EPS, out=s)
-    d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
+    if not eps.max() < math.inf:
+        d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
+    least = float(d.min())
     # estimate_max_modulus's rule, with a and s as scratch
     in_band = np.subtract(d, eps, out=a).min() <= 0.0 <= np.add(d, eps, out=s).min()
-    estimate = 0.0 if in_band else float(d.min())
+    estimate = 0.0 if in_band else least
     target = getattr(g, "target", None)
     if target is not None:
         kind, e, q = target
         rec.estimates[kind] = (e, n, q, estimate)
-    return u, h, d, eps, estimate
+    return start, h, d, eps, least, estimate
 
 
 def _preimage(phi, xs: np.ndarray, phis: np.ndarray, u: float) -> float:
@@ -372,23 +387,24 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     computed as it reads, with worst slack rhs - lhs, about
     h**2*(D2g/2 - c); unless that is negative the sample does not refute
     c, and it passes. A NaN difference fails with a NaN worst slack, its
-    witness's rhs - lhs of any sign. Memory peaks near 7 arrays of N floats,
-    plus g's evaluation: two arrays per value on its operand stack. The
-    sample's estimate_max_modulus value is left in phi's record, so an
-    estimate of g's target (the result's) on the same PhiMap, interval and N
-    evaluates nothing.
+    witness's rhs - lhs of any sign. Besides g's evaluation, at most 4
+    arrays of N floats are alive; that evaluation, the sample u and two
+    arrays per value on its operand stack, sets the peak for an expression
+    target. The sample's estimate_max_modulus value is left in phi's
+    record, so an estimate of g's target (the result's) on the same PhiMap,
+    interval and N evaluates nothing.
     """
     target = g.target[0] if hasattr(g, "target") else None
-    u, h, d, eps, _ = _second_differences(g, phi, iv, grid)
+    start, h, d, eps, least, _ = _second_differences(g, phi, iv, grid)
     # rounding is monotone, so min(D2g/2) - c rounds to min(D2g/2 - c)
-    worst = h * h * (float(d.min()) - c) + 0.0
+    worst = h * h * (least - c) + 0.0
     slack = np.subtract(d, c, out=d)
     slack += eps
     k = int(np.argmin(slack))
     if slack[k] >= 0:
         return CertificateResult(target, True, worst, None)
     xs, phis = _phi_sample(phi, iv)
-    x, y = (_preimage(phi, xs, phis, float(u[i])) for i in (k, k + 2))
+    x, y = (_preimage(phi, xs, phis, start + i * h) for i in (k, k + 2))
     px, py = (float(v) for v in _sample(phi, np.array([x, y])))
     t = 0.5
     gx, gy, lhs = (float(v) for v in _sample(g, np.array([px, py, t * px + t * py])))

@@ -400,6 +400,21 @@ class TestNarrowRange:
         assert captured.err == "note: certificates skipped, hypotheses unverified\n"
 
 
+class TestRangeNearZero:
+    # phi([0, 1e-310]) lies below 2**-1024, where the sample's power-of-two
+    # unit underflows to 0; in a new process, so a traceback would show
+    CFG = {"f": "x^2", "a": 0, "b": 1e-310}
+
+    @pytest.mark.parametrize("command", ["check", "modulus"])
+    def test_sampling_commands_exit_one_with_one_error_line(self, tmp_path, command):
+        proc = run_cli(command, write_config(tmp_path, self.CFG))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: phi([a, b]) = [0.0, 1e-310] lies below 2**-1024, "
+                               b"too near 0\n")
+        assert b"Traceback" not in proc.stderr
+
+
 class TestLemma:
     def test_square(self, tmp_path, capsys):
         assert main(["lemma", write_config(tmp_path, SQ_Q1)]) == 0

@@ -670,6 +670,21 @@ class TestEstimateMaxModulus:
         with pytest.raises(DegeneratePhiError, match=match):
             certify_strong_phi_convexity(g, spec.phi, spec.interval, 0.0, spec.grid)
 
+    def test_a_range_below_2_to_the_minus_1024_is_degenerate(self):
+        # the sample's points are multiples of 2**(e - 51), e the binary
+        # exponent of max(|m|, |M|): below 2**-1024 that unit underflows to
+        # 0. At 2**-1024 it is the least subnormal: the sample is taken, and
+        # reads NaN, as 2*h**2 underflows to 0
+        match = r"phi\(\[a, b\]\) = \[0.0, 1e-310\] lies below 2\*\*-1024, too near 0"
+        for g in (square, function_of(parse("x^2")), derivative_power(parse("x^2"), 2.0)):
+            with pytest.raises(DegeneratePhiError, match=match):
+                certify_strong_phi_convexity(g, PhiMap.identity(), Interval(0.0, 1e-310), 0.0)
+            with pytest.raises(DegeneratePhiError, match=match):
+                estimate_max_modulus(g, PhiMap.identity(), Interval(0.0, 1e-310))
+            with np.errstate(all="ignore"):
+                assert math.isnan(estimate_max_modulus(g, PhiMap.identity(),
+                                                       Interval(0.0, 2.0**-1024)))
+
     def test_derivative_power_target(self):
         # |d/dx x^2|^2 = 4x^2 admits modulus 4
         g = derivative_power(parse("x^2"), 2.0)
@@ -972,7 +987,7 @@ class TestBlockSize:
     def test_default_grid_blocks_stay_below_64_kib(self):
         # every array holds at most N = 1281 floats on the default grid, 10
         # KiB, below the 64 KiB whose free may make glibc trim the heap; the
-        # peak, near 7 of them plus g's own, stays below 128 KiB
+        # peak, at most 4 of them besides g's own evaluation, stays below 128 KiB
         counted = counting(np.exp)
         certify_strong_phi_convexity(counted, IDENTITY, IV01, 3.0)
         assert max(counted.points) * 8 < 2**16
@@ -984,18 +999,20 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
     def test_large_scans_keep_the_full_size_rule(self, grid):
-        # the peak is near 7 arrays of N floats, as ``validate`` states: the
-        # sample u, g(u) and its mu, and the stencil's four, plus g's own
-        # evaluation, which holds two arrays per value (8.0 in all for
-        # |f'|^2 here, 7.26 and 7.28 for exp). It is measured on a cold
-        # call, a phi object the record has not seen, which samples phi; a
-        # warm call reads phi's range from the record and peaks no higher
+        # the stencil holds at most 4 arrays of N floats besides g's own
+        # evaluation: of g(u), its mu, eps, the stencil's two sums and
+        # D2g/2, each of the first two is dropped once read. For
+        # exp that is the peak (4.02 and 4.06); an expression's evaluation,
+        # two arrays per value with the sample u, sets it higher (8.02 and
+        # 8.06 for |f'|^2 here). It is measured on a cold call, a phi object
+        # the record has not seen, which samples phi; a warm call reads phi's
+        # range from the record and peaks no higher
         n = (grid.n_x - 1) * (grid.n_t - 1) + 1
-        for g in (np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
+        for g, arrays in ((np.exp, 4), (derivative_power(parse("x^4 + x^2"), 2.0), 8)):
             cold = traced_peak(
                 lambda: certify_strong_phi_convexity(g, PhiMap.identity(), IV01, 0.5, grid))
             warm = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid))
-            assert 7 * 8 * n < cold < 9 * 8 * n
+            assert (arrays - 0.5) * 8 * n < cold < (arrays + 0.5) * 8 * n
             assert warm <= cold
 
 
@@ -1292,13 +1309,15 @@ class TestStencil:
         # differences read NaN, and eps keeps the loop's non-finite bits
         for phi, grid in ((IDENTITY, GridConfig()), (PhiMap.from_source("x^2"), WITNESS_GRID)):
             with np.errstate(all="ignore"):
-                u, h, d, eps, _ = _second_differences(g, phi, IV01, grid)
+                start, h, d, eps, least, _ = _second_differences(g, phi, IV01, grid)
                 us, h_ref, ds, eps_ref = reference_stencil(g, phi, IV01, grid)
-            assert (u.tolist(), h) == (us, h_ref)
+            u = [start + i * h for i in range(len(us))]
+            assert _key((tuple(u), h)) == _key((tuple(us), h_ref))
             assert _key(tuple(eps.tolist())) == _key(tuple(eps_ref))
             ds = np.array(ds)
             ds[~np.isfinite(eps)] = np.nan
             assert _key(tuple(d.tolist())) == _key(tuple(ds.tolist()))
+            assert _key(least) == _key(float(ds.min()))
 
 
 # ---------------------------------------------------------------------------

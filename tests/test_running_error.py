@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 from hhbounds import expr
+from hhbounds.corpus import corpus_specs
 from hhbounds.expr import EPS, LIBM_ULPS, Binary, Constant, EvalDomainError, Unary, Variable
 from hhbounds.expr import evaluate, evaluate_derivative, parse
+from hhbounds.funcspec import derivative_power
 
 EXPRESSIONS = 700
 INPUTS = 4
@@ -265,3 +267,61 @@ def test_a_ufunc_the_mu_rules_do_not_cover_raises(call):
     b = expr._Bound(np.array([1.0, 2.0]), np.array([0.0, EPS]))
     with pytest.raises(TypeError):
         call(b)
+
+
+# ---------------------------------------------------------------------------
+# the mu rules write only into arrays they make
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2e-310, math.inf, -math.inf, math.nan, -2.5, 1e300])
+
+
+def _two_term_square(v, m):
+    """mu of v*v by the product rule written out: eps*|v*v| + (|v|*m + |v|*m)."""
+    return EPS * np.abs(v * v) + (np.abs(v) * m + np.abs(v) * m)
+
+
+@pytest.mark.parametrize("m", [
+    np.full(_SPECIAL.size, EPS), np.abs(_SPECIAL[::-1]), _SPECIAL[::-1],
+], ids=["eps", "abs-special", "special"])
+def test_a_square_has_the_two_term_bits(m):
+    # a square computes its one term once and doubles it; on every pair of
+    # the special values, as arrays and one element at a time, the bits are
+    # those of the two-term sum, and two equal operands that are not the
+    # same objects take the two-term path to the same bits
+    v = np.repeat(_SPECIAL, m.size)
+    m = np.tile(m, _SPECIAL.size)
+    with np.errstate(all="ignore"):
+        want = _two_term_square(v, m)
+        same = expr._Bound(v, m)
+        for b, c in ((same, same), (expr._Bound(v.copy(), m.copy()), expr._Bound(v, m))):
+            for got in (b * c, np.multiply(b, c)):
+                assert got.v.tobytes() == (v * v).tobytes()
+                assert got.m.tobytes() == want.tobytes()
+        for k in range(v.size):
+            b = expr._Bound(v[k], m[k])
+            assert np.float64(np.multiply(b, b).m).tobytes() == want[k:k + 1].tobytes()
+
+
+def _untouched(rule):
+    """``rule`` asserting that it leaves every array it is given as it was."""
+    def checked(*args):
+        arrays = [(a, a.copy()) for a in args if isinstance(a, np.ndarray)]
+        result = rule(*args)
+        for a, before in arrays:
+            assert a.tobytes() == before.tobytes(), rule
+        return result
+    return checked
+
+
+def test_no_mu_rule_writes_into_its_inputs(monkeypatch):
+    # the result's value, the operands' values and their mu, for every rule
+    # on each corpus expression, on both lanes; and the input x after all
+    monkeypatch.setattr(expr, "_MU", {ufunc: _untouched(rule) for ufunc, rule in expr._MU.items()})
+    for spec in corpus_specs():
+        iv = spec.interval
+        x = np.linspace(iv.a, iv.b, 35)[1:-1]
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            evaluate(spec.f, x, True)
+            derivative_power(spec.f, 3.0).bounded(x)
+        assert x.tobytes() == before.tobytes(), spec.spec_id
