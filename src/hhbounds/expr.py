@@ -658,10 +658,8 @@ def _scaled(w, m, divide=False):
 
 
 def _product(r, u, v, mu, mv):
-    """mu of r = u*v: |v|*mu + |u|*mv, summed into the first term's fresh
-    array. A square's two terms are one, computed once."""
-    s = _scaled(v, mu)
-    t = s if u is v and mu is mv else _scaled(u, mv)
+    """mu of r = u*v: |v|*mu + |u|*mv, summed into the first term's fresh array."""
+    s, t = _scaled(v, mu), _scaled(u, mv)
     if s is None or t is None:
         return _err(_plus(s, t), r)
     s += t

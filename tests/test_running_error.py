@@ -284,10 +284,10 @@ def _two_term_square(v, m):
     np.full(_SPECIAL.size, EPS), np.abs(_SPECIAL[::-1]), _SPECIAL[::-1],
 ], ids=["eps", "abs-special", "special"])
 def test_a_square_has_the_two_term_bits(m):
-    # a square computes its one term once and doubles it; on every pair of
-    # the special values, as arrays and one element at a time, the bits are
-    # those of the two-term sum, and two equal operands that are not the
-    # same objects take the two-term path to the same bits
+    # a square, one operand taken twice, sums its two terms in place; on
+    # every pair of the special values, as arrays and one element at a
+    # time, the bits are those of the two-term sum written out, for the
+    # same object twice and for two equal copies alike
     v = np.repeat(_SPECIAL, m.size)
     m = np.tile(m, _SPECIAL.size)
     with np.errstate(all="ignore"):
