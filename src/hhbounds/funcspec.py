@@ -95,10 +95,12 @@ class CertificateResult:
     """Outcome of a strong phi-convexity check, as a report records it.
 
     ``target`` is "f" for a ``function_of`` g, "fprime_q" for a
-    ``derivative_power`` g, else None. ``witness`` is (x, y, t, lhs, rhs)
-    when the check fails: lhs is g at the mixture, rhs the corrected chord
-    value, and rhs - lhs < 0 unless the worst slack is NaN (|f'|^2000 of
-    x^2 on [0, 1]: lhs 7.88e301, rhs 3.62e302).
+    ``derivative_power`` g, else None. The sample alone decides ``passed``.
+    ``witness`` is (x, y, t, lhs, rhs) when the check fails: lhs is g at
+    the mixture, rhs the corrected chord value. The worst slack is rhs -
+    lhs, which is negative unless g reads otherwise on those three points
+    than on the sample, or NaN where a difference is NaN, with rhs - lhs of
+    any sign (|f'|^2000 of x^2 on [0, 1]: lhs 7.88e301, rhs 3.62e302).
     """
 
     target: Optional[str]
@@ -216,7 +218,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     if not phi_a < phi_b:
         raise SpecValidationError("phi-orientation",
                                   f"phi(a) = {phi_a} must be < phi(b) = {phi_b}")
-    _range_record(spec.phi, iv, phis)
+    _range_record(spec.phi, iv, (xs, phis))
     return spec
 
 
@@ -226,13 +228,16 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 @dataclass
 class _Record:
     """What a sample of a PhiMap on ``iv`` leaves on it: phi's range
-    [lo, hi] there, and per target kind ("f" or "fprime_q") the
-    (expression, N, q, estimate) last certified or estimated there.
-    Scalars and references only, so no array outlives a call."""
+    [lo, hi] there, the sample points x_lo and x_hi where phi first reads
+    lo and hi, and per target kind ("f" or "fprime_q") the (expression, N,
+    q, estimate) last certified or estimated there. Scalars and references
+    only, so no array outlives a call."""
 
     iv: Interval
     lo: float
     hi: float
+    x_lo: float
+    x_hi: float
     estimates: dict = field(default_factory=dict)
 
 
@@ -253,35 +258,31 @@ def _phi_sample(phi, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
     return xs, _sample(phi, xs)
 
 
-def _record_on(phi, iv: Interval) -> Optional[_Record]:
-    """phi's record if it is for an interval equal to ``iv``; only a PhiMap keeps one."""
-    rec = phi._sample_record if isinstance(phi, PhiMap) else None
-    return rec if rec is not None and rec.iv == iv else None
-
-
-def _range_record(phi, iv: Interval, phis: Optional[np.ndarray] = None) -> _Record:
-    """phi's record for ``iv``; without one, phi's range on ``phis`` (a new
-    ``_phi_sample`` if None) starts a record that a PhiMap keeps in place of
-    its old one, whole, so no reader sees one half built. Raises
+def _range_record(phi, iv: Interval, sample: Optional[tuple] = None) -> _Record:
+    """phi's record for an interval equal to ``iv``, which only a PhiMap
+    keeps; without one, phi's range on ``sample``, an (xs, phis) pair (a new
+    ``_phi_sample`` if None), starts a record that a PhiMap keeps in place
+    of its old one, whole, so no reader sees one half built. Raises
     DegeneratePhiError."""
-    rec = _record_on(phi, iv)
-    if rec is not None:
+    rec = phi._sample_record if isinstance(phi, PhiMap) else None
+    if rec is not None and rec.iv == iv:
         return rec
-    phis = _phi_sample(phi, iv)[1] if phis is None else phis
-    lo, hi = float(phis.min()), float(phis.max())
+    xs, phis = _phi_sample(phi, iv) if sample is None else sample
+    i, j = int(np.argmin(phis)), int(np.argmax(phis))
+    lo, hi = float(phis[i]), float(phis[j])
     if not lo < hi:
         raise DegeneratePhiError("phi is constant or NaN on [a, b]")
-    rec = _Record(iv, lo, hi)
+    rec = _Record(iv, lo, hi, float(xs[i]), float(xs[j]))
     if isinstance(phi, PhiMap):
         object.__setattr__(phi, "_sample_record", rec)
     return rec
 
 
-def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
+def _second_differences(g, rec: _Record, grid: GridConfig) -> tuple:
     """(start, h, D2g/2, eps, least, estimate): g's 1-D sample on [m, M] = phi([a, b]).
 
-    [m, M] is the range of ``validate``'s phi sample, which a PhiMap keeps
-    in its record for iv (``_range_record``). The sample is g at the N =
+    [m, M] is phi's range in ``rec`` (``_range_record``), from
+    ``validate``'s phi sample for a built spec. The sample is g at the N =
     grid.size points u_i = start + i*h in [m, M], start and h multiples of
     2**e >= max(|m|, |M|)*2**-51: the points and the midpoint of any two
     are exact doubles, and the ends miss m and M by at most N*2**e. eps
@@ -290,11 +291,10 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     and eps*|D2g/2| for the division. ``g.bounded(u)`` gives (g(u), mu); any
     other g counts as one libm call. ``least`` is min D2g/2 and ``estimate``
     estimate_max_modulus's reduction of the sample; a keyed target's is
-    recorded once g has been evaluated without error. Besides g's
+    recorded in ``rec`` once g has been evaluated without error. Besides g's
     evaluation, at most 4 arrays of N floats are alive at once. Raises
     DegeneratePhiError.
     """
-    rec = _range_record(phi, iv)
     lo, hi, n = rec.lo, rec.hi, grid.size
     unit = 2.0 ** (math.frexp(max(-lo, hi))[1] - 51)
     if unit == 0:
@@ -340,23 +340,25 @@ def _second_differences(g, phi, iv: Interval, grid: GridConfig) -> tuple:
     return start, h, d, eps, least, estimate
 
 
-def _preimage(phi, xs: np.ndarray, phis: np.ndarray, u: float) -> float:
-    """x with phi(x) = u: a phi sample's x, or else the closer to u under phi
-    of the two adjacent doubles where phi(x) > u flips in the first sample
-    cell that brackets u. The cell shrinks by probes, each end keeping its
-    side: secant steps from its two samples (bisection where one leaves it or
-    is not under half the step before last); once one is within an ulp, steps
-    of 1, 2, 4, ... ulps across the flip; then bisection. Where phi(x) > u is
-    monotone on the cell, the pair is unique: the one plain bisection finds.
+def _preimage(phi, rec: _Record, u: float) -> tuple[float, float]:
+    """(x, phi(x)) with phi(x) = u in [lo, hi], phi's range in ``rec``:
+    x_lo or x_hi with its recorded value where u is lo or hi, or else the
+    closer to u under phi of the two adjacent doubles where phi(x) > u
+    flips between x_lo and x_hi (a continuous phi has one). The bracket
+    shrinks by probes, each end keeping its side: secant steps from its two
+    values (bisection where one leaves it or is not under half the step
+    before last); once one is within an ulp, steps of 1, 2, 4, ... ulps
+    across the flip; then bisection. Where phi(x) > u is monotone on the
+    bracket, the pair is unique: the one plain bisection finds. Every phi
+    call is on a scalar, and the result's value is one already computed.
     """
-    hit = phis == u
-    if hit.any():
-        return float(xs[np.argmax(hit)])
-    above = phis > u
-    k = int(np.argmax(above[:-1] != above[1:]))
-    lo, hi = float(xs[k]), float(xs[k + 1])
-    x0, v0, x1, v1 = lo, float(phis[k]), hi, float(phis[k + 1])  # the last two probes
-    values, before, last = {}, math.inf, math.inf  # phi at the probes; the last two steps
+    values = {rec.x_lo: rec.lo, rec.x_hi: rec.hi}  # phi at the probes
+    for x, v in values.items():
+        if v == u:
+            return x, v
+    (x0, v0), (x1, v1) = sorted(values.items())  # the last two probes
+    lo, hi, above = x0, x1, v0 > u  # the bracket, and the side of its left end
+    before, last = math.inf, math.inf  # the last two steps
     ulps = 0.0  # the straddle's next step once the secant is within one ulp; inf to bisect
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         up, x = x1 == lo, mid
@@ -369,33 +371,36 @@ def _preimage(phi, xs: np.ndarray, phis: np.ndarray, u: float) -> float:
             x = x1 + ulps if up else x1 - ulps
             x, ulps = (x, 2.0 * ulps) if lo < x < hi else (mid, math.inf)
         v = values[x] = float(phi(x))
-        low = (v > u) == above[k]
+        low = (v > u) == above
         ulps = math.inf if ulps and low != up else ulps  # a crossing ends the straddle
         lo, hi = (x, hi) if low else (lo, x)
         x0, v0, x1, v1 = x1, v1, x, v
-    return min((lo, hi), key=lambda x: abs((values[x] if x in values else float(phi(x))) - u))
+    x = min((lo, hi), key=lambda x: abs(values[x] - u))
+    return x, values[x]
 
 
 def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: float,
                                  grid: GridConfig = GridConfig()) -> CertificateResult:
     """Check modulus c for an array-capable g on ``_second_differences``' sample.
 
-    It passes when min(D2g/2 - c + eps) >= 0, with worst slack
-    h**2*(min D2g/2 - c) in g units (+0.0 for a zero). A failure's witness
-    is the defining inequality at t = 1/2 on the argmin's two neighbours,
-    x and y their preimages under phi, found on a fresh phi sample and
-    computed as it reads, with worst slack rhs - lhs, about
-    h**2*(D2g/2 - c); unless that is negative the sample does not refute
-    c, and it passes. A NaN difference fails with a NaN worst slack, its
-    witness's rhs - lhs of any sign. Besides g's evaluation, at most 4
+    It passes exactly when min(D2g/2 - c + eps) >= 0, with worst slack
+    h**2*(min D2g/2 - c) in g units (+0.0 for a zero); a NaN difference
+    fails with a NaN worst slack. A failure's witness is the defining
+    inequality at t = 1/2 on the argmin's two neighbours, computed as it
+    reads, x and y their ``_preimage``s in phi's record, with worst slack
+    rhs - lhs, about h**2*(D2g/2 - c). Besides g's evaluation, at most 4
     arrays of N floats are alive; that evaluation, the sample u and two
     arrays per value on its operand stack, sets the peak for an expression
-    target. The sample's estimate_max_modulus value is left in phi's
-    record, so an estimate of g's target (the result's) on the same PhiMap,
-    interval and N evaluates nothing.
+    target. The sample's estimate_max_modulus value is left in phi's record,
+    so an estimate of g's target (the result's) on the same PhiMap, interval
+    and N evaluates nothing. A NaN or infinite c raises ValueError; a finite
+    negative one is allowed.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"modulus c must be finite, got {c}")
     target = g.target[0] if hasattr(g, "target") else None
-    start, h, d, eps, least, _ = _second_differences(g, phi, iv, grid)
+    rec = _range_record(phi, iv)
+    start, h, d, eps, least, _ = _second_differences(g, rec, grid)
     # rounding is monotone, so min(D2g/2) - c rounds to min(D2g/2 - c)
     worst = h * h * (least - c) + 0.0
     slack = np.subtract(d, c, out=d)
@@ -403,14 +408,10 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     k = int(np.argmin(slack))
     if slack[k] >= 0:
         return CertificateResult(target, True, worst, None)
-    xs, phis = _phi_sample(phi, iv)
-    x, y = (_preimage(phi, xs, phis, start + i * h) for i in (k, k + 2))
-    px, py = (float(v) for v in _sample(phi, np.array([x, y])))
+    (x, px), (y, py) = (_preimage(phi, rec, start + i * h) for i in (k, k + 2))
     t = 0.5
     gx, gy, lhs = (float(v) for v in _sample(g, np.array([px, py, t * px + t * py])))
     rhs = (t * gx + t * gy) - (px - py) * (px - py) * (c * t * t)
-    if not (rhs - lhs < 0 or math.isnan(slack[k])):
-        return CertificateResult(target, True, worst, None)
     return CertificateResult(target, False, rhs - lhs if slack[k] < 0 else math.nan,
                              (x, y, t, lhs, rhs))
 
@@ -432,14 +433,12 @@ def estimate_max_modulus(g: Callable, phi: PhiMap, iv: Interval,
     evaluating g: its key is the kind, the expression object (matched by
     ``is``) and q.
     """
-    target = getattr(g, "target", None)
-    rec = _record_on(phi, iv)
-    if target is not None and rec is not None:
-        kind, e, q = target
-        entry = rec.estimates.get(kind)
-        if entry is not None and entry[0] is e and entry[1] == grid.size and entry[2] == q:
-            return entry[3]
-    return _second_differences(g, phi, iv, grid)[-1]
+    rec = _range_record(phi, iv)
+    kind, e, q = getattr(g, "target", (None, None, None))
+    entry = rec.estimates.get(kind)
+    if entry is not None and entry[0] is e and entry[1:3] == (grid.size, q):
+        return entry[3]
+    return _second_differences(g, rec, grid)[-1]
 
 
 # ---------------------------------------------------------------------------
