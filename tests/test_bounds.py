@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import hhbounds
 from hhbounds.bounds import (
     STATUS_ERROR,
     STATUS_INAPPLICABLE,
@@ -23,10 +24,12 @@ from hhbounds.bounds import (
     evaluate_all,
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
+from hhbounds.expr import evaluate
 from hhbounds.funcspec import (
     CertificateResult,
     derivative_power,
     estimate_max_modulus,
+    function_of,
     validate,
 )
 from hhbounds.quad import hh_gap, lemma_rhs, verify_lemma_identity
@@ -348,3 +351,55 @@ class TestBracketFeasibility:
                 i = derivative_inputs(probe)
                 bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (c / 8.0) * i.delta**2
                 assert bracket >= (c / 24.0) * i.delta**2 - 1e-12, spec.spec_id
+
+
+def critical_moduli(spec):
+    """(row, c_hat, c_star) for each row with a closed-form c_star, the
+    modulus at which its bound meets what it bounds: with A = (d_a^q +
+    d_b^q)/2 and K = (1/(p+1))^(1/p),
+
+      power_mean      8 (A - (4 |gap| / delta)^q) / delta^2
+      holder (q > 1)  6 (A - (2 |gap| / (delta K))^q) / delta^2
+      sandwich_lower  12 (mean - f(mid)) / delta^2
+      sandwich_upper  6 (trapezoid - mean) / delta^2
+
+    c_hat is estimate_max_modulus of f for the sandwich rows and of |f'|^q
+    for the gap rows."""
+    i, gap = derivative_inputs(spec), hh_gap(spec)
+    mean, delta, q = spec.trapezoid - gap, spec.delta, spec.q
+    A = (i.d_a**q + i.d_b**q) / 2.0
+    c_f, c_deriv = (estimate_max_modulus(g, spec.phi, spec.interval, spec.grid)
+                    for g in (function_of(spec.f), derivative_power(spec.f, q)))
+    rows = [
+        ("sandwich_lower", c_f, 12.0 * (mean - evaluate(spec.f, spec.mid)) / delta**2),
+        ("sandwich_upper", c_f, 6.0 * (spec.trapezoid - mean) / delta**2),
+        ("power_mean", c_deriv, 8.0 * (A - (4.0 * abs(gap) / delta) ** q) / delta**2),
+    ]
+    if spec.p is not None:
+        K = (1.0 / (spec.p + 1.0)) ** (1.0 / spec.p)
+        rows.append(("holder", c_deriv, 6.0 * (A - (2.0 * abs(gap) / (delta * K)) ** q) / delta**2))
+    return rows
+
+
+def test_the_certified_modulus_is_at_most_the_critical_one(perfbench, tmp_path):
+    # every bound falls as c grows, so the paper's theorems say c_hat <=
+    # c_star whatever c is: on the corpus and fine-grid seeds 1 and 2, 820
+    # pairs with c_hat >= 0. x^2, where the sandwich is exact, reads
+    # c_hat/c_star = 0.99999999993 on both sandwich rows (power_mean reaches
+    # 0.32 and holder 0.40), so an estimate 1e-6 too large would show
+    _, workloads = perfbench
+    specs = corpus_specs()
+    for seed in (1, 2):
+        wl = workloads.WORKLOADS["fine-grid"](hhbounds, seed, tmp_path)
+        wl.build()
+        specs += [item.spec for item in wl.items]
+    pairs, largest = 0, {}
+    for spec in specs:
+        for row, c_hat, c_star in critical_moduli(spec):
+            if c_hat >= 0.0:
+                assert c_hat <= c_star, (spec.spec_id, row, c_hat, c_star)
+                pairs += 1
+                if c_hat > 0.0:
+                    largest[row] = max(largest.get(row, 0.0), c_hat / c_star)
+    assert pairs == 820
+    assert min(largest["sandwich_lower"], largest["sandwich_upper"]) > 1.0 - 1e-9

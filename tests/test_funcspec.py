@@ -1,6 +1,8 @@
 """Validation and strong phi-convexity certification tests."""
 
+import contextlib
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -128,7 +130,7 @@ class TestValidate:
         assert_no_allocation(lambda: make_spec(grid=GridConfig(10**5, 10**5, 33)),
                              "grid-size")
 
-    def test_grid_size_counts_the_t_grid_exactly(self):
+    def test_the_sample_size_is_counted_exactly(self):
         # the sample has (n_x-1)*(n_t-1) + 1 points, n_t with no 1/2 added:
         # 1024*2047 + 1 = 2,096,129 <= 2^21, and 1024*2048 + 1 is above
         tracemalloc.start()
@@ -754,190 +756,17 @@ class TestEstimateMaxModulus:
 
 
 # ---------------------------------------------------------------------------
-# The classes below keep the names of the 3-D scan's tests, which the 1-D
-# certificate replaced; each now checks the certificate on the shapes and
-# targets those tests used, against the 3-D oracle ``reference_certify``.
+# what the 1-D certificate does, one class per behaviour: each runs one body
+# over a table of cases, {id: arguments}, and each case has its own id
 
 
-class TestRowBlockScan:
-    def test_grid_smaller_than_one_block(self):
-        assert_matches_reference(np.exp, GridConfig(5, 7, 9), (0.0, 0.3, 2.9))
-
-    def test_grid_spanning_many_blocks(self):
-        g = derivative_power(parse("x^4 + x^2"), 2.0)
-        phi = PhiMap.from_source("0.25 + 0.5*x")
-        assert_matches_reference(g, GridConfig(141, 127, 91), (0.7, 31.3), phi=phi)
-
-    def test_row_larger_than_a_block(self):
-        g = function_of(parse("x^2 + 1 - cos(x)"))
-        assert_matches_reference(g, GridConfig(4, 200, 101), (0.3, 2.1))
-
-    def test_even_n_t_inserts_one_half(self):
-        # an even n_t counts n_t - 1 intervals, as an odd one does
-        grid = GridConfig(30, 30, 20)
-        g = counting(square)
-        assert_matches_reference(g, grid, (0.9, 1.7))
-        assert g.shapes[0] == (29 * 19 + 1,)
-
-    def test_extremal_ties_resolve_to_first_arg_min(self):
-        # x^2 at modulus 1 and 2*x + 1 at 0 have D2g/2 - c identically 0 up
-        # to roundoff, which eps covers on every grid
-        for src, c in (("x^2", 1.0), ("2*x + 1", 0.0)):
-            g = function_of(parse(src))
-            for grid in (GridConfig(), GridConfig(141, 127, 91), GridConfig(30, 30, 20),
-                         GridConfig(64, 64, 65)):
-                assert certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid).passed
-        # on 64*64 + 1 points of [0, 1] the squares are exact and every
-        # D2g/2 is 1: past modulus 1 the first stencil is the witness
-        grid = GridConfig(65, 3, 65)
-        res = certify_strong_phi_convexity(square, IDENTITY, IV01, 1.25, grid)
-        assert res.witness[:3] == (0.0, 2.0**-11, 0.5)
-        assert_witness(square, IDENTITY, 1.25, res, grid=grid)
-
-    def test_g_that_returns_its_input(self):
-        # the certificate reads the sample points after g has returned, so a
-        # g whose result is its input, or a view of it, must not be clobbered
-        for g in (function_of(parse("x")), lambda u: u[...]):
-            for grid in (GridConfig(), GridConfig(41, 41, 53), GridConfig(30, 27, 20)):
-                assert_matches_reference(g, grid, (0.0, 0.6, 2.5))
-
-    def test_nan_stays_the_minimum(self):
-        # NaN on (0.0003, 0.0023), which holds two sample points: a NaN
-        # difference fails, with a NaN worst slack, and the estimate is NaN
-        def g(u):
-            return np.where(np.abs(u - 0.0013) < 1e-3, np.nan, u * u)
-
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5)
-        assert math.isnan(res.worst_slack) and not res.passed
-        assert res.witness[2] == 0.5
-        assert math.isnan(estimate_max_modulus(g, IDENTITY, IV01))
-        assert_matches_reference(g, GridConfig(), (0.3, 2.1))
-
-    def test_certify_memory_does_not_grow_with_the_grid(self):
-        # memory follows N, not n_y: near 4 arrays of N floats at the peak
-        g = function_of(parse("exp(x)"))
-        for grid in (GridConfig(141, 141, 91), GridConfig(141, 3, 91)):
-            n = 140 * 90 + 1
-            peak = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.25, grid))
-            assert peak < 5 * 8 * n
+def cases(table):
+    """pytest parameters from a table {id: arguments}."""
+    return [pytest.param(*args, id=key) for key, args in table.items()]
 
 
-class TestTGrid:
-    def test_middle_point_is_exactly_one_half(self):
-        # a witness has t exactly 1/2, and under the identity its mixture is
-        # the sample point between x and y, even at n_t = 99, where
-        # linspace misses 1/2 by an ulp
-        assert np.linspace(0.0, 1.0, 99)[49] == 0.5 - 2**-54
-        for n_t in (9, 20, 33, 99, 129):
-            grid = GridConfig(21, 21, n_t)
-            us = sample_points(IDENTITY, IV01, grid)[0]
-            res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, 3.0, grid)
-            x, y, t, lhs, rhs = res.witness
-            assert t == 0.5 and 0.5 * x + 0.5 * y == us[us.index(x) + 1]
-            assert us.index(y) == us.index(x) + 2
-
-
-class TestMirroredHalfScan:
-    def test_symmetric_grid_evaluates_t_up_to_one_half(self):
-        # g is sampled once on N points; a failure adds one call on the
-        # witness's three points, phi(x), phi(y) and the mixture
-        g = counting(np.exp)
-        certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5)
-        assert g.points == [1281]
-        g = counting(np.exp)
-        certify_strong_phi_convexity(g, IDENTITY, IV01, 3.0)
-        assert g.points == [1281, 3]
-
-    def test_asymmetric_grids_scan_every_t(self):
-        # n_y sets nothing: every n_y gives the square grid's result
-        for grid, c in ((GridConfig(41, 37, 33), 0.5), (GridConfig(41, 37, 53), 1.0)):
-            square_grid = GridConfig(grid.n_x, grid.n_x, grid.n_t)
-            for g in (np.exp, derivative_power(parse("x^4 + x^2"), 2.0)):
-                assert _key(certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)) == _key(
-                    certify_strong_phi_convexity(g, IDENTITY, IV01, c, square_grid))
-
-    def test_square_grids_scan_half_the_columns_for_any_modulus(self):
-        # one sample of (n_x-1)*(n_t-1) + 1 points whatever c and n_t
-        for grid, c in ((GridConfig(41, 41, 20), 0.5), (GridConfig(), 0.6),
-                        (GridConfig(41, 41, 53), 0.6), (GridConfig(41, 41, 99), 2.9)):
-            g = counting(np.exp)
-            certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)
-            assert g.shapes[0] == ((grid.n_x - 1) * (grid.n_t - 1) + 1,)
-
-    def test_nan_samples_scan_half_the_columns(self):
-        # a NaN g sample at the middle point fails, with a NaN worst slack;
-        # the first NaN difference is the stencil whose right end it is
-        for grid in (GridConfig(), GridConfig(41, 41, 53)):
-            us = sample_points(IDENTITY, IV01, grid)[0]
-            middle = us[len(us) // 2]
-
-            def g(u):
-                return np.where(u == middle, np.nan, np.exp(u))
-
-            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.4, grid)
-            assert math.isnan(res.worst_slack) and not res.passed
-            assert res.witness[1:3] == (middle, 0.5) and math.isnan(res.witness[4])
-
-    def test_square_scan_ignores_nan_samples_at_the_axes(self):
-        # a NaN phi sample leaves phi([a, b]) undefined, at every n_t
-        def nan_phi(u):
-            return np.where(u == 0.5, np.nan, u)
-
-        for n_t in (9, 20, 33, 53, 59, 91, 99, 129):
-            with pytest.raises(DegeneratePhiError):
-                certify_strong_phi_convexity(np.exp, nan_phi, IV01, 3.0, GridConfig(41, 41, n_t))
-
-    def test_corpus_targets_match_the_full_grid(self):
-        witnesses = 0
-        for spec in corpus_specs():
-            for g, c in ((function_of(spec.f), spec.modulus_f),
-                         (derivative_power(spec.f, spec.q), spec.modulus_deriv)):
-                assert_matches_reference(g, spec.grid, (c, c + 5.0), phi=spec.phi,
-                                         iv=spec.interval)
-                failing = certify_strong_phi_convexity(
-                    g, spec.phi, spec.interval, c + 5.0, spec.grid
-                )
-                witnesses += failing.witness is not None
-        assert witnesses == 34
-
-    def test_witness_is_the_scanned_element(self):
-        # the witness's lhs and rhs are g and the corrected chord at its own
-        # (x, y, t), bit for bit, under each phi map
-        for phi in (IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")):
-            for grid in (GridConfig(), GridConfig(64, 64, 65)):
-                res = certify_strong_phi_convexity(np.exp, phi, IV01, 3.0, grid)
-                assert_witness(np.exp, phi, 3.0, res, grid=grid)
-
-    def test_ties_across_blocks_keep_the_first_block(self):
-        # g is 1 at two sample points and 0 elsewhere, so D2g/2 is
-        # -1/h^2 at both; the first minimum, the stencil around u[100], is
-        # the witness, though the one around u[1000] ties
-        us = sample_points(IDENTITY, IV01, GridConfig())[0]
-        spikes = np.array([us[100], us[1000]])
-
-        def g(u):
-            return np.isin(u, spikes) * 1.0
-
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0)
-        assert res.witness == (us[99], us[101], 0.5, 1.0, 0.0)
-        assert_witness(g, IDENTITY, 0.0, res)
-
-    def test_nan_bands(self):
-        # a band between two sample points leaves every difference finite;
-        # one over the sample point 1/2 fails with a NaN worst slack
-        for center, half, nan in ((0.50005, 1e-5, False), (0.5, 1e-3, True)):
-            def g(u):
-                return np.where(np.abs(u - center) < half, np.nan, u * u)
-
-            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5)
-            assert res.passed != nan and math.isnan(res.worst_slack) == nan
-
-    def test_zero_minimum_is_plus_zero_for_every_block_size(self):
-        # the zero g samples -0.0 inside (0.4, 0.6) and 0.0 elsewhere
-        g = function_of(parse("(0.1 - abs(x - 0.5))*0"))
-        for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20)):
-            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
-            assert _key(res.worst_slack) == _key(0.0)
+def _shape(grid):
+    return f"{grid.n_x}x{grid.n_y}x{grid.n_t}"
 
 
 def _away_from_the_modulus(g, phi, grid, moduli):
@@ -946,170 +775,331 @@ def _away_from_the_modulus(g, phi, grid, moduli):
     return tuple(c for c in moduli if abs(c - m) >= 0.2 * max(abs(m), 1.0))
 
 
-class TestPerColumnMirror:
-    N_TS = (9, 20, 33, 53, 59, 91, 99)
-
-    @pytest.mark.parametrize("n_t", N_TS)
-    def test_matches_the_full_grid(self, n_t):
-        # the 1-D certificate has the 3-D oracle's pass flag away from the
-        # modulus, where the two samples may round either way
-        rng = random.Random(n_t)
-        targets = (
-            np.exp,
-            function_of(parse("x^2 + 1 - cos(x)")),
-            derivative_power(parse("x^4 + x^2"), 2.0),
-        )
-        for grid in (GridConfig(33, 33, n_t), GridConfig(33, 29, n_t)):
-            for g in targets:
-                moduli = (0.6, rng.uniform(0.0, 1.0), rng.uniform(1.0, 8.0))
-                assert_matches_reference(g, grid, _away_from_the_modulus(g, IDENTITY, grid, moduli))
-
-    def test_random_moduli_and_phi_maps(self):
-        rng = random.Random(10)
-        phis = [IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")]
-        for _ in range(12):
-            n = rng.choice((17, 24, 31))
-            grid = GridConfig(n, rng.choice((n, n - 4)), rng.choice(self.N_TS))
-            g = derivative_power(parse(rng.choice(("exp(x)", "x^4", "sin(x) + x^2"))), 2.0)
-            moduli = tuple(rng.choice((rng.uniform(0, 3), rng.expovariate(0.5))) for _ in range(3))
-            phi = rng.choice(phis)
-            assert_matches_reference(g, grid, _away_from_the_modulus(g, phi, grid, moduli), phi=phi)
-
-    @pytest.mark.parametrize("n_t, c", [(53, 1.0), (59, 4.0)])
-    def test_witness_mirrors_a_skipped_column(self, n_t, c):
-        # exp's D2g/2 - c is least at the left end: the witness is the first
-        # stencil, x = 0 and y = 2h, with x < y
-        grid = GridConfig(21, 21, n_t)
-        _, h = sample_points(IDENTITY, IV01, grid)
-        res = certify_strong_phi_convexity(np.exp, IDENTITY, IV01, c, grid)
-        assert res.witness[:3] == (0.0, 2 * h, 0.5)
-        assert_witness(np.exp, IDENTITY, c, res, grid=grid)
-        assert not reference_certify(np.exp, IDENTITY, IV01, c, grid).passed
-
-    def test_matched_pair_tie_keeps_the_scanned_element(self):
-        # g is 1 at the sample points u[3] and u[5], so the stencils around
-        # them tie at D2g/2 = -1/h^2 and the left one is the witness
-        grid = GridConfig(41, 41, 53)
-        us = sample_points(IDENTITY, IV01, grid)[0]
-
-        def g(u):
-            return np.isin(u, (us[3], us[5])) * 1.0
-
-        res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.0, grid)
-        assert res.witness == (us[2], us[4], 0.5, 1.0, 0.0)
-        assert_witness(g, IDENTITY, 0.0, res, grid=grid)
-
-    @pytest.mark.parametrize("n_t", [20, 53, 91])
-    def test_middle_column(self, n_t):
-        # x^2 beyond modulus 1 fails at t = 1/2 with slack -0.5*h^2
-        grid = GridConfig(25, 25, n_t)
-        _, h = sample_points(IDENTITY, IV01, grid)
-        res = certify_strong_phi_convexity(square, IDENTITY, IV01, 1.5, grid)
-        assert res.witness[2] == 0.5
-        assert res.worst_slack == pytest.approx(-0.5 * h * h, rel=1e-9)
-        assert_matches_reference(square, grid, (1.5,))
-
-    @pytest.mark.parametrize("grid", [GridConfig(41, 41, 53), GridConfig(45, 45, 91)])
-    def test_nan_bands(self, grid):
-        # a band holding sample points fails with a NaN worst slack, as the
-        # oracle fails
-        for center, half in ((0.5063, 4e-3), (0.5, 1e-3)):
-            def g(u):
-                return np.where(np.abs(u - center) < half, np.nan, u * u)
-
-            res = certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid)
-            assert math.isnan(res.worst_slack) and res.witness is not None
-            assert_matches_reference(g, grid, (0.0, 0.5, 7.0))
-
-
-class TestBlockSize:
-    def test_default_grid_blocks_stay_below_64_kib(self):
-        # every array holds at most N = 1281 floats on the default grid, 10
-        # KiB, below the 64 KiB whose free may make glibc trim the heap; the
-        # peak, at most 4 of them besides g's own evaluation, stays below 128 KiB
-        counted = counting(np.exp)
-        certify_strong_phi_convexity(counted, IDENTITY, IV01, 3.0)
-        assert max(counted.points) * 8 < 2**16
-        for g in (np.exp, function_of(parse("x^4 + x^2")),
-                  derivative_power(parse("x^4 + x^2"), 3.0)):
-            for c in (0.5, 3.0):
-                peak = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, c))
-                assert peak < 2**17
-
-    @pytest.mark.parametrize("grid", [GridConfig(141, 141, 91), GridConfig(81, 65, 53)])
-    def test_large_scans_keep_the_full_size_rule(self, grid):
-        # the stencil holds at most 4 arrays of N floats besides g's own
-        # evaluation: of g(u), its mu, eps, the stencil's two sums and
-        # D2g/2, each of the first two is dropped once read. For
-        # exp that is the peak (4.02 and 4.06); an expression's evaluation,
-        # two arrays per value with the sample u, sets it higher (8.02 and
-        # 8.06 for |f'|^2 here). It is measured on a cold call, a phi object
-        # the record has not seen, which samples phi; a warm call reads phi's
-        # range from the record and peaks no higher
-        n = (grid.n_x - 1) * (grid.n_t - 1) + 1
-        for g, arrays in ((np.exp, 4), (derivative_power(parse("x^4 + x^2"), 2.0), 8)):
-            cold = traced_peak(
-                lambda: certify_strong_phi_convexity(g, PhiMap.identity(), IV01, 0.5, grid))
-            warm = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, 0.5, grid))
-            assert (arrays - 0.5) * 8 * n < cold < (arrays + 0.5) * 8 * n
-            assert warm <= cold
-
-
-# ---------------------------------------------------------------------------
-# the shapes the fine-grid benchmark certifies: n x n x (2*round(0.32*n) + 1)
-# square grids and n x (n - 2k) ones, for n in {81, 111, 141}
-
-
 def _pass_and_fail_moduli(g, phi, grid):
     """The estimated modulus, which passes, and well above it, which fails."""
     estimate = estimate_max_modulus(g, phi, IV01, grid)
     return estimate, 2.0 * estimate + 1.0
 
 
-class TestFineGridShapes:
-    # one (phi, f, target) per grid; together they cover the benchmark's
-    # three phi maps, f, and |f'|^q at q = 1, 2, 3, all convex on phi([0, 1])
-    CASES = [
-        (GridConfig(81, 81, 53), "identity", "exp(x)", None),
-        (GridConfig(81, 75, 53), "x^2", "x^4 + x^2", 1.0),
-        (GridConfig(111, 111, 73), "0.25 + 0.5*x", "x^4", 2.0),
-        (GridConfig(111, 101, 73), "x^2", "x^2 + 1 - cos(x)", None),
-        (GridConfig(141, 141, 91), "identity", "exp(x)", 3.0),
-        (GridConfig(141, 125, 91), "0.25 + 0.5*x", "x^4 + x^2", 2.0),
-    ]
+def nan_band(center, half):
+    """u*u, but NaN where |u - center| < half."""
+    return lambda u: np.where(np.abs(u - center) < half, np.nan, u * u)
 
-    @pytest.mark.parametrize("grid, phi, f, q", CASES)
-    def test_matches_the_references(self, grid, phi, f, q):
-        n = grid.n_x
-        assert grid.n_t == 2 * round(0.32 * n) + 1 and (n - grid.n_y) % 2 == 0
-        g = function_of(parse(f)) if q is None else derivative_power(parse(f), q)
-        phi = PhiMap.from_source(phi)
-        c_pass, c_fail = _pass_and_fail_moduli(g, phi, grid)
-        assert certify_strong_phi_convexity(g, phi, IV01, c_pass, grid).passed
-        assert not certify_strong_phi_convexity(g, phi, IV01, c_fail, grid).passed
-        assert_matches_reference(g, grid, (c_pass, c_fail), phi=phi)
 
-    @pytest.mark.parametrize("grid", [GridConfig(81, 81, 53), GridConfig(81, 75, 53)])
-    def test_partial_last_block(self, grid):
+def at_sample_points(grid, *at, where=1.0, elsewhere=np.zeros_like):
+    """``where`` at the points u[i], i in ``at``, of ``grid``'s sample under
+    the identity, and ``elsewhere(u)`` at every other u."""
+    def g(u):
+        us = np.array(sample_points(IDENTITY, IV01, grid)[0])
+        return np.where(np.isin(u, us[list(at)]), where, elsewhere(u))
+
+    return g
+
+
+def fprime2():
+    """|f'|^2 of x^4 + x^2, a new target on each call, so no case reads an
+    estimate another case left in a record."""
+    return derivative_power(parse("x^4 + x^2"), 2.0)
+
+
+N_TS = (9, 20, 33, 53, 59, 91, 99)
+# the shapes the fine-grid benchmark certifies, n x n x (2*round(0.32*n) + 1)
+# square grids and n x (n - 2k) ones for n in {81, 111, 141}, with one (phi,
+# f, target) per grid: together the benchmark's three phi maps, f, and
+# |f'|^q at q = 1, 2, 3, all convex on phi([0, 1])
+FINE_GRID = {
+    "81x81x53-exp-f": (GridConfig(81, 81, 53), "identity", "exp(x)", None),
+    "81x75x53-phisq-quartic-q1": (GridConfig(81, 75, 53), "x^2", "x^4 + x^2", 1.0),
+    "111x111x73-affine-x4-q2": (GridConfig(111, 111, 73), "0.25 + 0.5*x", "x^4", 2.0),
+    "111x101x73-phisq-cos-f": (GridConfig(111, 101, 73), "x^2", "x^2 + 1 - cos(x)", None),
+    "141x141x91-exp-q3": (GridConfig(141, 141, 91), "identity", "exp(x)", 3.0),
+    "141x125x91-affine-quartic-q2": (GridConfig(141, 125, 91), "0.25 + 0.5*x", "x^4 + x^2", 2.0),
+}
+
+
+# an oracle case yields (g, phi, iv, grid, moduli, the pass flags or None)
+
+def _one(g, grid, moduli, phi=IDENTITY):
+    return lambda: [(g, phi, IV01, grid, moduli, None)]
+
+
+def _per_n_t(n_t):
+    rng = random.Random(n_t)
+    for grid in (GridConfig(33, 33, n_t), GridConfig(33, 29, n_t)):
+        for g in (np.exp, function_of(parse("x^2 + 1 - cos(x)")), fprime2()):
+            moduli = (0.6, rng.uniform(0.0, 1.0), rng.uniform(1.0, 8.0))
+            yield g, IDENTITY, IV01, grid, _away_from_the_modulus(g, IDENTITY, grid, moduli), None
+
+
+def _random_maps():
+    rng = random.Random(10)
+    phis = [IDENTITY, PhiMap.from_source("x^2"), PhiMap.from_source("0.25 + 0.5*x")]
+    for _ in range(12):
+        n = rng.choice((17, 24, 31))
+        grid = GridConfig(n, rng.choice((n, n - 4)), rng.choice(N_TS))
+        g = derivative_power(parse(rng.choice(("exp(x)", "x^4", "sin(x) + x^2"))), 2.0)
+        moduli = tuple(rng.choice((rng.uniform(0, 3), rng.expovariate(0.5))) for _ in range(3))
+        phi = rng.choice(phis)
+        yield g, phi, IV01, grid, _away_from_the_modulus(g, phi, grid, moduli), None
+
+
+def _fine_grid(grid, phi, f, q):
+    n = grid.n_x
+    assert grid.n_t == 2 * round(0.32 * n) + 1 and (n - grid.n_y) % 2 == 0
+    g = function_of(parse(f)) if q is None else derivative_power(parse(f), q)
+    phi = PhiMap.from_source(phi)
+    yield g, phi, IV01, grid, _pass_and_fail_moduli(g, phi, grid), (True, False)
+
+
+def _corpus():
+    for spec in corpus_specs():
+        for g, c in ((function_of(spec.f), spec.modulus_f),
+                     (derivative_power(spec.f, spec.q), spec.modulus_deriv)):
+            yield g, spec.phi, spec.interval, spec.grid, (c, c + 5.0), (True, False)
+
+
+ORACLE = {
+    "exp-5x7x9": _one(np.exp, GridConfig(5, 7, 9), (0.0, 0.3, 2.9)),
+    "fprime2-affine-141x127x91": _one(fprime2(), GridConfig(141, 127, 91), (0.7, 31.3),
+                                      PhiMap.from_source("0.25 + 0.5*x")),
+    "cos-4x200x101": _one(function_of(parse("x^2 + 1 - cos(x)")), GridConfig(4, 200, 101),
+                          (0.3, 2.1)),
+    "square-30x30x20": _one(square, GridConfig(30, 30, 20), (0.9, 1.7)),
+    # the certificate reads the sample points after g has returned, so a g
+    # whose result is its input, or a view of it, must not be clobbered
+    **{f"returns-its-{name}-{_shape(grid)}": _one(g, grid, (0.0, 0.6, 2.5))
+       for name, g in (("input", function_of(parse("x"))), ("view", lambda u: u[...]))
+       for grid in (GridConfig(), GridConfig(41, 41, 53), GridConfig(30, 27, 20))},
+    # a band holding sample points fails, as the oracle fails
+    "nan-band-0.0013-41x41x33": _one(nan_band(0.0013, 1e-3), GridConfig(), (0.3, 2.1)),
+    **{f"nan-band-{center}-{_shape(grid)}": _one(nan_band(center, half), grid, (0.0, 0.5, 7.0))
+       for grid in (GridConfig(41, 41, 53), GridConfig(45, 45, 91))
+       for center, half in ((0.5063, 4e-3), (0.5, 1e-3))},
+    **{f"middle-square-25x25x{n_t}": _one(square, GridConfig(25, 25, n_t), (1.5,))
+       for n_t in (20, 53, 91)},
+    **{f"left-end-exp-21x21x{n_t}": _one(np.exp, GridConfig(21, 21, n_t), (c,))
+       for n_t, c in ((53, 1.0), (59, 4.0))},
+    # away from the modulus, where the two samples may round either way
+    **{f"per-n_t-{n_t}": functools.partial(_per_n_t, n_t) for n_t in N_TS},
+    "random-maps": _random_maps,
+    # the estimate passes and 2*estimate + 1 fails
+    **{f"fine-grid-{key}": functools.partial(_fine_grid, *case) for key, case in FINE_GRID.items()},
+    # each of the 34 targets passes at its modulus and fails 5 above it
+    "corpus": _corpus,
+}
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("instances", list(ORACLE.values()), ids=list(ORACLE))
+    def test_pass_flag_is_the_oracle_s(self, instances):
+        # the 3-D oracle's pass flag, and a failure's witness as
+        # assert_witness states, at each modulus; the estimate's bits
+        for g, phi, iv, grid, moduli, passes in instances():
+            assert_matches_reference(g, grid, moduli, phi=phi, iv=iv)
+            if passes is not None:
+                got = [certify_strong_phi_convexity(g, phi, iv, c, grid).passed for c in moduli]
+                assert tuple(got) == passes
+
+
+class TestSampling:
+    @pytest.mark.parametrize("g, grid, moduli, passes", cases({
+        "exp-41x41x33": (np.exp, GridConfig(), (0.5, 3.0), (True, False)),
+        "exp-41x37x33": (np.exp, GridConfig(41, 37, 33), (0.5,), (True,)),
+        "fprime2-41x37x33": (fprime2(), GridConfig(41, 37, 33), (0.5,), (True,)),
+        "exp-41x37x53": (np.exp, GridConfig(41, 37, 53), (1.0,), (False,)),
+        "fprime2-41x37x53": (fprime2(), GridConfig(41, 37, 53), (1.0,), (True,)),
+        "exp-41x41x20-0.5": (np.exp, GridConfig(41, 41, 20), (0.5,), (True,)),
+        "exp-41x41x33-0.6": (np.exp, GridConfig(), (0.6,), (False,)),
+        "exp-41x41x53-0.6": (np.exp, GridConfig(41, 41, 53), (0.6,), (False,)),
+        "exp-41x41x99-2.9": (np.exp, GridConfig(41, 41, 99), (2.9,), (False,)),
+        "square-30x30x20": (square, GridConfig(30, 30, 20), (0.9, 1.7), (True, False)),
+    }))
+    def test_g_is_sampled_once_on_n_points(self, g, grid, moduli, passes):
+        # one call on N = (n_x-1)*(n_t-1) + 1 points whatever n_y, c and
+        # n_t, an even n_t counting n_t - 1 intervals as an odd one does; a
+        # failure adds one call on the witness's three points, phi(x),
+        # phi(y) and the mixture. n_y sets nothing: the square grid gives
+        # the same certificate
+        square_grid = GridConfig(grid.n_x, grid.n_x, grid.n_t)
+        for c, passed in zip(moduli, passes):
+            counted = counting(g)
+            assert certify_strong_phi_convexity(counted, IDENTITY, IV01, c, grid).passed == passed
+            n = (grid.n_x - 1) * (grid.n_t - 1) + 1
+            assert counted.shapes == [(n,)] + [(3,)] * (not passed)
+            assert _key(certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid)) == _key(
+                certify_strong_phi_convexity(g, IDENTITY, IV01, c, square_grid))
+
+
+def check_certificate(g, phi, grid, c, check):
+    """Certify g at c on ``grid``. A failure's witness is as
+    ``assert_witness`` states and, under the identity, its x and y are
+    sample points 2 apart, the point between them its mixture exactly.
+    ``check(res, us, h)``, given the sample's points and step, returns (got,
+    want), which must be equal."""
+    res = certify_strong_phi_convexity(g, phi, IV01, c, grid)
+    us, h = sample_points(phi, IV01, grid)
+    if not res.passed:
+        assert_witness(g, phi, c, res, grid=grid)
+        if phi is IDENTITY:
+            x, y, t = res.witness[:3]
+            i = us.index(x)
+            assert y == us[i + 2] and 0.5 * x + 0.5 * y == us[i + 1]
+    got, want = check(res, us, h)
+    assert got == want
+
+
+class TestTies:
+    @pytest.mark.parametrize("g, grid, c, check", cases({
+        # x^2 at modulus 1 and 2*x + 1 at 0 have D2g/2 - c identically 0 up
+        # to roundoff, which eps covers on every grid
+        **{f"{name}-{_shape(grid)}": (function_of(parse(src)), grid, c,
+                                      lambda res, us, h: (res.passed, True))
+           for name, src, c in (("square-at-1", "x^2", 1.0), ("linear-at-0", "2*x + 1", 0.0))
+           for grid in (GridConfig(), GridConfig(141, 127, 91), GridConfig(30, 30, 20),
+                        GridConfig(64, 64, 65))},
+        # on 64*64 + 1 points of [0, 1] the squares are exact and every
+        # D2g/2 is 1: past modulus 1 the first stencil is the witness
+        "exact-squares-65x3x65": (square, GridConfig(65, 3, 65), 1.25,
+                                  lambda res, us, h: (res.witness[:3], (0.0, 2.0**-11, 0.5))),
+        # g is 1 at two sample points and 0 elsewhere, so D2g/2 is -1/h^2
+        # at both; the stencil around the first is the witness
+        "spikes-100-1000-41x41x33": (
+            at_sample_points(GridConfig(), 100, 1000), GridConfig(), 0.0,
+            lambda res, us, h: (res.witness, (us[99], us[101], 0.5, 1.0, 0.0))),
+        "spikes-3-5-41x41x53": (
+            at_sample_points(GridConfig(41, 41, 53), 3, 5), GridConfig(41, 41, 53), 0.0,
+            lambda res, us, h: (res.witness, (us[2], us[4], 0.5, 1.0, 0.0))),
+    }))
+    def test_a_tie_goes_to_the_first_minimum(self, g, grid, c, check):
+        check_certificate(g, IDENTITY, grid, c, check)
+
+
+def nan_sample(g, grid, c):
+    """A case of a g with NaN samples, which fails with a NaN worst slack and
+    estimate: the witness is the first NaN difference's, whose stencil ends
+    at the first NaN sample point (or starts at u[0]), and its rhs is NaN."""
+    def check(res, us, h):
+        first = int(np.argmax(np.isnan(g(np.array(us)))))
+        estimate = estimate_max_modulus(g, IDENTITY, IV01, grid)
+        got = (res.passed, math.isnan(res.worst_slack), res.witness[1],
+               math.isnan(res.witness[4]), math.isnan(estimate))
+        return got, (False, True, us[max(first, 2)], True, True)
+
+    return g, IDENTITY, grid, c, check
+
+
+class TestNaN:
+    @pytest.mark.parametrize("g, phi, grid, c, check", cases({
+        # NaN on (0.0003, 0.0023), which holds two sample points
+        "band-0.0013-41x41x33": nan_sample(nan_band(0.0013, 1e-3), GridConfig(), 0.5),
+        # a NaN at the middle point: the first NaN difference is the
+        # stencil whose right end it is
+        **{f"middle-point-{_shape(grid)}": nan_sample(
+            at_sample_points(grid, grid.size // 2, where=np.nan, elsewhere=np.exp), grid, 0.4)
+           for grid in (GridConfig(), GridConfig(41, 41, 53))},
+        # a band between two sample points leaves every difference finite
+        "band-0.50005-41x41x33": (
+            nan_band(0.50005, 1e-5), IDENTITY, GridConfig(), 0.5,
+            lambda res, us, h: ((res.passed, math.isnan(res.worst_slack)), (True, False))),
+        **{f"band-{center}-{_shape(grid)}": nan_sample(nan_band(center, half), grid, 0.5)
+           for grid, center, half in ((GridConfig(), 0.5, 1e-3),
+                                      (GridConfig(41, 41, 53), 0.5063, 4e-3),
+                                      (GridConfig(41, 41, 53), 0.5, 1e-3),
+                                      (GridConfig(45, 45, 91), 0.5063, 4e-3),
+                                      (GridConfig(45, 45, 91), 0.5, 1e-3))},
+        # a NaN phi sample leaves phi([a, b]) undefined, at every n_t
+        **{f"phi-41x41x{n_t}": (np.exp, lambda u: np.where(u == 0.5, np.nan, u),
+                                GridConfig(41, 41, n_t), 3.0, None)
+           for n_t in (9, 20, 33, 53, 59, 91, 99, 129)},
+    }))
+    def test_nan(self, g, phi, grid, c, check):
+        # a NaN g sample fails, unless no sample point holds one; a NaN phi
+        # sample (check None) is degenerate
+        with pytest.raises(DegeneratePhiError) if check is None else contextlib.nullcontext():
+            check_certificate(g, phi, grid, c, check)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("g, phi, grid, c, check", cases({
+        # t is exactly 1/2, and under the identity the mixture is the
+        # sample point between x and y, even at n_t = 99, where linspace
+        # misses 1/2 by an ulp
+        **{f"midpoint-21x21x{n_t}": (np.exp, IDENTITY, GridConfig(21, 21, n_t), 3.0,
+                                     lambda res, us, h: (res.passed, False))
+           for n_t in (9, 20, 33, 129)},
+        "midpoint-21x21x99": (np.exp, IDENTITY, GridConfig(21, 21, 99), 3.0, lambda res, us, h: (
+            (res.passed, np.linspace(0.0, 1.0, 99)[49]), (False, 0.5 - 2**-54))),
+        # exp's D2g/2 - c is least at the left end: the witness is the first
+        # stencil, x = 0 and y = 2h, with x < y
+        **{f"left-end-21x21x{n_t}": (np.exp, IDENTITY, GridConfig(21, 21, n_t), c,
+                                     lambda res, us, h: (res.witness[:3], (0.0, 2 * h, 0.5)))
+           for n_t, c in ((53, 1.0), (59, 4.0))},
+        # lhs and rhs are g and the corrected chord at the witness's own
+        # (x, y, t), bit for bit, under each phi map
+        **{f"bits-{name}-{_shape(grid)}": (np.exp, phi, grid, 3.0,
+                                           lambda res, us, h: (res.passed, False))
+           for name, phi in (("identity", IDENTITY), ("phisq", PhiMap.from_source("x^2")),
+                             ("affine", PhiMap.from_source("0.25 + 0.5*x")))
+           for grid in (GridConfig(), GridConfig(64, 64, 65))},
         # -x^4 is least convex at the right end, so its last stencil is the
         # witness, whose y is the preimage of the last sample point under
         # x^2: the preimage search brackets it in the last cell of
         # validate's phi sample, below 1, where x^2 is monotone, so y is the
         # double next to sqrt of that point
-        g = function_of(parse("0 - x^4"))
-        phi = PhiMap.from_source("x^2")
-        us = sample_points(phi, IV01, grid)[0]
-        res = certify_strong_phi_convexity(g, phi, IV01, 0.0, grid)
-        assert res.witness[1] == pytest.approx(math.sqrt(us[-1]), rel=1e-15)
-        assert_witness(g, phi, 0.0, res, grid=grid)
+        **{f"last-cell-{_shape(grid)}": (
+            function_of(parse("0 - x^4")), PhiMap.from_source("x^2"), grid, 0.0,
+            lambda res, us, h: (res.witness[1], pytest.approx(math.sqrt(us[-1]), rel=1e-15)))
+           for grid in (GridConfig(81, 81, 53), GridConfig(81, 75, 53))},
+        # the zero g samples -0.0 inside (0.4, 0.6) and 0.0 elsewhere: its
+        # worst slack is +0.0
+        **{f"zero-{_shape(grid)}": (function_of(parse("(0.1 - abs(x - 0.5))*0")), IDENTITY, grid,
+                                    0.0, lambda res, us, h: (_key(res.worst_slack), _key(0.0)))
+           for grid in (GridConfig(), GridConfig(64, 64, 65), GridConfig(30, 30, 20))},
+        # x^2 beyond modulus 1 fails at t = 1/2 with slack -0.5*h^2
+        **{f"middle-25x25x{n_t}": (square, IDENTITY, GridConfig(25, 25, n_t), 1.5,
+                                   lambda res, us, h: (res.worst_slack,
+                                                       pytest.approx(-0.5 * h * h, rel=1e-9)))
+           for n_t in (20, 53, 91)},
+    }))
+    def test_witness(self, g, phi, grid, c, check):
+        check_certificate(g, phi, grid, c, check)
 
 
-# ---------------------------------------------------------------------------
-# a certificate keeps nothing once it returns
+class TestMemory:
+    @pytest.mark.parametrize("g, grid, c, low, high", cases({
+        # memory follows N, not n_y: near 4 arrays of N floats at the peak
+        **{f"exp-expression-{_shape(grid)}": (function_of(parse("exp(x)")), grid, 0.25, 0,
+                                              5 * 8 * grid.size)
+           for grid in (GridConfig(141, 141, 91), GridConfig(141, 3, 91))},
+        # every array holds at most N = 1281 floats on the default grid, 10
+        # KiB, below the 64 KiB whose free may make glibc trim the heap
+        # (TestSampling's exp-41x41x33 case pins the calls); the peak, at
+        # most 4 of them besides g's own evaluation, stays below 128 KiB
+        **{f"{name}-41x41x33-{c}": (g, GridConfig(), c, 0, 2**17)
+           for name, g in (("exp", np.exp), ("f", function_of(parse("x^4 + x^2"))),
+                           ("fprime3", derivative_power(parse("x^4 + x^2"), 3.0)))
+           for c in (0.5, 3.0)},
+        # the stencil holds at most 4 arrays of N floats besides g's own
+        # evaluation: of g(u), its mu, eps, the stencil's two sums and
+        # D2g/2, each of the first two is dropped once read. For exp that
+        # is the peak (4.02 and 4.06); an expression's evaluation, two
+        # arrays per value with the sample u, sets it higher (8.02 and 8.06
+        # for |f'|^2 here)
+        **{f"{name}-{_shape(grid)}": (g, grid, 0.5, (arrays - 0.5) * 8 * grid.size,
+                                      (arrays + 0.5) * 8 * grid.size)
+           for grid in (GridConfig(141, 141, 91), GridConfig(81, 65, 53))
+           for name, g, arrays in (("exp", np.exp, 4), ("fprime2", fprime2(), 8))},
+    }))
+    def test_traced_peak(self, g, grid, c, low, high):
+        # measured on a cold call, a phi object the record has not seen,
+        # which samples phi; a warm call reads phi's range from the record
+        # and peaks no higher
+        cold = traced_peak(
+            lambda: certify_strong_phi_convexity(g, PhiMap.identity(), IV01, c, grid))
+        warm = traced_peak(lambda: certify_strong_phi_convexity(g, IDENTITY, IV01, c, grid))
+        assert low < cold < high and warm <= cold
 
-
-class TestScanKeepsNothing:
-    def test_distinct_grids_leave_no_memory_behind(self):
+    def test_nothing_is_kept_after_a_call(self):
         # the last two grids sample 40,001 and 160,001 points, so a kept
         # sample array would show in the traced memory; the record keeps
         # each keyed target's estimate and phi's range, scalars and
@@ -1179,7 +1169,7 @@ class TestRecord:
         assert evaluations == []
         assert _key(got) == _key(cold_estimate(g, self.PHI, IV01, self.GRID))
 
-    @pytest.mark.parametrize("grid, phi, f, q", TestFineGridShapes.CASES)
+    @pytest.mark.parametrize("grid, phi, f, q", list(FINE_GRID.values()))
     def test_warm_estimate_has_the_cold_bits(self, evaluations, grid, phi, f, q):
         e, phi = parse(f), PhiMap.from_source(phi)
         g = function_of(e) if q is None else derivative_power(e, q)

@@ -1,4 +1,4 @@
-"""Metamorphic relations of the verdict (identity phi).
+"""Metamorphic relations of the verdict.
 
 Each relation maps a problem instance to another whose verdict is known
 from the first one in exact arithmetic, so no oracle is needed:
@@ -10,15 +10,20 @@ from the first one in exact arithmetic, so no oracle is needed:
             every bound are invariant, statuses and pass flags unchanged;
   linear    f -> f + lambda x + mu: the gap, the f certificate and the two
             sandwich margins are unchanged (|f'|^q changes, so the derivative
-            rows are not related).
+            rows are not related);
+  scale     f -> k f, c_f -> k c_f, c_deriv -> k^q c_deriv: statuses, pass
+            flags and tightness are unchanged, and the gap, every bound and
+            every margin scale by k.
 
 Inputs are the identity-phi corpus configs and random draws of its smooth
-families. A draw sets each modulus to at most half the estimated largest
+families; the scale relation, which leaves phi alone, takes all 17 corpus
+configs. A draw sets each modulus to at most half the estimated largest
 one, so no certificate sits at the edge of its tolerance. Families with an
 abs kink are not drawn: where a kink meets a sample point is a separate
 question.
 """
 
+import functools
 import re
 
 import pytest
@@ -84,6 +89,27 @@ def _affine(cfg, alpha, beta):
     )
 
 
+def _scaled(cfg, k):
+    q = float(cfg["q"])
+    return {**cfg, "f": f"{k!r}*({cfg['f']})", "c_f": k * cfg["c_f"],
+            "c_deriv": k**q * cfg["c_deriv"]}
+
+
+@functools.cache
+def _corpus_check(i):
+    return _check(CORPUS_CONFIGS[i])
+
+
+def _assert_scales(got, want, k, scale, what):
+    """got is k*want up to 1e-12*k*scale: a value near 0, such as a margin
+    on an exact sandwich row or the gap of a linear f, moves by the roundoff
+    of the terms it is the difference of, whose size ``scale`` gives."""
+    if want is None:
+        assert got is None, what
+    else:
+        assert abs(got - k * want) <= 1e-12 * k * scale, (what, got, k * want)
+
+
 def _with_linear_term(cfg, lam, mu):
     return {**cfg, "f": f"({cfg['f']}) + {lam!r}*x + {mu!r}"}
 
@@ -147,3 +173,25 @@ def test_affine_change_of_variable(cfg, alpha, beta):
 @given(smooth_configs(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 def test_linear_term(cfg, lam, mu):
     _assert_linear_relation(cfg, lam, mu)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.floats(-8.0, 6.5))
+def test_scaling(log10_k):
+    # k from 1e-8 to 10^6.5. From about 10^6.8 the relation fails today,
+    # as the absolute tolerances do not scale with f: at k = 6.45e6 the
+    # adaptive quadrature of the two x^2 + 1 - cos(x) configs cannot reach
+    # quad_tol within its 2**20 evaluations, and at k = 3.24e7 the gap
+    # identity check (100*quad_tol) rejects the exp(x) configs
+    k = 10.0**log10_k
+    for i, cfg in enumerate(CORPUS_CONFIGS):
+        want, got = _corpus_check(i), _check(_scaled(cfg, k))
+        assert [c.passed for c in got.certificates] == [c.passed for c in want.certificates]
+        _assert_scales(got.gap, want.gap, k, abs(want.mean) + abs(want.gap), (cfg["id"], "gap"))
+        assert len(got.rows) == len(want.rows)
+        for g, w in zip(got.rows, want.rows):
+            what = (cfg["id"], w.theorem_id)
+            assert (g.theorem_id, g.status) == (w.theorem_id, w.status), what
+            _close(g.tightness, w.tightness, what)
+            _assert_scales(g.bound, w.bound, k, abs(w.bound or 0.0), what)
+            _assert_scales(g.margin, w.margin, k, abs(w.bound or 0.0) + abs(want.gap), what)

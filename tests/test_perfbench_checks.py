@@ -8,27 +8,11 @@ fine-grid's certificates are read against their own sample.
 """
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hhbounds
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import worker
-        import workloads
-
-        yield worker, workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.mark.parametrize("name", ["corpus", "fine-grid"])
