@@ -3,21 +3,10 @@
 Every bound consumes the interval endpoints under phi, the derivative
 magnitudes of f at phi(a), phi(b) and their midpoint, the modulus c of the
 strong phi-convexity certificate for |f'|^q, and the power q (with Holder
-conjugate p = q/(q-1) for q > 1). With delta = phi(b) - phi(a), d_a, d_b,
-d_m the derivative magnitudes, the bounds are:
-
-  power_mean (q >= 1):
-      (delta/4) * [ (d_b^q + d_a^q)/2 - (c/8) delta^2 ]^(1/q)
-  split_holder (q > 1):
-      (delta/4) (1/(p+1))^(1/p) (1/2)^(1/q) *
-          [ (d_m^q + d_a^q - (c/3) delta^2)^(1/q)
-          + (d_m^q + d_b^q - (c/3) delta^2)^(1/q) ]
-  split_holder_relaxed (q > 1, midpoint term eliminated):
-      same prefactor *
-          [ ((d_b^q + 3 d_a^q)/2 - (7c/12) delta^2)^(1/q)
-          + ((3 d_b^q + d_a^q)/2 - (7c/12) delta^2)^(1/q) ]
-  holder (q > 1):
-      (delta/2) (1/(p+1))^(1/p) * [ (d_b^q + d_a^q)/2 - (c/6) delta^2 ]^(1/q)
+conjugate p = q/(q-1) for q > 1). With delta = phi(b) - phi(a) and d_a,
+d_b, d_m the derivative magnitudes, each gap bound is a prefactor times the
+sum of the q-th roots of its brackets, a bracket being a mean of the d^q
+less a multiple of c delta^2; GAP_BOUND_TABLE states the four.
 
 The two-sided sandwich on the integral mean of f itself (f strongly
 phi-convex with modulus c) is
@@ -28,18 +17,13 @@ phi-convex with modulus c) is
 A negative bracket raises ModulusInfeasibleError rather than producing a
 NaN: the supplied c exceeds what the derivative data admits. The largest
 admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
-
-evaluate_all returns one BoundValue per report row, assuming the
-hypotheses. Its status is set when no margin decides the row: INAPPLICABLE
-when the bound needs p at q = 1, ERROR on a negative bracket or a float overflow.
-report.build_report gates the rows by the certificates.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .expr import evaluate, evaluate_derivative, has_abs_kink_at
 from .funcspec import ProblemSpec
@@ -139,81 +123,72 @@ def bound_sandwich(spec: ProblemSpec) -> tuple[float, float]:
     return lower, upper
 
 
-def _checked_root(theorem_id: str, bracket: float, c: float, q: float) -> float:
-    if bracket < 0.0:
-        raise ModulusInfeasibleError(theorem_id, bracket, c)
-    return bracket ** (1.0 / q)
+def _split_prefactor(i: BoundInputs) -> float:
+    return (i.delta / 4.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p) * 0.5 ** (1.0 / i.q)
+
+
+class GapBound(NamedTuple):
+    """One gap bound: prefactor(i) times the sum of bracket(i)^(1/q)."""
+
+    needs_p: bool
+    has_c0_row: bool
+    prefactor: Callable[[BoundInputs], float]
+    brackets: tuple[Callable[[BoundInputs], float], ...]
+
+
+# the gap rows in report order. A bracket's operation order fixes the report's
+# bits, and it computes only the powers it reads: an unread power that
+# overflows would turn a finite row into an ERROR row
+GAP_BOUND_TABLE = {
+    "power_mean": GapBound(False, True, lambda i: i.delta / 4.0, (
+        lambda i: (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 8.0) * i.delta**2,
+    )),
+    "split_holder": GapBound(True, True, _split_prefactor, (
+        lambda i: i.d_m**i.q + i.d_a**i.q - (i.c / 3.0) * i.delta**2,
+        lambda i: i.d_m**i.q + i.d_b**i.q - (i.c / 3.0) * i.delta**2,
+    )),
+    "split_holder_relaxed": GapBound(True, False, _split_prefactor, (
+        lambda i: (i.d_b**i.q + 3.0 * i.d_a**i.q) / 2.0 - (7.0 * i.c / 12.0) * i.delta**2,
+        lambda i: (3.0 * i.d_b**i.q + i.d_a**i.q) / 2.0 - (7.0 * i.c / 12.0) * i.delta**2,
+    )),
+    "holder": GapBound(True, True, lambda i: (i.delta / 2.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p), (
+        lambda i: (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 6.0) * i.delta**2,
+    )),
+}
+
+
+def _gap_bound(theorem_id: str, inputs: BoundInputs) -> BoundValue:
+    row = GAP_BOUND_TABLE[theorem_id]
+    if row.needs_p and inputs.p is None:
+        return BoundValue(theorem_id, None, status=STATUS_INAPPLICABLE, notes="p undefined at q=1")
+    roots = []
+    for bracket in row.brackets:
+        value = bracket(inputs)
+        if value < 0.0:
+            raise ModulusInfeasibleError(theorem_id, value, inputs.c)
+        roots.append(value ** (1.0 / inputs.q))
+    return BoundValue(theorem_id, row.prefactor(inputs) * sum(roots))
 
 
 def bound_power_mean(inputs: BoundInputs) -> BoundValue:
     """Power-mean bound from the endpoint derivative magnitudes (q >= 1)."""
-    i = inputs
-    bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 8.0) * i.delta**2
-    root = _checked_root("power_mean", bracket, i.c, i.q)
-    return BoundValue("power_mean", (i.delta / 4.0) * root)
-
-
-def _inapplicable_at_q1(theorem_id: str) -> BoundValue:
-    """The row of a bound that needs the Holder conjugate p, at q = 1."""
-    return BoundValue(
-        theorem_id, None, status=STATUS_INAPPLICABLE, notes="p undefined at q=1"
-    )
-
-
-def _split_prefactor(i: BoundInputs) -> float:
-    return (
-        (i.delta / 4.0)
-        * (1.0 / (i.p + 1.0)) ** (1.0 / i.p)
-        * 0.5 ** (1.0 / i.q)
-    )
+    return _gap_bound("power_mean", inputs)
 
 
 def bound_split_holder(inputs: BoundInputs) -> BoundValue:
     """Half-interval Holder bound using the midpoint derivative (q > 1)."""
-    i = inputs
-    if i.p is None:
-        return _inapplicable_at_q1("split_holder")
-    correction = (i.c / 3.0) * i.delta**2
-    r1 = _checked_root("split_holder", i.d_m**i.q + i.d_a**i.q - correction, i.c, i.q)
-    r2 = _checked_root("split_holder", i.d_m**i.q + i.d_b**i.q - correction, i.c, i.q)
-    return BoundValue("split_holder", _split_prefactor(i) * (r1 + r2))
+    return _gap_bound("split_holder", inputs)
 
 
 def bound_split_holder_relaxed(inputs: BoundInputs) -> BoundValue:
-    """Split Holder bound with the midpoint term bounded away (q > 1).
-
-    Dominates bound_split_holder whenever the brackets of both stay
-    nonnegative, at the price of a larger value.
-    """
-    i = inputs
-    if i.p is None:
-        return _inapplicable_at_q1("split_holder_relaxed")
-    correction = (7.0 * i.c / 12.0) * i.delta**2
-    bracket_a = (i.d_b**i.q + 3.0 * i.d_a**i.q) / 2.0 - correction
-    bracket_b = (3.0 * i.d_b**i.q + i.d_a**i.q) / 2.0 - correction
-    r1 = _checked_root("split_holder_relaxed", bracket_a, i.c, i.q)
-    r2 = _checked_root("split_holder_relaxed", bracket_b, i.c, i.q)
-    return BoundValue("split_holder_relaxed", _split_prefactor(i) * (r1 + r2))
+    """Split Holder bound with the midpoint term bounded away (q > 1): larger
+    than bound_split_holder wherever the brackets of both stay nonnegative."""
+    return _gap_bound("split_holder_relaxed", inputs)
 
 
 def bound_holder(inputs: BoundInputs) -> BoundValue:
     """Whole-interval Holder bound (q > 1)."""
-    i = inputs
-    if i.p is None:
-        return _inapplicable_at_q1("holder")
-    bracket = (i.d_b**i.q + i.d_a**i.q) / 2.0 - (i.c / 6.0) * i.delta**2
-    root = _checked_root("holder", bracket, i.c, i.q)
-    value = (i.delta / 2.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p) * root
-    return BoundValue("holder", value)
-
-
-# (theorem_id, bound, has_c0_row): the gap rows in report order
-GAP_BOUNDS = (
-    ("power_mean", bound_power_mean, True),
-    ("split_holder", bound_split_holder, True),
-    ("split_holder_relaxed", bound_split_holder_relaxed, False),
-    ("holder", bound_holder, True),
-)
+    return _gap_bound("holder", inputs)
 
 
 def _overflow(theorem_id: str) -> BoundValue:
@@ -221,9 +196,9 @@ def _overflow(theorem_id: str) -> BoundValue:
     return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=f"{theorem_id}: float overflow")
 
 
-def _guarded(builder, inputs, theorem_id: str) -> BoundValue:
+def _guarded(theorem_id: str, inputs: BoundInputs) -> BoundValue:
     try:
-        return builder(inputs)
+        return _gap_bound(theorem_id, inputs)
     except ModulusInfeasibleError as exc:
         return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=str(exc))
     except OverflowError:
@@ -234,9 +209,11 @@ def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
     """Evaluate every bound plus the c=0 reductions, without aborting.
 
     The hypotheses are assumed here: ``report.build_report`` gates the rows
-    by the certificates it records. Derivative rows still undecided carry
-    the kink flags of their inputs as notes. Reduction rows rerun the same
-    operations with c = 0 and are reported under distinct ids.
+    by the certificates it records. A row's status is set when no margin
+    decides it: INAPPLICABLE when the bound needs p at q = 1, ERROR on a
+    negative bracket or a float overflow. Derivative rows still undecided
+    carry the kink flags of their inputs as notes. Reduction rows rerun the
+    same operations with c = 0 and are reported under distinct ids.
     """
     try:
         lower, upper = bound_sandwich(spec)
@@ -250,13 +227,11 @@ def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
     flags = "; ".join(inputs.kink_flags)
     # c = 0 reductions share the arithmetic path of the main operations
     reduced = dataclasses.replace(inputs, c=0.0)
-    deriv_rows = [_guarded(builder, inputs, tid) for tid, builder, _ in GAP_BOUNDS]
-    reduction_rows = [
-        dataclasses.replace(_guarded(builder, reduced, tid), theorem_id=tid + "_c0")
-        for tid, builder, has_c0_row in GAP_BOUNDS
-        if has_c0_row
+    gap_rows = [_guarded(tid, inputs) for tid in GAP_BOUND_TABLE] + [
+        dataclasses.replace(_guarded(tid, reduced), theorem_id=tid + "_c0")
+        for tid, row in GAP_BOUND_TABLE.items() if row.has_c0_row
     ]
     return sandwich_rows + [
         dataclasses.replace(row, notes=flags) if row.status is None and flags else row
-        for row in deriv_rows + reduction_rows
+        for row in gap_rows
     ]

@@ -68,108 +68,113 @@ class TestSandwich:
         assert lower <= mean <= upper
 
 
-class TestPowerMean:
-    def test_square_q1(self):
-        spec = sq_spec(q=1.0)
-        bv = bound_power_mean(derivative_inputs(spec))
-        assert bv.value == 0.25
+BOUNDS = {
+    "power_mean": bound_power_mean,
+    "split_holder": bound_split_holder,
+    "split_holder_relaxed": bound_split_holder_relaxed,
+    "holder": bound_holder,
+}
+CURVES = {"square": {"f": "x^2", "a": 0, "b": 1}, "linear": {"f": "3*x + 1", "a": 0, "b": 2}}
+
+
+def bound_case(name, curve, q, c, *expected):
+    return pytest.param(name, curve, q, c, *expected, id=f"{name}-{curve}-q{q:g}-c{c:g}")
+
+
+def holder_constant(i):
+    return (1.0 / (i.p + 1.0)) ** (1.0 / i.p)
+
+
+class TestGapBounds:
+    # the square on [0, 1] has d_a = 0, d_b = 2, d_m = 1 and delta = 1
+    @pytest.mark.parametrize("name, curve, q, c, expected, tol", [
+        bound_case("power_mean", "square", 1.0, 0.0, 0.25, 0.0),
+        bound_case("power_mean", "square", 2.0, 4.0, 0.30618621784789724, 1e-14),
+        bound_case("power_mean", "linear", 1.0, 0.0, (2 / 4) * 3, 1e-14),
+        bound_case("split_holder", "square", 2.0, 0.0, 0.330279804909785, 1e-14),
+        bound_case("split_holder", "square", 2.0, 3.0, 0.2041241452319315, 1e-14),
+        bound_case("split_holder_relaxed", "square", 2.0, 0.0, 0.39433756729740643, 1e-14),
+        bound_case("split_holder_relaxed", "square", 2.0, 1.0, 0.3590147113715975, 1e-14),
+        bound_case("holder", "square", 2.0, 0.0, 0.408248290463863, 1e-14),
+        bound_case("holder", "square", 2.0, 4.0, 1 / 3, 1e-14),
+        bound_case("holder", "linear", 2.0, 0.0, (2 / 2) * (1 / 3) ** 0.5 * 3, 1e-12),
+    ])
+    def test_value(self, name, curve, q, c, expected, tol):
+        spec = make({**CURVES[curve], "q": q, "c_deriv": c})
+        bv = BOUNDS[name](derivative_inputs(spec))
+        assert (bv.theorem_id, bv.status, bv.notes) == (name, None, "")
+        assert bv.value == pytest.approx(expected, abs=tol)
         assert hh_gap(spec) <= bv.value + 1e-10
 
-    def test_square_q2_with_modulus(self):
-        spec = sq_spec(q=2.0, c_deriv=4.0)
-        bv = bound_power_mean(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.30618621784789724, abs=1e-14)
+    @pytest.mark.parametrize("name", ["split_holder", "split_holder_relaxed", "holder"])
+    def test_inapplicable_at_q1(self, name):
+        bv = BOUNDS[name](derivative_inputs(sq_spec(q=1.0)))
+        assert (bv.theorem_id, bv.value, bv.status) == (name, None, STATUS_INAPPLICABLE)
+        assert bv.notes == "p undefined at q=1"
 
-    def test_linear_reduces_to_slope(self):
-        spec = make({"f": "3*x + 1", "a": 0, "b": 2, "q": 1})
-        bv = bound_power_mean(derivative_inputs(spec))
-        assert bv.value == pytest.approx((2 / 4) * 3, abs=1e-14)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_infeasible_modulus_raises(self):
-        spec = sq_spec(q=2.0, c_deriv=17.0)  # bracket 2 - 17/8 < 0
+    @pytest.mark.parametrize("name, curve, q, c, bracket", [
+        bound_case("power_mean", "square", 2.0, 17.0, 2 - 17 / 8),
+        # the first bracket, at the midpoint
+        bound_case("split_holder", "square", 2.0, 4.0, 1 - 4 / 3),
+        bound_case("split_holder_relaxed", "square", 2.0, 4.0, 2 - 7 / 3),
+        bound_case("holder", "square", 2.0, 13.0, 2 - 13 / 6),
+    ])
+    def test_infeasible_bracket_raises(self, name, curve, q, c, bracket):
+        inputs = derivative_inputs(make({**CURVES[curve], "q": q, "c_deriv": c}))
         with pytest.raises(ModulusInfeasibleError) as exc:
-            bound_power_mean(derivative_inputs(spec))
+            BOUNDS[name](inputs)
+        assert exc.value.theorem_id == name
+        assert exc.value.bracket == pytest.approx(bracket, abs=1e-15)
         assert "estimate_max_modulus" in str(exc.value)
 
-    def test_continuity_at_q_one(self):
+    @pytest.mark.parametrize("name, q, direct", [
+        pytest.param("power_mean", q, lambda i: (
+            (i.delta / 4.0) * ((i.d_b**i.q + i.d_a**i.q) / 2.0) ** (1.0 / i.q)
+        ), id=f"power_mean-q{q:g}") for q in (1.0, 2.0, 3.0)
+    ] + [
+        pytest.param("split_holder", 2.0, lambda i: (
+            (i.delta / 4.0) * holder_constant(i) * 0.5 ** (1.0 / i.q) * (
+                (i.d_m**i.q + i.d_a**i.q) ** (1.0 / i.q)
+                + (i.d_m**i.q + i.d_b**i.q) ** (1.0 / i.q)
+            )
+        ), id="split_holder-q2"),
+        pytest.param("split_holder_relaxed", 2.0, lambda i: (
+            (i.delta / 4.0) * holder_constant(i) * 0.5 ** (1.0 / i.q) * (
+                ((i.d_b**i.q + 3.0 * i.d_a**i.q) / 2.0) ** (1.0 / i.q)
+                + ((3.0 * i.d_b**i.q + i.d_a**i.q) / 2.0) ** (1.0 / i.q)
+            )
+        ), id="split_holder_relaxed-q2"),
+        pytest.param("holder", 2.0, lambda i: (
+            (i.delta / 2.0) * holder_constant(i) * ((i.d_b**i.q + i.d_a**i.q) / 2.0) ** (1.0 / i.q)
+        ), id="holder-q2"),
+    ])
+    def test_c0_value_is_bitwise_the_direct_formula(self, name, q, direct):
+        i = derivative_inputs(sq_spec(q=q, c_deriv=0.0))
+        assert BOUNDS[name](i).value == direct(i)
+
+    @pytest.mark.parametrize("name", ["power_mean", "split_holder", "holder"])
+    def test_c0_row_is_the_bound_at_zero_modulus(self, name):
+        spec = sq_spec(q=2.0, c_deriv=2.0)
+        rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
+        i0 = dataclasses.replace(derivative_inputs(spec), c=0.0)
+        assert rows[name + "_c0"].value == BOUNDS[name](i0).value
+
+    def test_power_mean_is_continuous_at_q_one(self):
         near = sq_spec(q=1.0 + 1e-9)
         at = sq_spec(q=1.0)
         v_near = bound_power_mean(derivative_inputs(near)).value
         v_at = bound_power_mean(derivative_inputs(at)).value
         assert abs(v_near - v_at) <= 1e-6 * abs(v_at)
 
-
-class TestSplitHolder:
-    def test_square_q2(self):
-        spec = sq_spec(q=2.0)
-        bv = bound_split_holder(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.330279804909785, abs=1e-14)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_square_q2_with_modulus_three(self):
-        spec = sq_spec(q=2.0, c_deriv=3.0)
-        bv = bound_split_holder(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.2041241452319315, abs=1e-14)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_q1_inapplicable(self):
-        spec = sq_spec(q=1.0)
-        bv = bound_split_holder(derivative_inputs(spec))
-        assert bv.status == STATUS_INAPPLICABLE
-        assert bv.notes == "p undefined at q=1"
-
-    def test_infeasible_modulus_raises(self):
-        spec = sq_spec(q=2.0, c_deriv=4.0)  # midpoint bracket 1 - 4/3 < 0
-        with pytest.raises(ModulusInfeasibleError):
-            bound_split_holder(derivative_inputs(spec))
-
-
-class TestSplitHolderRelaxed:
-    def test_square_q2(self):
-        spec = sq_spec(q=2.0)
-        bv = bound_split_holder_relaxed(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.39433756729740643, abs=1e-14)
-        # weaker than the midpoint-aware form
-        assert bv.value >= 0.330279804909785
-
-    def test_square_q2_with_unit_modulus(self):
-        spec = sq_spec(q=2.0, c_deriv=1.0)
-        bv = bound_split_holder_relaxed(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.3590147113715975, abs=1e-14)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_dominates_split_holder_on_corpus(self):
-        for spec in corpus_specs():
+    def test_relaxed_dominates_split_holder(self):
+        # the relaxed form trades the midpoint term for a larger value
+        for spec in [sq_spec(q=2.0)] + corpus_specs():
             if spec.q <= 1.0:
                 continue
             inputs = derivative_inputs(spec)
             tight = bound_split_holder(inputs)
             relaxed = bound_split_holder_relaxed(inputs)
             assert tight.value <= relaxed.value + 1e-10, spec.spec_id
-
-
-class TestHolder:
-    def test_square_q2(self):
-        spec = sq_spec(q=2.0)
-        bv = bound_holder(derivative_inputs(spec))
-        assert bv.value == pytest.approx(0.408248290463863, abs=1e-14)
-
-    def test_square_q2_with_max_modulus(self):
-        spec = sq_spec(q=2.0, c_deriv=4.0)
-        bv = bound_holder(derivative_inputs(spec))
-        assert bv.value == pytest.approx(1 / 3, abs=1e-14)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_linear(self):
-        spec = make({"f": "3*x + 1", "a": 0, "b": 2, "q": 2})
-        bv = bound_holder(derivative_inputs(spec))
-        assert bv.value == pytest.approx((2 / 2) * (1 / 3) ** 0.5 * 3, abs=1e-12)
-        assert hh_gap(spec) <= bv.value + 1e-10
-
-    def test_q1_inapplicable(self):
-        spec = sq_spec(q=1.0)
-        assert bound_holder(derivative_inputs(spec)).status == STATUS_INAPPLICABLE
 
 
 class TestCMonotonicity:
@@ -184,47 +189,6 @@ class TestCMonotonicity:
             values["relaxed"].append(bound_split_holder_relaxed(inputs).value)
         for name, seq in values.items():
             assert all(a > b for a, b in zip(seq, seq[1:])), name
-
-
-class TestReductions:
-    def test_power_mean_c0_is_bitwise_the_plain_power_mean(self):
-        for q in (1.0, 2.0, 3.0):
-            spec = sq_spec(q=q, c_deriv=0.0)
-            i = derivative_inputs(spec)
-            impl = bound_power_mean(i).value
-            direct = (i.delta / 4.0) * ((i.d_b**q + i.d_a**q) / 2.0) ** (1.0 / q)
-            assert impl == direct
-
-    def test_split_holder_c0_matches_direct_formula(self):
-        spec = sq_spec(q=2.0, c_deriv=0.0)
-        i = derivative_inputs(spec)
-        impl = bound_split_holder(i).value
-        p = i.p
-        pref = (i.delta / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * 0.5 ** (1.0 / i.q)
-        direct = pref * (
-            (i.d_m**i.q + i.d_a**i.q) ** (1.0 / i.q)
-            + (i.d_m**i.q + i.d_b**i.q) ** (1.0 / i.q)
-        )
-        assert impl == direct
-
-    def test_holder_c0_matches_direct_formula(self):
-        spec = sq_spec(q=2.0, c_deriv=0.0)
-        i = derivative_inputs(spec)
-        impl = bound_holder(i).value
-        direct = (
-            (i.delta / 2.0)
-            * (1.0 / (i.p + 1.0)) ** (1.0 / i.p)
-            * ((i.d_b**i.q + i.d_a**i.q) / 2.0) ** (1.0 / i.q)
-        )
-        assert impl == direct
-
-    def test_reduction_rows_equal_main_ops_at_zero_modulus(self):
-        spec = sq_spec(q=2.0, c_deriv=2.0)
-        rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
-        i0 = dataclasses.replace(derivative_inputs(spec), c=0.0)
-        assert rows["power_mean_c0"].value == bound_power_mean(i0).value
-        assert rows["split_holder_c0"].value == bound_split_holder(i0).value
-        assert rows["holder_c0"].value == bound_holder(i0).value
 
 
 class TestDerivativeInputs:
@@ -330,6 +294,9 @@ class TestEvaluateAll:
         # delta^2 = 1e310, while the gap of a constant f is 0
         ({"f": "1", "a": 0, "b": 1e155},
          {"sandwich_lower", "sandwich_upper", "power_mean", "power_mean_c0"}),
+        # d_a = d_b = 1 and d_m = 2: only the rows reading d_m^1100 overflow
+        ({"f": "x - cos(3.141592653589793*x)/3.141592653589793", "a": 0, "b": 1, "q": 1100},
+         {"split_holder", "split_holder_c0"}),
     ])
     def test_overflow_becomes_error_row(self, cfg, overflowing):
         errors = {bv.theorem_id: bv for bv in evaluate_all(make(cfg)) if bv.status == STATUS_ERROR}
