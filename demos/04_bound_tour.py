@@ -3,21 +3,11 @@
 The four gap bounds consume |f'| at the endpoints (and midpoint) under phi
 plus the certified modulus c of |f'|^q; larger c subtracts a larger
 quadratic correction inside each bracket, so every bound decreases until its
-bracket hits zero. The sandwich bounds the integral mean of f itself from
-both sides.
+bracket hits zero. Past that c, gap_bound returns an ERROR row, not a value.
+The sandwich bounds the integral mean of f itself from both sides.
 """
 
-from hhbounds import (
-    ModulusInfeasibleError,
-    bound_holder,
-    bound_power_mean,
-    bound_split_holder,
-    bound_split_holder_relaxed,
-    derivative_inputs,
-    run_check,
-    spec_from_config,
-    validate,
-)
+from hhbounds import derivative_inputs, gap_bound, run_check, spec_from_config, validate
 
 spec = validate(
     spec_from_config(
@@ -38,14 +28,9 @@ print("\nSweeping the modulus on f = x^2, q = 2 (|f'|^2 = 4x^2 admits c up to 4)
 print(f"{'c':>4} {'power_mean':>12} {'split':>12} {'relaxed':>12} {'holder':>12}")
 for c in (0.0, 1.0, 2.0, 3.0, 4.0):
     s = validate(spec_from_config({"f": "x^2", "a": 0, "b": 1, "q": 2, "c_deriv": c}))
-    i = derivative_inputs(s)
-    cells = [f"{bound_power_mean(i).value:12.8f}"]
-    for op in (bound_split_holder, bound_split_holder_relaxed):
-        try:
-            cells.append(f"{op(i).value:12.8f}")
-        except ModulusInfeasibleError:
-            cells.append(f"{'bracket < 0':>12}")
-    cells.append(f"{bound_holder(i).value:12.8f}")
+    rows = [gap_bound(tid, derivative_inputs(s))
+            for tid in ("power_mean", "split_holder", "split_holder_relaxed", "holder")]
+    cells = [f"{'bracket < 0':>12}" if bv.value is None else f"{bv.value:12.8f}" for bv in rows]
     print(f"{c:4.1f} " + " ".join(cells))
 
 print("\nAt c = 4 the midpoint brackets go negative: the midpoint derivative")

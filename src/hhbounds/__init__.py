@@ -33,14 +33,7 @@ from .quad import (
     lemma_rhs,
     verify_lemma_identity,
 )
-from .bounds import (
-    ModulusInfeasibleError,
-    bound_holder,
-    bound_power_mean,
-    bound_split_holder,
-    bound_split_holder_relaxed,
-    derivative_inputs,
-)
+from .bounds import derivative_inputs, gap_bound
 from .report import (
     run_check,
     serialize,
@@ -58,8 +51,7 @@ __all__ = [
     "validate",
     "IdentityViolationError", "QuadratureError",
     "hh_gap", "lemma_rhs", "verify_lemma_identity",
-    "ModulusInfeasibleError", "bound_holder", "bound_power_mean",
-    "bound_split_holder", "bound_split_holder_relaxed", "derivative_inputs",
+    "derivative_inputs", "gap_bound",
     "run_check", "serialize", "serialize_many",
     "corpus_specs", "spec_from_config",
     "__version__",

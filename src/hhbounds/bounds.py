@@ -14,9 +14,11 @@ phi-convex with modulus c) is
       f((phi(a)+phi(b))/2) + (c/12) delta^2
           <= mean <= (f(phi(a)) + f(phi(b)))/2 - (c/6) delta^2.
 
-A negative bracket raises ModulusInfeasibleError rather than producing a
-NaN: the supplied c exceeds what the derivative data admits. The largest
-admissible c is estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b]).
+Every outcome is a BoundValue row, never an exception: a
+negative bracket is an ERROR row rather than a NaN, since the supplied c
+exceeds what the derivative data admits (the largest admissible c is
+estimate_max_modulus of |f'|^q, min g''/2 on phi([a, b])), and so is a
+float overflow.
 """
 
 from __future__ import annotations
@@ -31,13 +33,9 @@ from .funcspec import ProblemSpec
 __all__ = [
     "BoundInputs",
     "BoundValue",
-    "ModulusInfeasibleError",
     "derivative_inputs",
+    "gap_bound",
     "bound_sandwich",
-    "bound_power_mean",
-    "bound_split_holder",
-    "bound_split_holder_relaxed",
-    "bound_holder",
     "evaluate_all",
 ]
 
@@ -50,18 +48,6 @@ STATUS_ERROR = "ERROR"
 GAP_UPPER = "gap_upper"
 MEAN_LOWER = "mean_lower"
 MEAN_UPPER = "mean_upper"
-
-
-class ModulusInfeasibleError(ValueError):
-    """A bound bracket went negative for the supplied modulus."""
-
-    def __init__(self, theorem_id: str, bracket: float, c: float):
-        super().__init__(
-            f"{theorem_id}: bracket {bracket} < 0 at c={c}; c exceeds what the "
-            "derivative data admits, check estimate_max_modulus for |f'|^q"
-        )
-        self.theorem_id = theorem_id
-        self.bracket = bracket
 
 
 @dataclass(frozen=True)
@@ -115,14 +101,6 @@ def derivative_inputs(spec: ProblemSpec) -> BoundInputs:
     )
 
 
-def bound_sandwich(spec: ProblemSpec) -> tuple[float, float]:
-    """Two-sided estimate of the integral mean for strongly phi-convex f."""
-    c = spec.modulus_f
-    lower = evaluate(spec.f, spec.mid) + (c / 12.0) * spec.delta**2
-    upper = spec.trapezoid - (c / 6.0) * spec.delta**2
-    return lower, upper
-
-
 def _split_prefactor(i: BoundInputs) -> float:
     return (i.delta / 4.0) * (1.0 / (i.p + 1.0)) ** (1.0 / i.p) * 0.5 ** (1.0 / i.q)
 
@@ -157,78 +135,66 @@ GAP_BOUND_TABLE = {
 }
 
 
-def _gap_bound(theorem_id: str, inputs: BoundInputs) -> BoundValue:
+def _error(theorem_id: str, reason: str) -> BoundValue:
+    return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=f"{theorem_id}: {reason}")
+
+
+def gap_bound(theorem_id: str, inputs: BoundInputs) -> BoundValue:
+    """Evaluate one GAP_BOUND_TABLE entry as its row, never an exception.
+
+    INAPPLICABLE when the bound needs p at q = 1. ERROR on the first
+    negative bracket, since c then exceeds what the derivative data admits,
+    and on a float overflow: Python's float ** signals OverflowError where
+    numpy would return inf.
+    """
     row = GAP_BOUND_TABLE[theorem_id]
     if row.needs_p and inputs.p is None:
         return BoundValue(theorem_id, None, status=STATUS_INAPPLICABLE, notes="p undefined at q=1")
     roots = []
-    for bracket in row.brackets:
-        value = bracket(inputs)
-        if value < 0.0:
-            raise ModulusInfeasibleError(theorem_id, value, inputs.c)
-        roots.append(value ** (1.0 / inputs.q))
-    return BoundValue(theorem_id, row.prefactor(inputs) * sum(roots))
-
-
-def bound_power_mean(inputs: BoundInputs) -> BoundValue:
-    """Power-mean bound from the endpoint derivative magnitudes (q >= 1)."""
-    return _gap_bound("power_mean", inputs)
-
-
-def bound_split_holder(inputs: BoundInputs) -> BoundValue:
-    """Half-interval Holder bound using the midpoint derivative (q > 1)."""
-    return _gap_bound("split_holder", inputs)
-
-
-def bound_split_holder_relaxed(inputs: BoundInputs) -> BoundValue:
-    """Split Holder bound with the midpoint term bounded away (q > 1): larger
-    than bound_split_holder wherever the brackets of both stay nonnegative."""
-    return _gap_bound("split_holder_relaxed", inputs)
-
-
-def bound_holder(inputs: BoundInputs) -> BoundValue:
-    """Whole-interval Holder bound (q > 1)."""
-    return _gap_bound("holder", inputs)
-
-
-def _overflow(theorem_id: str) -> BoundValue:
-    # Python's float ** raises OverflowError where numpy would return inf
-    return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=f"{theorem_id}: float overflow")
-
-
-def _guarded(theorem_id: str, inputs: BoundInputs) -> BoundValue:
     try:
-        return _gap_bound(theorem_id, inputs)
-    except ModulusInfeasibleError as exc:
-        return BoundValue(theorem_id, None, status=STATUS_ERROR, notes=str(exc))
+        for bracket in row.brackets:
+            value = bracket(inputs)
+            if value < 0.0:
+                return _error(theorem_id, (
+                    f"bracket {value} < 0 at c={inputs.c}; c exceeds what the derivative "
+                    "data admits, check estimate_max_modulus for |f'|^q"
+                ))
+            roots.append(value ** (1.0 / inputs.q))
+        return BoundValue(theorem_id, row.prefactor(inputs) * sum(roots))
     except OverflowError:
-        return _overflow(theorem_id)
+        return _error(theorem_id, "float overflow")
+
+
+def bound_sandwich(spec: ProblemSpec) -> list[BoundValue]:
+    """The sandwich_lower and sandwich_upper rows on the integral mean of a
+    strongly phi-convex f, both ERROR on a float overflow."""
+    c = spec.modulus_f
+    try:
+        lower = evaluate(spec.f, spec.mid) + (c / 12.0) * spec.delta**2
+        upper = spec.trapezoid - (c / 6.0) * spec.delta**2
+    except OverflowError:
+        return [_error(tid, "float overflow") for tid in ("sandwich_lower", "sandwich_upper")]
+    return [
+        BoundValue("sandwich_lower", lower, kind=MEAN_LOWER),
+        BoundValue("sandwich_upper", upper, kind=MEAN_UPPER),
+    ]
 
 
 def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
-    """Evaluate every bound plus the c=0 reductions, without aborting.
+    """Every row: the sandwich, the gap bounds, then their c = 0 reductions.
 
     The hypotheses are assumed here: ``report.build_report`` gates the rows
-    by the certificates it records. A row's status is set when no margin
-    decides it: INAPPLICABLE when the bound needs p at q = 1, ERROR on a
-    negative bracket or a float overflow. Derivative rows still undecided
-    carry the kink flags of their inputs as notes. Reduction rows rerun the
-    same operations with c = 0 and are reported under distinct ids.
+    by the certificates it records. Gap rows the margin still decides carry
+    the kink flags of their inputs as notes. Reduction rows rerun the same
+    operations with c = 0 and are reported under distinct ids.
     """
-    try:
-        lower, upper = bound_sandwich(spec)
-        sandwich_rows = [
-            BoundValue("sandwich_lower", lower, kind=MEAN_LOWER),
-            BoundValue("sandwich_upper", upper, kind=MEAN_UPPER),
-        ]
-    except OverflowError:
-        sandwich_rows = [_overflow("sandwich_lower"), _overflow("sandwich_upper")]
+    sandwich_rows = bound_sandwich(spec)
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
     # c = 0 reductions share the arithmetic path of the main operations
     reduced = dataclasses.replace(inputs, c=0.0)
-    gap_rows = [_guarded(tid, inputs) for tid in GAP_BOUND_TABLE] + [
-        dataclasses.replace(_guarded(tid, reduced), theorem_id=tid + "_c0")
+    gap_rows = [gap_bound(tid, inputs) for tid in GAP_BOUND_TABLE] + [
+        dataclasses.replace(gap_bound(tid, reduced), theorem_id=tid + "_c0")
         for tid, row in GAP_BOUND_TABLE.items() if row.has_c0_row
     ]
     return sandwich_rows + [

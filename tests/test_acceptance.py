@@ -9,17 +9,8 @@ implementation paths under test existed.
 import time
 
 import numpy as np
-import pytest
 
-from hhbounds.bounds import (
-    ModulusInfeasibleError,
-    bound_holder,
-    bound_power_mean,
-    bound_sandwich,
-    bound_split_holder,
-    bound_split_holder_relaxed,
-    derivative_inputs,
-)
+from hhbounds.bounds import bound_sandwich, derivative_inputs, gap_bound
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.expr import evaluate, evaluate_dual
 from hhbounds.funcspec import estimate_max_modulus, validate
@@ -66,7 +57,7 @@ def test_criterion_2_gap_identity_on_corpus():
 
 def test_criterion_3_sandwich_equality_case():
     spec = make({"f": "x^2", "a": 0, "b": 1, "c_f": 1.0, "c_deriv": 0.0})
-    lower, upper = bound_sandwich(spec)
+    lower, upper = (bv.value for bv in bound_sandwich(spec))
     mean = integrate(lambda u: evaluate(spec.f, u), 0.0, 1.0, 1e-12).value
     assert abs(lower - 1 / 3) <= 1e-9
     assert abs(upper - 1 / 3) <= 1e-9
@@ -103,17 +94,17 @@ def test_criterion_5_reduction_checks():
     for q in (2.0, 3.0):
         spec = make({"f": "exp(x)", "a": 0, "b": 1, "q": q, "c_deriv": 0.0})
         i = derivative_inputs(spec)
-        pm = bound_power_mean(i).value
+        pm = gap_bound("power_mean", i).value
         pm_direct = (i.delta / 4.0) * ((i.d_b**q + i.d_a**q) / 2.0) ** (1.0 / q)
         assert pm == pm_direct
         p = i.p
         pref = (i.delta / 4.0) * (1.0 / (p + 1.0)) ** (1.0 / p) * 0.5 ** (1.0 / q)
-        sh = bound_split_holder(i).value
+        sh = gap_bound("split_holder", i).value
         sh_direct = pref * (
             (i.d_m**q + i.d_a**q) ** (1.0 / q) + (i.d_m**q + i.d_b**q) ** (1.0 / q)
         )
         assert sh == sh_direct
-        h = bound_holder(i).value
+        h = gap_bound("holder", i).value
         h_direct = (
             (i.delta / 2.0)
             * (1.0 / (p + 1.0)) ** (1.0 / p)
@@ -122,9 +113,9 @@ def test_criterion_5_reduction_checks():
         assert h == h_direct
     # identity-phi spot values
     sq1 = make({"f": "x^2", "a": 0, "b": 1, "q": 1})
-    assert bound_power_mean(derivative_inputs(sq1)).value == 0.25
+    assert gap_bound("power_mean", derivative_inputs(sq1)).value == 0.25
     sq2 = make({"f": "x^2", "a": 0, "b": 1, "q": 2})
-    assert abs(bound_holder(derivative_inputs(sq2)).value - 0.40825) <= 1e-5
+    assert abs(gap_bound("holder", derivative_inputs(sq2)).value - 0.40825) <= 1e-5
     done(5, "reduction checks")
 
 
@@ -157,16 +148,22 @@ def test_criterion_7_modulus_sweep():
         # the power-mean bracket keeps its quadratic cushion for all c <= c*
         bracket = (i.d_b**2 + i.d_a**2) / 2.0 - (c / 8.0) * i.delta**2
         assert bracket >= (c / 24.0) * i.delta**2
-        values["power_mean"].append(bound_power_mean(i).value)
-        values["holder"].append(bound_holder(i).value)
+        values["power_mean"].append(gap_bound("power_mean", i).value)
+        values["holder"].append(gap_bound("holder", i).value)
         if c <= 3.0:
-            values["split_holder"].append(bound_split_holder(i).value)
-            values["relaxed"].append(bound_split_holder_relaxed(i).value)
+            values["split_holder"].append(gap_bound("split_holder", i).value)
+            values["relaxed"].append(gap_bound("split_holder_relaxed", i).value)
         else:
-            with pytest.raises(ModulusInfeasibleError):
-                bound_split_holder(i)
-            with pytest.raises(ModulusInfeasibleError):
-                bound_split_holder_relaxed(i)
+            # the first bracket of each goes negative
+            for name, first_bracket in (
+                ("split_holder", i.d_m**2 + i.d_a**2 - (c / 3.0) * i.delta**2),
+                ("split_holder_relaxed",
+                 (i.d_b**2 + 3.0 * i.d_a**2) / 2.0 - (7.0 * c / 12.0) * i.delta**2),
+            ):
+                row = gap_bound(name, i)
+                assert (row.value, row.status) == (None, "ERROR")
+                assert f"bracket {first_bracket!r} < 0" in row.notes
+                assert "estimate_max_modulus" in row.notes
     for name, seq in values.items():
         assert all(a > b for a, b in zip(seq, seq[1:])), (name, seq)
     # confirm the sweep cap actually is the admissible maximum

@@ -14,14 +14,11 @@ import hhbounds
 from hhbounds.bounds import (
     STATUS_ERROR,
     STATUS_INAPPLICABLE,
-    ModulusInfeasibleError,
-    bound_holder,
-    bound_power_mean,
+    BoundValue,
     bound_sandwich,
-    bound_split_holder,
-    bound_split_holder_relaxed,
     derivative_inputs,
     evaluate_all,
+    gap_bound,
 )
 from hhbounds.corpus import corpus_specs, spec_from_config
 from hhbounds.expr import evaluate
@@ -48,32 +45,41 @@ def sq_spec(q=1.0, c_f=0.0, c_deriv=0.0):
     )
 
 
+def sandwich(spec):
+    lower, upper = bound_sandwich(spec)
+    assert (lower.theorem_id, lower.status, upper.theorem_id, upper.status) == (
+        "sandwich_lower", None, "sandwich_upper", None)
+    return lower.value, upper.value
+
+
 class TestSandwich:
     def test_square_extremal_modulus_gives_equality(self):
-        lower, upper = bound_sandwich(sq_spec(c_f=1.0))
+        lower, upper = sandwich(sq_spec(c_f=1.0))
         assert lower == pytest.approx(1 / 3, abs=1e-15)
         assert upper == pytest.approx(1 / 3, abs=1e-15)
 
     def test_square_without_modulus(self):
-        lower, upper = bound_sandwich(sq_spec(c_f=0.0))
+        lower, upper = sandwich(sq_spec(c_f=0.0))
         assert (lower, upper) == (0.25, 0.5)
         assert lower <= 1 / 3 <= upper
 
     def test_exp_at_half_modulus(self):
         spec = make({"f": "exp(x)", "a": 0, "b": 1, "c_f": 0.5})
-        lower, upper = bound_sandwich(spec)
+        lower, upper = sandwich(spec)
         assert lower == pytest.approx(1.690387937366795, abs=1e-12)
         assert upper == pytest.approx(1.7758075808961893, abs=1e-12)
         mean = E - 1
         assert lower <= mean <= upper
 
+    def test_overflow_is_two_error_rows(self):
+        # delta^2 = 1e310
+        rows = bound_sandwich(make({"f": "1", "a": 0, "b": 1e155, "c_f": 1.0}))
+        assert [(bv.theorem_id, bv.value, bv.status, bv.notes) for bv in rows] == [
+            (tid, None, STATUS_ERROR, tid + ": float overflow")
+            for tid in ("sandwich_lower", "sandwich_upper")
+        ]
 
-BOUNDS = {
-    "power_mean": bound_power_mean,
-    "split_holder": bound_split_holder,
-    "split_holder_relaxed": bound_split_holder_relaxed,
-    "holder": bound_holder,
-}
+
 CURVES = {"square": {"f": "x^2", "a": 0, "b": 1}, "linear": {"f": "3*x + 1", "a": 0, "b": 2}}
 
 
@@ -101,14 +107,14 @@ class TestGapBounds:
     ])
     def test_value(self, name, curve, q, c, expected, tol):
         spec = make({**CURVES[curve], "q": q, "c_deriv": c})
-        bv = BOUNDS[name](derivative_inputs(spec))
+        bv = gap_bound(name, derivative_inputs(spec))
         assert (bv.theorem_id, bv.status, bv.notes) == (name, None, "")
         assert bv.value == pytest.approx(expected, abs=tol)
         assert hh_gap(spec) <= bv.value + 1e-10
 
     @pytest.mark.parametrize("name", ["split_holder", "split_holder_relaxed", "holder"])
     def test_inapplicable_at_q1(self, name):
-        bv = BOUNDS[name](derivative_inputs(sq_spec(q=1.0)))
+        bv = gap_bound(name, derivative_inputs(sq_spec(q=1.0)))
         assert (bv.theorem_id, bv.value, bv.status) == (name, None, STATUS_INAPPLICABLE)
         assert bv.notes == "p undefined at q=1"
 
@@ -119,13 +125,14 @@ class TestGapBounds:
         bound_case("split_holder_relaxed", "square", 2.0, 4.0, 2 - 7 / 3),
         bound_case("holder", "square", 2.0, 13.0, 2 - 13 / 6),
     ])
-    def test_infeasible_bracket_raises(self, name, curve, q, c, bracket):
+    def test_infeasible_bracket_is_error_row(self, name, curve, q, c, bracket):
         inputs = derivative_inputs(make({**CURVES[curve], "q": q, "c_deriv": c}))
-        with pytest.raises(ModulusInfeasibleError) as exc:
-            BOUNDS[name](inputs)
-        assert exc.value.theorem_id == name
-        assert exc.value.bracket == pytest.approx(bracket, abs=1e-15)
-        assert "estimate_max_modulus" in str(exc.value)
+        bv = gap_bound(name, inputs)
+        assert (bv.theorem_id, bv.value, bv.status) == (name, None, STATUS_ERROR)
+        assert bv.notes == (
+            f"{name}: bracket {bracket!r} < 0 at c={c!r}; c exceeds what the derivative "
+            "data admits, check estimate_max_modulus for |f'|^q"
+        )
 
     @pytest.mark.parametrize("name, q, direct", [
         pytest.param("power_mean", q, lambda i: (
@@ -150,20 +157,20 @@ class TestGapBounds:
     ])
     def test_c0_value_is_bitwise_the_direct_formula(self, name, q, direct):
         i = derivative_inputs(sq_spec(q=q, c_deriv=0.0))
-        assert BOUNDS[name](i).value == direct(i)
+        assert gap_bound(name, i).value == direct(i)
 
     @pytest.mark.parametrize("name", ["power_mean", "split_holder", "holder"])
     def test_c0_row_is_the_bound_at_zero_modulus(self, name):
         spec = sq_spec(q=2.0, c_deriv=2.0)
         rows = {bv.theorem_id: bv for bv in evaluate_all(spec)}
         i0 = dataclasses.replace(derivative_inputs(spec), c=0.0)
-        assert rows[name + "_c0"].value == BOUNDS[name](i0).value
+        assert rows[name + "_c0"].value == gap_bound(name, i0).value
 
     def test_power_mean_is_continuous_at_q_one(self):
         near = sq_spec(q=1.0 + 1e-9)
         at = sq_spec(q=1.0)
-        v_near = bound_power_mean(derivative_inputs(near)).value
-        v_at = bound_power_mean(derivative_inputs(at)).value
+        v_near = gap_bound("power_mean", derivative_inputs(near)).value
+        v_at = gap_bound("power_mean", derivative_inputs(at)).value
         assert abs(v_near - v_at) <= 1e-6 * abs(v_at)
 
     def test_relaxed_dominates_split_holder(self):
@@ -172,21 +179,19 @@ class TestGapBounds:
             if spec.q <= 1.0:
                 continue
             inputs = derivative_inputs(spec)
-            tight = bound_split_holder(inputs)
-            relaxed = bound_split_holder_relaxed(inputs)
+            tight = gap_bound("split_holder", inputs)
+            relaxed = gap_bound("split_holder_relaxed", inputs)
             assert tight.value <= relaxed.value + 1e-10, spec.spec_id
 
 
 class TestCMonotonicity:
     def test_bounds_strictly_decrease_while_brackets_stay_positive(self):
-        values = {"power_mean": [], "holder": [], "split": [], "relaxed": []}
+        values = {"power_mean": [], "holder": [], "split_holder": [], "split_holder_relaxed": []}
         for c in (0.0, 1.0, 2.0, 3.0):
             spec = sq_spec(q=2.0, c_deriv=c)
             inputs = derivative_inputs(spec)
-            values["power_mean"].append(bound_power_mean(inputs).value)
-            values["holder"].append(bound_holder(inputs).value)
-            values["split"].append(bound_split_holder(inputs).value)
-            values["relaxed"].append(bound_split_holder_relaxed(inputs).value)
+            for name, seq in values.items():
+                seq.append(gap_bound(name, inputs).value)
         for name, seq in values.items():
             assert all(a > b for a, b in zip(seq, seq[1:])), name
 
@@ -304,6 +309,42 @@ class TestEvaluateAll:
         for tid, bv in errors.items():
             assert bv.value is None
             assert bv.notes == tid.removesuffix("_c0") + ": float overflow"
+
+
+# overflow in every gap row, overflow in the sandwich and power_mean rows, a
+# modulus past every bracket of x^2 at q = 2, and a kink flag (no corpus spec
+# has one)
+PROBES = [
+    {"f": "x^2", "a": 0, "b": 1, "q": 2000},
+    {"f": "1", "a": 0, "b": 1e155},
+    {"f": "x^2", "a": 0, "b": 1, "q": 2, "c_deriv": 17},
+    {"f": "abs(2*x - 1)", "a": 0, "b": 1, "q": 2},
+]
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+def test_each_gap_row_is_one_gap_bound_call():
+    # a direct call returns the row evaluate_all reports, ERROR rows included;
+    # c0 rows are the call at c = 0, and undecided rows carry the kink flags
+    statuses = set()
+    for spec in corpus_specs() + [make(cfg) for cfg in PROBES]:
+        inputs = derivative_inputs(spec)
+        flags = "; ".join(inputs.kink_flags)
+        reduced = dataclasses.replace(inputs, c=0.0)
+        gap_rows = [bv for bv in evaluate_all(spec) if not bv.theorem_id.startswith("sandwich")]
+        assert len(gap_rows) == 7, spec.spec_id
+        for bv in gap_rows:
+            tid = bv.theorem_id.removesuffix("_c0")
+            direct = gap_bound(tid, reduced if bv.theorem_id.endswith("_c0") else inputs)
+            assert isinstance(direct, BoundValue) and direct.theorem_id == tid
+            notes = flags if direct.status is None and flags else direct.notes
+            assert (bits(bv.value), bv.kind, bv.status, bv.notes) == (
+                bits(direct.value), direct.kind, direct.status, notes), (spec.spec_id, tid)
+            statuses.add(bv.status)
+    assert statuses == {None, STATUS_INAPPLICABLE, STATUS_ERROR}
 
 
 class TestBracketFeasibility:
