@@ -23,7 +23,6 @@ float overflow.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -191,13 +190,14 @@ def evaluate_all(spec: ProblemSpec) -> list[BoundValue]:
     sandwich_rows = bound_sandwich(spec)
     inputs = derivative_inputs(spec)
     flags = "; ".join(inputs.kink_flags)
-    # c = 0 reductions share the arithmetic path of the main operations
-    reduced = dataclasses.replace(inputs, c=0.0)
-    gap_rows = [gap_bound(tid, inputs) for tid in GAP_BOUND_TABLE] + [
-        dataclasses.replace(gap_bound(tid, reduced), theorem_id=tid + "_c0")
-        for tid, row in GAP_BOUND_TABLE.items() if row.has_c0_row
-    ]
+    # c = 0 reductions share the main path's arithmetic; rows are built, not replace()d
+    reduced = BoundInputs(inputs.delta, inputs.d_a, inputs.d_b, inputs.d_m, 0.0, inputs.q, inputs.p)
+    gap_rows = [gap_bound(tid, inputs) for tid in GAP_BOUND_TABLE]
+    for tid, entry in GAP_BOUND_TABLE.items():
+        if entry.has_c0_row:
+            row = gap_bound(tid, reduced)
+            gap_rows.append(BoundValue(tid + "_c0", row.value, row.kind, row.status, row.notes))
     return sandwich_rows + [
-        dataclasses.replace(row, notes=flags) if row.status is None and flags else row
+        BoundValue(row.theorem_id, row.value, notes=flags) if row.status is None and flags else row
         for row in gap_rows
     ]

@@ -596,9 +596,12 @@ LIBM_ULPS = 4  # allowance for one exp, ln, sin, cos or pow, in eps of its value
 class _Bound:
     """A value ``v`` and ``m``, a first-order bound on its absolute rounding error; None if exact.
 
-    Every ufunc on a ``_Bound`` computes the plain value and adds its error
-    rule from ``_MU``: the inputs' bounds carried through the operation's
-    derivative, plus eps times the result (``LIBM_ULPS`` eps for libm).
+    Every operation on a ``_Bound`` computes the plain value by its ufunc
+    and adds its error rule from ``_MU``, looked up at the call: the inputs'
+    bounds carried through the operation's derivative, plus eps times the
+    result (``LIBM_ULPS`` eps for libm). ``+ - * /``, ``-`` and ``abs()``
+    do both themselves; libm ufuncs come through ``__array_ufunc__``, at the
+    cost of numpy's dispatch, which refuses ``reduce`` and ``out=``.
     The value and dual rules run unchanged on
     these numbers, so the mu lanes are the plain lanes with exact leaves.
     ``sign`` is taken as exact, so at a point within mu of an ``abs`` kink
@@ -619,14 +622,22 @@ class _Bound:
         return _Bound(r, _MU[ufunc](r, *values, *mus))
 
     def _op(ufunc, swap=False):
-        return (lambda s, o: s.__array_ufunc__(ufunc, "__call__", o, s)) if swap else (
-            lambda s, *o: s.__array_ufunc__(ufunc, "__call__", s, *o))
+        """The operator applying ``ufunc`` to (self, o), or (o, self) with ``swap``."""
+        def op(s, o):
+            v, m = (o.v, o.m) if type(o) is _Bound else (o, None)
+            if swap:
+                r = ufunc(v, s.v)
+                return _Bound(r, _MU[ufunc](r, v, s.v, m, s.m))
+            r = ufunc(s.v, v)
+            return _Bound(r, _MU[ufunc](r, s.v, v, s.m, m))
+        return op
 
     __add__, __radd__ = _op(np.add), _op(np.add, True)
     __sub__, __rsub__ = _op(np.subtract), _op(np.subtract, True)
     __mul__, __rmul__ = _op(np.multiply), _op(np.multiply, True)
     __truediv__, __rtruediv__ = _op(np.true_divide), _op(np.true_divide, True)
-    __neg__, __abs__ = _op(np.negative), _op(np.absolute)
+    __neg__ = lambda s: _Bound(r := np.negative(s.v), _MU[np.negative](r, s.v, s.m))
+    __abs__ = lambda s: _Bound(r := np.absolute(s.v), _MU[np.absolute](r, s.v, s.m))
     del _op
     # the domain checks compare values
     __eq__ = lambda s, o: s.v == o
@@ -653,7 +664,7 @@ def _scaled(w, m, divide=False):
     if m is None:
         return m
     a = np.abs(w, dtype=float)
-    out = a if type(a) is np.ndarray and np.shape(m) in ((), a.shape) else None
+    out = a if type(a) is np.ndarray and getattr(m, "shape", ()) in ((), a.shape) else None
     return np.divide(m, a, out=out) if divide else np.multiply(a, m, out=out)
 
 
@@ -701,7 +712,7 @@ _MU[np.subtract] = _MU[np.add]
 def _unbound(b, x):
     """``(value, mu)`` of a lane's result, as floats for a float ``x``."""
     v, m = (b.v, 0.0 if b.m is None else b.m) if type(b) is _Bound else (b, 0.0)  # None: exact
-    if np.shape(m) != np.shape(v):
+    if getattr(m, "shape", ()) != getattr(v, "shape", ()):  # a float has no shape
         m = np.zeros(np.shape(v)) + m
     return _like_input(v, x), _like_input(m, x)
 

@@ -290,10 +290,10 @@ def _second_differences(g, rec: _Record, grid: GridConfig) -> tuple:
     the samples' running bounds mu through the stencil, its two roundings,
     and eps*|D2g/2| for the division. ``g.bounded(u)`` gives (g(u), mu); any
     other g counts as one libm call. ``least`` is min D2g/2 and ``estimate``
-    estimate_max_modulus's reduction of the sample; a keyed target's is
-    recorded in ``rec`` once g has been evaluated without error. Besides g's
-    evaluation, at most 4 arrays of N floats are alive at once. Raises
-    DegeneratePhiError.
+    estimate_max_modulus's reduction (its band test computes only the half
+    ``least`` leaves open); a keyed target's is recorded in ``rec`` once g is
+    evaluated without error. At most 4 arrays of N floats are alive besides
+    g's; before g is evaluated, a unit, h or 2*h**2 of 0 is a DegeneratePhiError.
     """
     lo, hi, n = rec.lo, rec.hi, grid.size
     unit = 2.0 ** (math.frexp(max(-lo, hi))[1] - 51)
@@ -304,6 +304,10 @@ def _second_differences(g, rec: _Record, grid: GridConfig) -> tuple:
     if k == 0:
         raise DegeneratePhiError(f"phi([a, b]) holds too few doubles for {n} points")
     start, h = first * unit, k * unit
+    scale = 2.0 * h * h
+    if scale == 0:
+        raise DegeneratePhiError(
+            f"phi([a, b]) = [{lo}, {hi}] is too near 0: 2*h**2 underflows to 0")
     u = np.arange(first, first + n * k, k, dtype=float)
     u *= unit
     if hasattr(g, "bounded"):
@@ -312,7 +316,6 @@ def _second_differences(g, rec: _Record, grid: GridConfig) -> tuple:
         gu = _sample(g, u)
         mu = LIBM_ULPS * EPS * np.abs(gu)
     del u
-    scale = 2.0 * h * h
     # eps = (mu[:-2] + 2*mu[1:-1] + mu[2:] + EPS*(|a| + |s|))/scale + EPS*|d|,
     # in arrays made here, as mu and g(u) may be g's own
     eps = np.multiply(mu[1:-1], 2.0)
@@ -330,8 +333,10 @@ def _second_differences(g, rec: _Record, grid: GridConfig) -> tuple:
     if not eps.max() < math.inf:
         d[~np.isfinite(eps)] = np.nan  # an unbounded rounding error decides nothing
     least = float(d.min())
-    # estimate_max_modulus's rule, with a and s as scratch
-    in_band = np.subtract(d, eps, out=a).min() <= 0.0 <= np.add(d, eps, out=s).min()
+    # estimate_max_modulus's rule, with a and s as scratch: eps >= 0 settles one half
+    # by least (least <= 0 puts min(d - eps) <= 0, least > 0 min(d + eps) > 0); NaN is out
+    in_band = (np.add(d, eps, out=s).min() >= 0.0 if least <= 0.0
+               else least > 0.0 and np.subtract(d, eps, out=a).min() <= 0.0)
     estimate = 0.0 if in_band else least
     target = getattr(g, "target", None)
     if target is not None:
@@ -405,7 +410,7 @@ def certify_strong_phi_convexity(g: Callable, phi: PhiMap, iv: Interval, c: floa
     worst = h * h * (least - c) + 0.0
     slack = np.subtract(d, c, out=d)
     slack += eps
-    k = int(np.argmin(slack))
+    k = int(slack.argmin())
     if slack[k] >= 0:
         return CertificateResult(target, True, worst, None)
     (x, px), (y, py) = (_preimage(phi, rec, start + i * h) for i in (k, k + 2))
@@ -470,7 +475,7 @@ def derivative_power(e: Expr, q: float) -> Callable:
 
     def g(u, bound=False):
         d = evaluate_derivative(e, u, bound)
-        d = np.abs(_Bound(*d) if bound else d)
+        d = abs(_Bound(*d)) if bound else np.abs(d)
         d = d**q if n is None else _int_pow(d, n, e, u)
         return _unbound(d, u) if bound else d
 

@@ -93,14 +93,15 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
     must take and return numpy arrays (a scalar result is broadcast). Both
     rules weight f - f(mid) and add 2 f(mid) back, so a constant integrates
     exactly and values that round to the same float agree. A panel is
-    accepted, with its 15-point value, when that is within tol of the 7-point
-    Gauss value; tol halves per level, and other panels are bisected. The
-    value, error estimate and evaluation count are those of the depth-first
-    recursion, and the value that of separate calls per piece summed in
-    order. Raises QuadratureError at the first level that samples a value
-    that is not finite, past depth MAX_DEPTH, and before a level that would
-    take the evaluations past MAX_EVALUATIONS, which is what stops an
-    integrand that does not converge anywhere.
+    accepted, with its 15-point value, when that is within tol of the
+    7-point Gauss value; tol halves per level, and other panels are
+    bisected. The value, error estimate and evaluation count are those of
+    the depth-first recursion, and the value that of separate calls per
+    piece summed in order; panels are sorted into it past depth 0 only, and
+    a level accepted whole is kept without a copy. Raises QuadratureError at
+    the first level that samples a value that is not finite, past depth
+    MAX_DEPTH, and before a level that would take the evaluations past
+    MAX_EVALUATIONS, which stops an integrand that converges nowhere.
     """
     los, his = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if los.ndim != 1 or los.shape != his.shape or not los.size:
@@ -129,10 +130,10 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         sums = 2.0 * fm + np.cumsum((f - fm)[:, :, None] * WEIGHTS, axis=1)[:, -1]
         kronrod = half * sums[:, 0]
         err = np.abs(kronrod - half * sums[:, 1])
-        accepted = err <= tol
-        accepted_panels.append((piece[accepted], a[accepted], err[accepted], kronrod[accepted]))
-        if accepted.all():
+        if (accepted := err <= tol).all():
+            accepted_panels.append((piece, a, err, kronrod))
             break
+        accepted_panels.append((piece[accepted], a[accepted], err[accepted], kronrod[accepted]))
         # a panel with a sample that is not finite has a NaN or inf error, so
         # it is never accepted and only a refining level needs to look
         bad = ~np.isfinite(f)
@@ -156,11 +157,14 @@ def integrate(g, lo, hi, tol: float) -> QuadResult:
         depth += 1
     # leaves ordered by piece, then lo, are the depth-first order; no two
     # share a lo, since a panel one ulp wide has one sample value and is accepted
-    piece, lo, err, kronrod = (np.concatenate(c) for c in zip(*accepted_panels))
-    order = np.lexsort((lo, piece))
+    piece, lo, err, kronrod = accepted_panels[0]
+    if depth:  # at depth 0, one panel per piece, in order
+        piece, lo, err, kronrod = (np.concatenate(c) for c in zip(*accepted_panels))
+        order = np.lexsort((lo, piece))
+        piece, err, kronrod = piece[order], err[order], kronrod[order]
     # values add up per piece, then left to right; differences in one sum
     sums, value, err_estimate = [0.0] * los.size, 0.0, 0.0
-    for p, k, e in zip(piece[order].tolist(), kronrod[order].tolist(), err[order].tolist()):
+    for p, k, e in zip(piece.tolist(), kronrod.tolist(), err.tolist()):
         sums[p], err_estimate = sums[p] + k, err_estimate + e
     for s in sums:
         value += s

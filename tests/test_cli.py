@@ -402,7 +402,9 @@ class TestNarrowRange:
 
 class TestRangeNearZero:
     # phi([0, 1e-310]) lies below 2**-1024, where the sample's power-of-two
-    # unit underflows to 0; in a new process, so a traceback would show
+    # unit underflows to 0; from about 1e-159 down, the stencil's scale
+    # 2*h**2 at 1,281 points underflows to 0. In a new process, so a
+    # traceback or a RuntimeWarning would show
     CFG = {"f": "x^2", "a": 0, "b": 1e-310}
 
     @pytest.mark.parametrize("command", ["check", "modulus"])
@@ -413,6 +415,19 @@ class TestRangeNearZero:
         assert proc.stderr == (b"error: phi([a, b]) = [0.0, 1e-310] lies below 2**-1024, "
                                b"too near 0\n")
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("b", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("command", ["check", "modulus"])
+    def test_an_underflowing_scale_exits_one_with_one_error_line(self, tmp_path, command, b):
+        proc = run_cli(command, write_config(tmp_path, {"f": "x^2", "a": 0, "b": b}))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: phi([a, b]) = [0.0, %r] is too near 0: "
+                               b"2*h**2 underflows to 0\n" % b)
+
+    def test_a_range_above_the_underflow_reads_the_modulus(self, tmp_path):
+        proc = run_cli("modulus", write_config(tmp_path, {"f": "x^2", "a": 0, "b": 1e-155}))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1.00000\n", b"")
 
 
 class TestLemma:

@@ -710,21 +710,20 @@ class TestEstimateMaxModulus:
     def test_a_range_below_2_to_the_minus_1024_is_degenerate(self):
         # the sample's points are multiples of 2**(e - 51), e the binary
         # exponent of max(|m|, |M|): below 2**-1024 that unit underflows to
-        # 0. At 2**-1024 it is the least subnormal, and the sample is taken:
-        # g is evaluated once, on both lanes, and nothing raises. What the
-        # estimate reads there is not pinned: 2*h**2 underflows, the fault
-        # CHANGES.md's "FOUND: the 1-D sample reads NaN" line names
-        match = r"phi\(\[a, b\]\) = \[0.0, 1e-310\] lies below 2\*\*-1024, too near 0"
+        # 0. At 2**-1024 it is the least subnormal, but the stencil's scale
+        # 2*h**2 underflows to 0, so that range is degenerate too. Either is
+        # found before g is evaluated
+        below = r"phi\(\[a, b\]\) = \[0.0, 1e-310\] lies below 2\*\*-1024, too near 0"
+        at = (r"phi\(\[a, b\]\) = \[0.0, 5.562684646268003e-309\] is too near 0: "
+              r"2\*h\*\*2 underflows to 0")
         for g in (square, function_of(parse("x^2")), derivative_power(parse("x^2"), 2.0)):
-            with pytest.raises(DegeneratePhiError, match=match):
-                certify_strong_phi_convexity(g, PhiMap.identity(), Interval(0.0, 1e-310), 0.0)
-            with pytest.raises(DegeneratePhiError, match=match):
-                estimate_max_modulus(g, PhiMap.identity(), Interval(0.0, 1e-310))
-            counted = counting(g)
-            with np.errstate(all="ignore"):
-                estimate_max_modulus(g, PhiMap.identity(), Interval(0.0, 2.0**-1024))
-                estimate_max_modulus(counted, PhiMap.identity(), Interval(0.0, 2.0**-1024))
-            assert counted.points == [GridConfig().size]
+            for iv, match in ((Interval(0.0, 1e-310), below), (Interval(0.0, 2.0**-1024), at)):
+                counted = counting(g)
+                with pytest.raises(DegeneratePhiError, match=match):
+                    certify_strong_phi_convexity(counted, PhiMap.identity(), iv, 0.0)
+                with pytest.raises(DegeneratePhiError, match=match):
+                    estimate_max_modulus(counted, PhiMap.identity(), iv)
+                assert counted.points == []
 
     def test_derivative_power_target(self):
         # |d/dx x^2|^2 = 4x^2 admits modulus 4

@@ -302,6 +302,52 @@ def test_a_square_has_the_two_term_bits(m):
             assert np.float64(np.multiply(b, b).m).tobytes() == want[k:k + 1].tobytes()
 
 
+def _bound_bits(b):
+    """The bits of a _Bound's value and mu, None for an exact one's mu."""
+    return tuple(None if a is None else np.asarray(a, dtype=float).tobytes() for a in (b.v, b.m))
+
+
+@pytest.mark.parametrize("ufunc, name", [
+    (np.add, "add"), (np.subtract, "sub"), (np.multiply, "mul"), (np.true_divide, "truediv"),
+])
+def test_each_operator_has_the_bits_of_the_ufunc_protocol(ufunc, name):
+    # b OP o and o OP b apply the ufunc and its mu rule themselves; the
+    # ufunc called on a _Bound goes through __array_ufunc__. On every pair
+    # of the special values, against a float, an array, a bounded array and
+    # an exact one, both orders give the protocol's bits, and so do
+    # elementwise _Bounds of Python floats
+    v, w = np.repeat(_SPECIAL, _SPECIAL.size), np.tile(_SPECIAL, _SPECIAL.size)
+    m = np.abs(np.tile(_SPECIAL[::-1], _SPECIAL.size))
+    b = expr._Bound(v, m)
+    pairs = [(b, o) for o in (w, expr._Bound(w, m[::-1]), expr._Bound(w, None))]
+    pairs += [(b, float(x)) for x in _SPECIAL]
+    pairs += [(expr._Bound(float(v[k]), float(m[k])), o)
+              for k in range(v.size) for o in (float(w[k]), expr._Bound(float(w[k]), float(m[k])))]
+    with np.errstate(all="ignore"):
+        for b, o in pairs:
+            for got, want in ((getattr(b, f"__{name}__")(o), ufunc(b, o)),
+                              (getattr(b, f"__r{name}__")(o), ufunc(o, b))):
+                assert type(got) is expr._Bound
+                assert _bound_bits(got) == _bound_bits(want)
+
+
+def test_unary_operators_have_the_bits_of_the_ufunc_protocol():
+    v = np.repeat(_SPECIAL, _SPECIAL.size)
+    m = np.abs(np.tile(_SPECIAL[::-1], _SPECIAL.size))
+    with np.errstate(all="ignore"):
+        for b in (expr._Bound(v, m), expr._Bound(v, None), expr._Bound(-2.5, EPS)):
+            for got, want in ((-b, np.negative(b)), (abs(b), np.absolute(b))):
+                assert _bound_bits(got) == _bound_bits(want)
+
+
+def test_the_operators_read_the_mu_rules_at_each_call(monkeypatch):
+    # the oracle tests replace expr._MU; an operator that kept the rules it
+    # was made with would compare the lean rules with themselves
+    b, c = expr._Bound(np.array([3.0]), np.array([EPS])), expr._Bound(np.array([2.0]), None)
+    monkeypatch.setattr(expr, "_MU", {**expr._MU, np.multiply: lambda r, *args: "patched"})
+    assert (b * c).m == (2.0 * b).m == (b * 2.0).m == "patched"
+
+
 def _untouched(rule):
     """``rule`` asserting that it leaves every array it is given as it was."""
     def checked(*args):
